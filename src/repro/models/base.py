@@ -29,9 +29,10 @@ class Prediction:
     model: str
     uarch: str
     throughput: Optional[float]
-    #: Predicted dispatch schedule, when the model is a simulator
-    #: (used for the paper's scheduling figure).  Ithemal returns a
-    #: single number with no interpretable trace.
+    #: A simulator's record-free combined schedule: ``cycles`` at the
+    #: larger unroll factor, ``checkpoint_cycles`` at the smaller.  The
+    #: scheduling figure reads ``schedule_trace`` for dispatch records.
+    #: Ithemal returns a single number with no interpretable trace.
     schedule: Optional[ScheduleResult] = None
     error: Optional[str] = None
 

@@ -11,7 +11,10 @@ the same dataflow scheduler as the ground-truth machine, but:
   division fast-path detection, perfect-L1 assumptions,
 
 and derives steady-state throughput from two unroll factors, exactly
-like IACA's infinite-loop steady-state definition.
+like IACA's infinite-loop steady-state definition.  Both come from one
+record-free pass at the larger factor with a checkpoint at the smaller:
+the scheduler is online and a static schedule has no annotations, so
+the checkpoint reading *is* the standalone small-factor makespan.
 """
 
 from __future__ import annotations
@@ -77,10 +80,9 @@ class PortSimulatorModel(CostModel):
         """Raw simulated throughput (before the residual)."""
         sched = self._scheduler(uarch)
         u1, u2 = self.UNROLL_PAIR
-        c1 = sched.schedule(block, u1).cycles
-        result2 = sched.schedule(block, u2, keep_records=True)
-        throughput = (result2.cycles - c1) / (u2 - u1)
-        return max(throughput, 1.0 / sched.desc.issue_width), result2
+        result = sched.schedule(block, u2, checkpoint=u1)
+        throughput = (result.cycles - result.checkpoint_cycles) / (u2 - u1)
+        return max(throughput, 1.0 / sched.desc.issue_width), result
 
     def schedule_trace(self, block: BasicBlock, uarch: str,
                        unroll: int = 3) -> ScheduleResult:

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import BasicBlock, Instruction
 from repro.isa.operands import is_reg
-from repro.simcore import config as simcore
 from repro.uarch.descriptor import UarchDescriptor
 from repro.uarch.uops import DecomposedInstruction, Decomposer, Uop
 
@@ -66,7 +65,7 @@ class ScheduleResult:
     records: List[UopRecord]
     #: Iterations whose timing was derived analytically from a
     #: scheduler-state fixed point instead of being simulated (0 when
-    #: the fast path was off or never converged).
+    #: no ``steady`` witness was passed or the state never converged).
     extrapolated_iterations: int = 0
     #: Makespan after the first ``checkpoint`` iterations — what a
     #: standalone schedule of that prefix would have returned (the
@@ -451,9 +450,6 @@ class DataflowScheduler:
         ``steady`` is an optional annotation-periodicity witness
         ``(t, q)`` (iteration ``i >= t`` annotated identically to
         ``i + q``) enabling the fixed-point extrapolation fast path.
-        A purely static schedule (no annotations) is trivially
-        periodic, so models pick up the witness ``(0, 1)`` on their
-        own whenever the fast path is enabled.
 
         ``checkpoint`` asks for the makespan after that many
         iterations as well (``ScheduleResult.checkpoint_cycles``) —
@@ -462,9 +458,6 @@ class DataflowScheduler:
         certified that the prefix annotations are identical too.
         """
         desc = self.desc
-        if steady is None and annotations is None and not keep_records \
-                and simcore.enabled():
-            steady = (0, 1)
         slot_plans = [self._slot_plan(instr)
                       for instr in block.instructions]
         detector = None

@@ -5,7 +5,7 @@ serial and pooled, and the all-slow-paths configuration (fast path and
 block plans disabled).  Each case runs the subprocess driver three
 times — an uninterrupted baseline, a run SIGKILLed (whole process
 group, so pool workers die too) once at least two shards are durably
-cached, and a resume over the killed run's cache+journal — and
+journaled, and a resume over the killed run's cache+journal — and
 compares the resumed output byte-for-byte against the baseline.
 """
 
@@ -17,6 +17,8 @@ import sys
 import time
 
 import pytest
+
+from repro.resilience.journal import JOURNAL_NAME, parse_journal_line
 
 ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -83,15 +85,31 @@ def _shard_files(cache_dir):
         return []
 
 
+def _journaled_shards(cache_dir):
+    """Intact ``shard`` records in the run journal.
+
+    The engine writes a shard's cache file before it appends the
+    journal record, and a resume counts only journaled shards, so the
+    kill is timed on these records, not on the files.
+    """
+    try:
+        with open(os.path.join(cache_dir, JOURNAL_NAME)) as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return 0
+    return sum(1 for line in lines
+               if (parse_journal_line(line) or {}).get("kind") == "shard")
+
+
 def _kill_mid_run(cache_dir, out, uarch, jobs, extra):
     """Start a slowed run and SIGKILL its process group once at least
-    two shards are durably cached.  Returns completed-shard count."""
+    two shards are durably journaled.  Returns journaled-shard count."""
     proc = _launch(cache_dir, out, uarch, jobs, extra,
                    sleep=STORE_SLEEP)
     deadline = time.time() + 120.0
     try:
         while time.time() < deadline:
-            if len(_shard_files(cache_dir)) >= 2:
+            if _journaled_shards(cache_dir) >= 2:
                 break
             if proc.poll() is not None:
                 pytest.fail("driver finished before it could be "
@@ -104,7 +122,7 @@ def _kill_mid_run(cache_dir, out, uarch, jobs, extra):
         except ProcessLookupError:
             pass
         proc.wait(timeout=30)
-    completed = len(_shard_files(cache_dir))
+    completed = _journaled_shards(cache_dir)
     assert completed < SHARDS, "kill landed after the run finished"
     return completed
 

@@ -1,9 +1,16 @@
 """Cross-cutting property-based tests on core invariants."""
 
+import json
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.corpus import BlockSynthesizer, get_spec
+from repro.errors import ModelError, UnsupportedInstructionError
+from repro.isa.parser import parse_block
+from repro.models import IacaModel, LlvmMcaModel, OsacaModel
+from repro.models.portsim import PortSimulatorModel
 from repro.profiler import BasicBlockProfiler
 from repro.uarch import Machine
 from repro.uarch.scheduler import DataflowScheduler
@@ -102,3 +109,79 @@ class TestModelInvariants:
             return
         features = block_features(block)
         assert np.isfinite(features).all()
+
+
+UARCHES = ("ivybridge", "haswell", "skylake")
+
+#: One instance per analyser, shared so each keeps its per-uarch
+#: scheduler cache across examples.
+SIMULATORS = {cls.name: cls() for cls in (IacaModel, LlvmMcaModel,
+                                          OsacaModel)}
+
+GOLDEN_CORPUS = os.path.join(os.path.dirname(__file__), "data",
+                             "golden_corpus.json")
+
+
+def golden_blocks():
+    with open(GOLDEN_CORPUS) as fh:
+        return [parse_block(b["text"]) for b in json.load(fh)["blocks"]]
+
+
+def check_combined_schedule(model, block, uarch):
+    """Assert the model's one combined pass equals two standalone ones.
+
+    The same holds with an explicit ``(0, 1)`` witness, which arms the
+    steady-state detector and its checkpoint formula.  Returns whether
+    the model analysed the block at all.
+    """
+    u1, u2 = PortSimulatorModel.UNROLL_PAIR
+    try:
+        analysed = model.preprocess(block)
+        sched = model._scheduler(uarch)
+        combined = sched.schedule(analysed, u2, checkpoint=u1)
+    except (ModelError, UnsupportedInstructionError):
+        return False
+    c1 = sched.schedule(analysed, u1).cycles
+    c2 = sched.schedule(analysed, u2).cycles
+    assert (combined.checkpoint_cycles, combined.cycles) == (c1, c2)
+    assert combined.records == []
+    witnessed = sched.schedule(analysed, u2, steady=(0, 1),
+                               checkpoint=u1)
+    assert (witnessed.checkpoint_cycles, witnessed.cycles) == (c1, c2)
+    assert sched.schedule(analysed, u1, steady=(0, 1)).cycles == c1
+    # The throughput the two-call implementation derived.
+    two_call = max((c2 - c1) / (u2 - u1), 1.0 / sched.desc.issue_width)
+    assert model.simulate(analysed, uarch)[0] == two_call
+    return True
+
+
+@pytest.mark.parametrize("uarch", UARCHES)
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+class TestCombinedStaticSchedule:
+    """``schedule(b, 28, checkpoint=12)`` is the two standalone runs."""
+
+    @given(block=corpus_blocks())
+    @settings(max_examples=15, deadline=None)
+    def test_generated_blocks(self, name, uarch, block):
+        check_combined_schedule(SIMULATORS[name], block, uarch)
+
+    def test_golden_corpus(self, name, uarch):
+        analysed = sum(check_combined_schedule(SIMULATORS[name], block,
+                                               uarch)
+                       for block in golden_blocks())
+        # Nearly all 46 blocks must be analysed, or this proves nothing.
+        assert analysed >= 40
+
+
+def test_witness_fires_before_the_checkpoint():
+    """The witnessed runs above really take the detector's checkpoint
+    path: on some golden block it fires before iteration ``u1``, so
+    ``checkpoint_cycles`` comes from its closed form."""
+    u1, u2 = PortSimulatorModel.UNROLL_PAIR
+    model = SIMULATORS["IACA"]
+    sched = model._scheduler("haswell")
+    early = [block for block in golden_blocks()
+             if block.is_supported and sched.schedule(
+                 model.preprocess(block), u2, steady=(0, 1),
+                 checkpoint=u1).extrapolated_iterations > u2 - u1]
+    assert early
