@@ -52,9 +52,9 @@ UARCHES = ("ivybridge", "haswell", "skylake")
 
 
 def _golden_texts():
-    # Application blocks only: the "lanes" families grafted onto the
-    # fixture benchmark their own layer (bench_lanes.py); this bench
-    # keeps measuring the dispatch loop on the original workload.
+    # Application blocks only: the same-shape "lanes" families grafted
+    # onto the fixture stay out, so this bench keeps measuring the
+    # dispatch loop on the workload its BENCH numbers were taken on.
     with open(GOLDEN) as fh:
         doc = json.load(fh)
     return [b["text"] for b in doc["blocks"]

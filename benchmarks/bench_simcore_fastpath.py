@@ -55,9 +55,9 @@ REPLICA_TARGET = int(os.environ.get("REPRO_BENCH_FASTPATH_REPLICAS",
 
 
 def _golden_blocks():
-    # Application blocks only: the "lanes" families grafted onto the
-    # fixture benchmark their own layer (bench_lanes.py); this bench
-    # keeps measuring the fast path on the original workload.
+    # Application blocks only: the same-shape "lanes" families grafted
+    # onto the fixture stay out, so this bench keeps measuring the
+    # fast path on the workload its BENCH numbers were taken on.
     with open(GOLDEN) as fh:
         doc = json.load(fh)
     return [(b["text"], b["frequency"]) for b in doc["blocks"]

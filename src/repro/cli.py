@@ -472,10 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable compiled block plans and run the "
                             "historical per-instruction interpreter "
                             "(same results, slower)")
-        p.add_argument("--no-lanes", action="store_true",
-                       help="disable batch-lane vectorized profiling "
-                            "and profile every block scalar "
-                            "(same results, slower)")
         p.add_argument("--triage", nargs="?", const="1", default=None,
                        metavar="TOL",
                        help="enable learned triage: blocks whose "
@@ -712,8 +708,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_NO_FASTPATH"] = "1"
     if getattr(args, "no_blockplan", False):
         os.environ["REPRO_NO_BLOCKPLAN"] = "1"
-    if getattr(args, "no_lanes", False):
-        os.environ["REPRO_NO_LANES"] = "1"
     if getattr(args, "stream", False):
         # Exported so pool workers and nested engine calls (e.g. the
         # Experiment behind --resume) all take the streamed path.

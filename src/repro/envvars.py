@@ -75,12 +75,6 @@ REGISTRY: List[EnvVar] = [
     EnvVar("REPRO_NO_BLOCKPLAN", "unset",
            "`1` disables compiled block plans (same bytes, slower)",
            "performance"),
-    EnvVar("REPRO_NO_LANES", "unset",
-           "`1` disables batch-lane vectorized profiling "
-           "(same bytes, slower)", "performance"),
-    EnvVar("REPRO_LANE_WIDTH", "`16`",
-           "max same-shape blocks per vectorized lane "
-           "(`1` degenerates to the scalar path)", "performance"),
     EnvVar("REPRO_TRIAGE", "unset",
            "`1` enables learned triage: surrogate-confirmed cached "
            "measurements replay instead of re-simulating "

@@ -109,11 +109,9 @@ class CorpusProfile:
     count per key of ``ProfileResult.extra`` (currently
     ``fastpath_extrapolated``: blocks whose measurement used the
     steady-state fast path, ``blockplan_compiled``: blocks executed
-    through compiled block plans, ``lanes_vectorized``: blocks whose
-    result came out of a certified batch lane, and
-    ``triage_revalidated``: blocks whose journaled cached measurement
-    was replayed by the triage surrogate instead of re-simulated).
-    It is kept *outside* the
+    through compiled block plans, and ``triage_revalidated``: blocks
+    whose journaled cached measurement was replayed by the triage
+    surrogate instead of re-simulated).  It is kept *outside* the
     funnel so the funnel — and therefore accepted/dropped accounting —
     stays byte-identical whichever switches are on or off.
     """
@@ -135,7 +133,8 @@ def profile_records_detailed(profiler: BasicBlockProfiler,
     parallel worker (``repro.parallel``), so a sharded run cannot
     diverge from a serial one by construction.  Routing through
     ``profile_many`` (rather than per-record ``profile`` calls) lets
-    batch lanes form inside each shard as well as in serial runs.
+    triage revalidate and journal inside each shard as well as in
+    serial runs.
     """
     throughputs: Dict[int, float] = {}
     funnel = CorpusProfile.empty_funnel()

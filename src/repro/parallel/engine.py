@@ -305,7 +305,7 @@ _STITCH_EXCLUDED = frozenset({
     "profiler.blocks_total", "profiler.blocks_accepted",
     "profiler.fastpath_extrapolated", "profiler.blockplan_compiled",
     "profiler.chaos_block_poison", "profiler.step_budget_exceeded",
-    "profiler.lanes_vectorized", "profiler.triage_revalidated",
+    "profiler.triage_revalidated",
 })
 
 

@@ -84,11 +84,6 @@ class BasicBlockProfiler:
         #: Most recent block's environment, kept so the page-cache
         #: stats it accumulated can be drained after the block.
         self._last_env: Optional[Environment] = None
-        #: When a lane representative is being profiled,
-        #: ``repro.profiler.lanebatch`` installs a ``LaneCapture``
-        #: here and ``_profile_fresh`` records the mapping witness
-        #: and per-factor runs into it.  ``None`` = zero overhead.
-        self._lane_capture = None
         global _LAST_PROFILER
         _LAST_PROFILER = weakref.ref(self)
 
@@ -153,8 +148,6 @@ class BasicBlockProfiler:
             telemetry.count("profiler.blockplan_compiled")
         if result.extra.get("chaos_block_poison"):
             telemetry.count("profiler.chaos_block_poison")
-        if result.extra.get("lanes_vectorized"):
-            telemetry.count("profiler.lanes_vectorized")
         if result.extra.get("triage_revalidated"):
             telemetry.count("profiler.triage_revalidated")
         if result.extra.get("step_budget_exceeded"):
@@ -243,15 +236,6 @@ class BasicBlockProfiler:
         mapping = map_pages(env, block, unroll=plan.max_factor,
                             max_faults=self.config.max_faults,
                             enable_mapping=self.config.mapping_enabled)
-        if self._lane_capture is not None \
-                and mapping.trace is not None:
-            # Signature-periodicity witness of the mapping run, taken
-            # *before* Machine.run can lazily stamp event periodicity
-            # onto the same trace — the lane runner predicts exactly
-            # this (see repro.profiler.lanebatch).
-            self._lane_capture.witness = \
-                (mapping.trace.steady_from, mapping.trace.period) \
-                if mapping.trace.period else None
         if not mapping.success:
             return ProfileResult(text, uarch, failure=mapping.failure,
                                  num_faults=mapping.num_faults,
@@ -291,12 +275,6 @@ class BasicBlockProfiler:
                         env.memory, reps=self.config.acceptance.reps,
                         checkpoint_unroll=unroll)
                     pending[plan.max_factor] = big
-                    if self._lane_capture is not None:
-                        # Captured at creation: if the small factor
-                        # fails acceptance the pending entry is never
-                        # popped, but lane clones may still pass it
-                        # and need the large factor to replay.
-                        self._lane_capture.runs[plan.max_factor] = big
                     if big.checkpoint is not None:
                         run = big.checkpoint
                     else:
@@ -330,8 +308,6 @@ class BasicBlockProfiler:
                 return ProfileResult(text, uarch,
                                      failure=FailureReason.UNSUPPORTED,
                                      detail=str(exc))
-            if self._lane_capture is not None:
-                self._lane_capture.runs[unroll] = run
             if run.fastpath.get("extrapolated"):
                 extrapolated = True
             cycles, failure, clean = \
@@ -376,24 +352,19 @@ class BasicBlockProfiler:
                      ) -> List[ProfileResult]:
         """Profile a corpus; order of results matches the input.
 
-        When batch lanes are active (``repro.runtime.lanes``), a
-        pre-pass seeds the dedup memo with certified lane-clone
-        results; the scalar loop below is unchanged either way and
-        simply finds those results as memo hits.  When triage is
-        active (``repro.triage``, opt-in), an earlier pre-pass seeds
-        the memo with revalidated cached measurements — blocks it
-        cannot vouch for fall through to lanes and the scalar loop
-        unchanged — and freshly measured blocks are journaled after
-        the loop for future revalidation.
+        Every block goes through :meth:`profile`, so a repeated text
+        is a dedup-memo hit.  When triage is active (``repro.triage``,
+        opt-in), a pre-pass seeds the memo with revalidated cached
+        measurements — blocks it cannot vouch for fall through to the
+        loop unchanged — and freshly measured blocks are journaled
+        after the loop for future revalidation.
         """
         from repro import triage
-        from repro.profiler import lanebatch
         with telemetry.span("profiler.profile_many",
                             uarch=self.machine.name) as sp:
             items = [parse_block(b) if isinstance(b, str) else b
                      for b in blocks]
             triage.prepare_triage(self, items)
-            lanebatch.prepare_lanes(self, items)
             results = [self.profile(block) for block in items]
             triage.absorb_results(self, items, results)
             sp.annotate(blocks=len(results),
@@ -404,9 +375,6 @@ class BasicBlockProfiler:
                         blockplan_compiled=sum(
                             1 for r in results
                             if r.extra.get("blockplan_compiled")),
-                        lanes_vectorized=sum(
-                            1 for r in results
-                            if r.extra.get("lanes_vectorized")),
                         triage_revalidated=sum(
                             1 for r in results
                             if r.extra.get("triage_revalidated")))

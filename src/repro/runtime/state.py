@@ -230,29 +230,6 @@ class MachineState:
         self.ftz = ftz
         self.rip = rip
 
-    # -- batch-lane bridge -------------------------------------------------
-    #
-    # ``repro.runtime.lanes`` stacks N of these states into one numpy
-    # matrix (one row per lane member) covering exactly the GPR and
-    # flag slot arrays — the integer-only subset lanes vectorize.
-    # These two methods are the row<->state bridge the lane
-    # conformance tests use to prove a width-1 lane degenerates to
-    # this scalar state exactly.
-
-    def export_lane_row(self) -> Tuple[List[int], List[bool]]:
-        """The (gpr_slots, flag_slots) pair a lane row holds."""
-        return list(self._g), list(self._f)
-
-    def load_lane_row(self, gprs: Iterable[int],
-                      flags: Iterable[bool]) -> None:
-        """Adopt a lane row's values (in-place, views stay live)."""
-        gprs = list(gprs)
-        flags = [bool(x) for x in flags]
-        if len(gprs) != len(self._g) or len(flags) != len(self._f):
-            raise ValueError("lane row shape mismatch")
-        self._g[:] = [int(x) & _MASK64 for x in gprs]
-        self._f[:] = flags
-
     # -- register access ---------------------------------------------------
 
     def read(self, reg: Register) -> int:

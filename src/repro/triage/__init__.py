@@ -5,8 +5,8 @@ surrogate fronts the slow reference simulator.  Blocks whose surrogate
 prediction agrees with their journaled cached measurement within a
 configurable tolerance take a *cache-revalidation* path — the exact
 cached bytes are replayed, no simulation runs; disagreeing, novel, or
-quarantined blocks fall through to the full pipeline (lanes →
-blockplan → simcore) unchanged.
+quarantined blocks fall through to the full pipeline (blockplan →
+simcore) unchanged.
 
 Strictly opt-in (``--triage`` / ``$REPRO_TRIAGE``), with the same
 differential guarantee discipline as the other performance layers:

@@ -3,7 +3,7 @@
 Mirrors :mod:`repro.simcore.config` with the polarity inverted:
 triage is *opt-in* (``REPRO_TRIAGE=1`` enables it, exported by the
 CLI's ``--triage`` before any worker forks, so pools inherit it),
-where the fast path, block plans and lanes are opt-out.  Tests and
+where the fast path and block plans are opt-out.  Tests and
 benches use :func:`forced` / :func:`forced_tolerance` exactly like
 ``simcore.config.forced``.
 

@@ -1,13 +1,13 @@
 """Pipeline integration: route, revalidate, journal, train.
 
-``prepare_triage`` runs inside ``profile_many`` *before* lane
-formation: for each first-occurrence block with a journaled cached
-measurement, the surrogate predicts throughput, and when prediction
-and cached value agree within tolerance the exact journaled bytes are
-seeded into the profiler's dedup memo as a finished
-:class:`~repro.profiler.result.ProfileResult` — the scalar loop (and
-the lane pre-pass, which skips memoised texts) then never simulates
-the block.  Everything else — novel blocks, disagreements, chaos
+``prepare_triage`` runs inside ``profile_many`` *before* the
+profiling loop: for each first-occurrence block with a journaled
+cached measurement, the surrogate predicts throughput, and when
+prediction and cached value agree within tolerance the exact journaled
+bytes are seeded into the profiler's dedup memo as a finished
+:class:`~repro.profiler.result.ProfileResult` — the loop then finds a
+memo hit and never simulates the block.
+Everything else — novel blocks, disagreements, chaos
 ``block_poison`` targets, malformed rows — simply is not seeded and
 falls through to the full pipeline unchanged.  Triage can only fall
 back, never alter bytes: a revalidated result replays the journaled
@@ -43,7 +43,7 @@ _LAST_STORE: Optional[TriageStore] = None
 
 
 def _active() -> bool:
-    """Triage rides the dedup memo, so it needs simcore like lanes do."""
+    """Triage rides the dedup memo, which only exists under simcore."""
     return config.enabled() and simcore.enabled()
 
 
@@ -54,12 +54,11 @@ def _count(name: str, value: int = 1) -> None:
 
 def _fingerprint(profiler_config) -> str:
     from repro.profiler.harness import ProfilerConfig
-    from repro.runtime import blockplan, lanes
+    from repro.runtime import blockplan
     cfg = profiler_config if profiler_config is not None \
         else ProfilerConfig()
     return storemod.config_fingerprint(
-        cfg, fastpath=simcore.enabled(), blockplan=blockplan.enabled(),
-        lanes=lanes.enabled(), lane_width=lanes.lane_width())
+        cfg, fastpath=simcore.enabled(), blockplan=blockplan.enabled())
 
 
 def store_for(uarch: str, seed: int, profiler_config) -> TriageStore:
@@ -165,9 +164,8 @@ def decide(model: Optional[surrogatemod.Surrogate], block,
 def prepare_triage(profiler, items: Sequence) -> None:
     """Seed ``profiler._memo`` with revalidated cached measurements.
 
-    Runs before ``lanebatch.prepare_lanes`` (which skips memoised
-    texts, so a revalidated block never pays for lane formation
-    either).  Chaos ``block_poison`` targets are never revalidated —
+    Runs before the profiling loop, which finds each seeded text as
+    a memo hit.  Chaos ``block_poison`` targets are never revalidated —
     the poison must reach the scalar path and quarantine exactly as it
     would with triage off, or the funnel would change.
     """

@@ -3,7 +3,7 @@
 One store directory per *execution configuration* —
 ``triage_<uarch>_<seed>_<fingerprint>/`` next to the v3 shard cache —
 where the fingerprint covers the profiler configuration **and** the
-fastpath/blockplan/lanes switchboard state.  A measurement journaled
+fastpath/blockplan switchboard state.  A measurement journaled
 under one configuration can therefore never be replayed into a run
 with a different one, even though the measured bytes themselves are
 switch-invariant: the informational ``extra`` flags stored with each
@@ -49,8 +49,7 @@ def block_digest(text: str) -> str:
     return f"{zlib.crc32(text.encode()):08x}"
 
 
-def config_fingerprint(config, *, fastpath: bool, blockplan: bool,
-                       lanes: bool, lane_width: int) -> str:
+def config_fingerprint(config, *, fastpath: bool, blockplan: bool) -> str:
     """Digest of everything that shapes a profile's full result.
 
     ``repr`` of the (frozen, dataclass) profiler configuration plus
@@ -60,8 +59,7 @@ def config_fingerprint(config, *, fastpath: bool, blockplan: bool,
     flags journaled with each row depend on both, so both pin the
     store directory.
     """
-    text = (f"{config!r}|fp={fastpath}|bp={blockplan}"
-            f"|lanes={lanes}:{lane_width}")
+    text = f"{config!r}|fp={fastpath}|bp={blockplan}"
     return f"{zlib.crc32(text.encode()):08x}"
 
 

@@ -88,8 +88,8 @@ class Machine:
         self.decomposer = Decomposer(self.desc, self.table, self.div_table)
         self.scheduler = DataflowScheduler(self.desc, self.decomposer)
         #: cycles -> context-switch probability; the exp() below is a
-        #: pure function of the cycle count and shows up hot in both
-        #: the scalar reps loop and lane-clone replay.
+        #: pure function of the cycle count and shows up hot in the
+        #: reps loop.
         self._p_switch_cache: dict = {}
 
     @property

@@ -23,13 +23,11 @@ APPS = (("llvm", 10), ("openblas", 6), ("gzip", 6))
 SEED = 11
 UARCHES = ("ivybridge", "haswell", "skylake")
 
-#: Lane-shaped block families: every member of a family shares one
-#: lane fingerprint (same mnemonics/operand shapes/encoded lengths,
-#: immediates varying within one encoding class), so the batch-lane
-#: vectorizer (``repro.runtime.lanes``) can group them.  A small
-#: sample is folded into the golden corpus itself; the larger
-#: ``golden_lanes.json`` fixture feeds the lane differential suite
-#: and ``benchmarks/bench_lanes.py``.
+#: Same-shape block families: every member of a family shares its
+#: mnemonics, operand shapes and encoded lengths, with immediates
+#: varying within one encoding class.  Eight members of each are
+#: folded into the golden corpus (application ``lanes``) as ordinary
+#: inputs that differ only in their immediates.
 GOLDEN_LANE_SHAPES = (
     "movq (%%rax), %%rbx\naddq $0x%x, %%rbx\nmovq %%rbx, 8(%%rax)",
     "addq $0x%x, %%rbx\nxorq %%rbx, %%rcx\n"
@@ -38,22 +36,6 @@ GOLDEN_LANE_SHAPES = (
     "sbbq %%rdx, %%rdx",
 )
 GOLDEN_LANE_MEMBERS = 8
-
-LANES_FIXTURE_SHAPES = GOLDEN_LANE_SHAPES + (
-    "movzwl 16(%%rdi), %%eax\nandl $0x%x, %%eax\n"
-    "orl %%eax, %%esi\nmovl %%esi, 16(%%rdi)",
-    "movq 24(%%rsp), %%rcx\nshrq $0x%x, %%rcx\n"
-    "testq %%rcx, %%rcx\nsetne %%dl",
-    "decq %%r13\ncmpq $0x%x, %%r13\ncmovl %%r14, %%r13\nincq %%r15",
-    "imulq $0x%x, %%rsi, %%rdi\naddq %%rdi, %%r12\nrorq $5, %%r12",
-    "movq 32(%%rbx), %%rax\nsubq $0x%x, %%rax\n"
-    "xorq %%rax, %%rdx\nmovq %%rdx, 40(%%rbx)",
-    "movl 8(%%rbp), %%ecx\naddl $0x%x, %%ecx\nbswapl %%ecx\n"
-    "movl %%ecx, 12(%%rbp)",
-    "addq $0x%x, %%r8\nmovq %%r8, (%%rsi)\nadcq $0, %%r9\n"
-    "movq 16(%%rsi), %%r10",
-)
-LANES_FIXTURE_MEMBERS = 48
 
 #: Triage fixture shape: a mixed corpus for the triage differential
 #: suite (``tests/triage``).  The ``cached`` role re-derives a subset
@@ -68,14 +50,13 @@ TRIAGE_NOVEL_SEED = 23
 
 
 def lane_family(shape, members):
-    """Same-fingerprint member texts for one family shape.
+    """Same-shape member texts for one family shape.
 
     Immediates stay in one x86 encoding class (imm32, 0x100 + 16*k)
-    so every member has identical per-instruction encoded lengths —
-    a requirement of the lane fingerprint.  Shift-count immediates
-    would truncate (count & 0x3f), but 0x100+16k masks to a varying
-    5-bit pattern anyway, which is exactly the heterogeneity the lane
-    runner must prove it handles.
+    so every member has identical per-instruction encoded lengths.
+    Shift-count immediates would truncate (count & 0x3f), but
+    0x100+16k masks to a varying 5-bit pattern anyway, so the members
+    still differ in what they compute.
     """
     return [shape % (0x100 + 16 * k) for k in range(members)]
 
@@ -129,19 +110,6 @@ def build_triage_records():
     return Corpus([r for r, _ in records]), [role for _, role in records]
 
 
-def build_lane_records():
-    """The larger all-lane fixture behind ``golden_lanes.json``."""
-    from repro.corpus.dataset import BlockRecord, Corpus
-    from repro.isa.parser import parse_block
-    records = []
-    for shape in LANES_FIXTURE_SHAPES:
-        for text in lane_family(shape, LANES_FIXTURE_MEMBERS):
-            records.append(BlockRecord(
-                block=parse_block(text), application="lanes",
-                frequency=2, block_id=len(records)))
-    return Corpus(records)
-
-
 def main() -> None:
     from repro.eval.validation import profile_corpus_detailed
 
@@ -155,18 +123,6 @@ def main() -> None:
     }
     with open(os.path.join(HERE, "golden_corpus.json"), "w") as fh:
         json.dump(corpus_doc, fh, indent=1)
-        fh.write("\n")
-
-    lane_corpus = build_lane_records()
-    lanes_doc = {
-        "seed": SEED,
-        "blocks": [{"block_id": r.block_id,
-                    "application": r.application,
-                    "frequency": r.frequency,
-                    "text": r.block.text()} for r in lane_corpus],
-    }
-    with open(os.path.join(HERE, "golden_lanes.json"), "w") as fh:
-        json.dump(lanes_doc, fh, indent=1)
         fh.write("\n")
 
     triage_corpus, roles = build_triage_records()

@@ -18,29 +18,6 @@ import sys
 import time
 
 
-#: ``RESUME_DRIVER_CORPUS=lanes`` swaps the llvm sample for two
-#: lane-shaped families (8 members each, family-major order) so every
-#: 2-block shard forms a vectorized lane — the batch-lane leg of the
-#: SIGKILL -> resume matrix.
-_LANE_SHAPES = (
-    "movq (%%rax), %%rbx\naddq $0x%x, %%rbx\nmovq %%rbx, 8(%%rax)",
-    "cmpq $0x%x, %%rsi\ncmovne %%rdi, %%r8\nsete %%al",
-)
-
-
-def _lane_corpus():
-    from repro.corpus.dataset import BlockRecord, Corpus
-    from repro.isa.parser import parse_block
-    records = []
-    for shape in _LANE_SHAPES:
-        for k in range(8):
-            records.append(BlockRecord(
-                block=parse_block(shape % (0x100 + 16 * k)),
-                application="lanes", frequency=1,
-                block_id=len(records)))
-    return Corpus(records)
-
-
 def main(argv):
     cache_dir, out_path, uarch, jobs = \
         argv[0], argv[1], argv[2], int(argv[3])
@@ -51,10 +28,7 @@ def main(argv):
                                 shard_corpus)
     from repro.resilience import JOURNAL_NAME, RunJournal
 
-    if os.environ.get("RESUME_DRIVER_CORPUS") == "lanes":
-        corpus = _lane_corpus()
-    else:
-        corpus = build_application("llvm", count=16, seed=3)
+    corpus = build_application("llvm", count=16, seed=3)
     shards = shard_corpus(corpus, 2)
 
     class SlowStoreCache(ShardCache):

@@ -36,10 +36,6 @@ CASES = [
     pytest.param("haswell", 1,
                  {"REPRO_NO_FASTPATH": "1", "REPRO_NO_BLOCKPLAN": "1"},
                  id="haswell-serial-slowpaths"),
-    pytest.param("haswell", 2,
-                 {"REPRO_NO_LANES": "0",
-                  "RESUME_DRIVER_CORPUS": "lanes"},
-                 id="haswell-pooled-lanes"),
     # Streamed legs: the generator is killed mid-stream, and the
     # resumed streamed run must reproduce the baseline bytes from the
     # journal + cache alone (serial and pooled, all three uarches).

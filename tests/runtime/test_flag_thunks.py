@@ -7,31 +7,14 @@ These tests hold the thunks to bit-for-bit equivalence: exhaustively
 at width 1 (every ``a``, ``b`` byte pair with both carry values, every
 condition code against every flag combination) and on boundary values
 at the wider widths.
-
-The batch-lane layer (``repro.runtime.lanes``) replicates the same
-thunks element-wise over ``(n, 6)`` bool flag matrices; the vectorized
-section below holds each replica to the scalar thunk lane-by-lane —
-heterogeneous inputs across lanes of *one* matrix step, so a
-vector-width bug cannot hide behind uniform operands.
 """
 
 import pytest
 
-from repro.runtime import lanes, plan
+from repro.runtime import plan
 from repro.runtime.executor import Executor, evaluate_condition
 from repro.runtime.memory import VirtualMemory
 from repro.runtime.state import MachineState
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - environment-dependent
-    np = None
-
-needs_numpy = pytest.mark.skipif(np is None,
-                                 reason="numpy not installed")
-
-#: Flag-matrix column layout shared with ``lanes``: name -> column.
-FLAG_COLUMNS = {"cf": 0, "pf": 1, "af": 2, "zf": 3, "sf": 4, "of": 5}
 
 
 def _executor() -> Executor:
@@ -162,117 +145,3 @@ def test_condition_codes_nonbool_flags(cc):
         assert bool(plan._CC_COMPILED[cc](f)) \
             == bool(evaluate_condition(cc, flags)), (cc, raw)
 
-
-# ---------------------------------------------------------------------------
-# Vectorized flag thunks (batch lanes) vs the scalar thunks
-# ---------------------------------------------------------------------------
-
-def _scalar_flag_rows(ex: Executor, thunk, cases):
-    """Scalar results and flag rows for (a, b, carry) cases."""
-    results, rows = [], []
-    for a, b, carry in cases:
-        results.append(thunk(a, b, carry))
-        flags = dict(ex.state.flags)
-        rows.append([flags[name] for name in FLAG_COLUMNS])
-    return results, rows
-
-
-def _vector_run(vec_thunk, cases):
-    """One matrix step over all cases at once — per-lane operands."""
-    a = np.array([c[0] for c in cases], dtype=np.uint64)
-    b = np.array([c[1] for c in cases], dtype=np.uint64)
-    carry = np.array([c[2] for c in cases], dtype=np.uint64)
-    F = np.zeros((len(cases), 6), dtype=bool)
-    result = vec_thunk(F, a, b, carry)
-    return [int(x) for x in result], [[bool(x) for x in row]
-                                      for row in F]
-
-
-@needs_numpy
-@pytest.mark.parametrize("kind", ["add", "sub"])
-def test_vec_arith_flags_exhaustive_width1(kind):
-    """Every byte pair with both carries, in a single matrix step."""
-    ex = _executor()
-    if kind == "add":
-        scalar = plan._add_flags_binder(1)(ex)
-        vector = lanes.vec_add_flags(1)
-    else:
-        scalar = plan._sub_flags_binder(1)(ex)
-        vector = lanes.vec_sub_flags(1)
-    cases = [(a, b, carry) for a in range(256) for b in range(256)
-             for carry in (0, 1)]
-    want_results, want_rows = _scalar_flag_rows(ex, scalar, cases)
-    got_results, got_rows = _vector_run(vector, cases)
-    assert got_results == want_results
-    assert got_rows == want_rows
-
-
-@needs_numpy
-@pytest.mark.parametrize("kind", ["add", "sub"])
-@pytest.mark.parametrize("width", [2, 4, 8])
-def test_vec_arith_flags_boundaries(kind, width):
-    """Boundary operands at every width, heterogeneous per lane."""
-    ex = _executor()
-    if kind == "add":
-        scalar = plan._add_flags_binder(width)(ex)
-        vector = lanes.vec_add_flags(width)
-    else:
-        scalar = plan._sub_flags_binder(width)(ex)
-        vector = lanes.vec_sub_flags(width)
-    # The vectorized thunks hold uint64 matrices: over-range probing
-    # stops at 2**64-1 instead of the scalar thunks' unbounded ints.
-    values = [v for v in _boundary_values(width) if v < 1 << 64]
-    cases = [(a, b, carry) for a in values for b in values
-             for carry in (0, 1)]
-    want_results, want_rows = _scalar_flag_rows(ex, scalar, cases)
-    got_results, got_rows = _vector_run(vector, cases)
-    assert got_results == want_results
-    assert got_rows == want_rows
-
-
-@needs_numpy
-@pytest.mark.parametrize("width", [1, 2, 4, 8])
-def test_vec_logic_flags(width):
-    ex = _executor()
-    scalar = plan._logic_flags_binder(width)(ex)
-    vector = lanes.vec_logic_flags(width)
-    values = [v for v in _boundary_values(width) if v < 1 << 64]
-    if width == 1:
-        values = list(range(512))  # exhaustive + over-range masking
-    want_results, want_rows = [], []
-    for value in values:
-        want_results.append(scalar(value))
-        flags = dict(ex.state.flags)
-        want_rows.append([flags[name] for name in FLAG_COLUMNS])
-    F = np.zeros((len(values), 6), dtype=bool)
-    result = vector(F, np.array(values, dtype=np.uint64))
-    assert [int(x) for x in result] == want_results
-    assert [[bool(x) for x in row] for row in F] == want_rows
-
-
-@needs_numpy
-def test_vec_cc_covers_the_compiled_codes():
-    assert set(lanes.VEC_CC) == set(plan._CC_COMPILED)
-
-
-@needs_numpy
-@pytest.mark.parametrize("cc", sorted(plan._CC_COMPILED))
-def test_vec_condition_codes_exhaustive(cc):
-    """All 2^5 flag combinations as 32 lanes of one matrix."""
-    F = np.zeros((32, 6), dtype=bool)
-    expected = []
-    for bits in range(32):
-        cf, pf, zf, sf, of = (bool(bits & 1), bool(bits & 2),
-                              bool(bits & 4), bool(bits & 8),
-                              bool(bits & 16))
-        F[bits] = [cf, pf, False, zf, sf, of]
-        expected.append(evaluate_condition(
-            cc, {"cf": cf, "pf": pf, "af": False, "zf": zf,
-                 "sf": sf, "of": of}))
-    column = lanes.VEC_CC[cc](F)
-    assert [bool(x) for x in column] == expected
-    # The evaluator hands back a fresh column, never a live view:
-    # mutating F afterwards must not rewrite an earlier verdict.
-    before = [bool(x) for x in column]
-    F[:] = ~F
-    assert [bool(x) for x in column] == before

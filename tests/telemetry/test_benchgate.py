@@ -13,14 +13,12 @@ REPO_ROOT = os.path.abspath(
 
 #: Every committed benchmark result, auto-discovered so a newly added
 #: BENCH_*.json is gated from the commit that introduces it — no
-#: hand-maintained list to forget updating (BENCH_lanes.json used to
-#: slip through exactly that way).
+#: hand-maintained list to forget updating.
 COMMITTED = benchgate.discover_bench_files(REPO_ROOT)
 
 #: Files every checkout of this repo must carry (self-mode floors).
 EXPECTED_COMMITTED = ("BENCH_simcore.json", "BENCH_blockplan.json",
-                      "BENCH_windows.json", "BENCH_lanes.json",
-                      "BENCH_triage.json")
+                      "BENCH_windows.json", "BENCH_triage.json")
 
 
 def _write(path, doc):

@@ -1,6 +1,7 @@
 """The env-var registry and the doc tables generated from it."""
 
 import os
+import re
 
 import pytest
 
@@ -12,6 +13,21 @@ REPO_ROOT = os.path.abspath(
 #: Docs that embed generated envvars tables.
 DOCS = ("README.md", "docs/performance.md", "docs/robustness.md",
         "docs/observability.md")
+
+#: A complete variable name: prefixes such as ``REPRO_SERVE_*`` do not
+#: match, because a name may not end in ``_`` or run into one.
+_NAME = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+
+
+def _sources(*roots):
+    """(path, text) of every ``.py`` file under the given repo dirs."""
+    for root in roots:
+        for dirpath, _, files in os.walk(os.path.join(REPO_ROOT, root)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    with open(path, encoding="utf-8") as fh:
+                        yield path, fh.read()
 
 
 class TestRegistry:
@@ -34,6 +50,31 @@ class TestRegistry:
         table = envvars.markdown_table()
         for var in envvars.REGISTRY:
             assert f"`{var.name}`" in table
+
+
+class TestRegistryInUse:
+    """The registry and the code agree in both directions, so a switch
+    cannot outlive its reader nor be read without being documented."""
+
+    def test_every_registered_name_is_read(self):
+        registry = os.path.join(REPO_ROOT, "src", "repro", "envvars.py")
+        texts = [text for path, text in _sources("src/repro",
+                                                 "benchmarks")
+                 if path != registry]
+        unread = [v.name for v in envvars.REGISTRY
+                  if not any(f'"{v.name}"' in t or f"'{v.name}'" in t
+                             for t in texts)]
+        assert unread == [], (
+            f"registered but read nowhere under src/repro or "
+            f"benchmarks: {unread}")
+
+    def test_every_name_in_the_source_is_registered(self):
+        registered = {v.name for v in envvars.REGISTRY}
+        stray = sorted({(os.path.relpath(path, REPO_ROOT), name)
+                        for path, text in _sources("src/repro")
+                        for name in _NAME.findall(text)
+                        if name not in registered})
+        assert stray == [], f"unregistered REPRO_* names: {stray}"
 
 
 class TestDocsAgree:

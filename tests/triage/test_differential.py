@@ -57,11 +57,8 @@ def test_serial_byte_identical_cold_and_warm(triage_cache, uarch):
         assert _conserved(profile)
     # Apart from the marker, the info funnel is untouched.
     stripped = {k: v for k, v in warm.info.items()
-                if k != "triage_revalidated"
-                and k != "lanes_vectorized"}
-    base_stripped = {k: v for k, v in base.info.items()
-                     if k != "lanes_vectorized"}
-    assert stripped == base_stripped
+                if k != "triage_revalidated"}
+    assert stripped == base.info
 
 
 def test_pool_byte_identical_cold_and_warm(triage_cache, monkeypatch):

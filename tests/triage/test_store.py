@@ -32,21 +32,17 @@ class TestDigests:
         """Same profiler config, different switch state -> different
         store: stale informational extras can never cross modes."""
         cfg = ProfilerConfig()
-        base = storemod.config_fingerprint(
-            cfg, fastpath=True, blockplan=True, lanes=True,
-            lane_width=16)
+        base = storemod.config_fingerprint(cfg, fastpath=True,
+                                           blockplan=True)
         assert base != storemod.config_fingerprint(
-            cfg, fastpath=True, blockplan=True, lanes=False,
-            lane_width=16)
+            cfg, fastpath=False, blockplan=True)
         assert base != storemod.config_fingerprint(
-            cfg, fastpath=True, blockplan=True, lanes=True,
-            lane_width=8)
+            cfg, fastpath=True, blockplan=False)
         assert base != storemod.config_fingerprint(
             ProfilerConfig(base_factor=100), fastpath=True,
-            blockplan=True, lanes=True, lane_width=16)
+            blockplan=True)
         assert base == storemod.config_fingerprint(
-            ProfilerConfig(), fastpath=True, blockplan=True,
-            lanes=True, lane_width=16)
+            ProfilerConfig(), fastpath=True, blockplan=True)
 
     def test_cache_root_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
