@@ -1,21 +1,24 @@
-"""Streamed pipeline: constant peak RSS, batch-speed, batch bytes.
+"""Streamed profiling: constant peak RSS, list speed, list bytes.
 
-The streamed engine's contract has three legs and this bench enforces
-all of them on real subprocess measurements (``ru_maxrss`` is a
-whole-process high-water mark that never goes down, so every
-configuration gets its own interpreter):
+The engine has one path, but two sources: a materialised corpus
+(``profile_corpus_sharded``, the "batch" leaves below) and a lazy
+generator (``profile_corpus_streamed`` over ``iter_corpus``, the
+"stream" leaves).  This bench enforces the generator run's contract
+on real subprocess measurements (``ru_maxrss`` is a whole-process
+high-water mark that never goes down, so every configuration gets its
+own interpreter):
 
-* **Memory** — streamed peak RSS stays flat (within ``RSS_RATIO``,
-  1.2x) while the corpus grows ``GROWTH``x (10x).  The batch engine's
-  RSS at both scales is reported alongside for context.
-* **Speed** — streamed wall time at the base scale is within
-  ``SPEEDUP_FLOOR`` (0.9x) of batch: the bounded prefetch window and
-  the epoch resets may not cost meaningful throughput.  The headline
-  ``speedup`` leaf (batch seconds / streamed seconds) feeds the CI
+* **Memory** — the generator run's peak RSS stays flat (within
+  ``RSS_RATIO``, 1.2x) while the corpus grows ``GROWTH``x (10x).  The
+  list run, which holds the whole corpus, is reported alongside for
+  context.
+* **Speed** — the generator run's wall time at the base scale is
+  within ``SPEEDUP_FLOOR`` (0.9x) of the list run's.  The headline
+  ``speedup`` leaf (list seconds / generator seconds) feeds the CI
   perf gate (``repro bench check``).
-* **Identity** — the streamed run's merged profile serialises to the
-  batch run's exact bytes, at both scales (CRC-compared across the
-  subprocess boundary).
+* **Identity** — both runs' merged profiles serialise to the same
+  bytes, at both scales (CRC-compared across the subprocess
+  boundary).
 
 Results land in ``reports/streaming.{txt,json}`` plus a repo-root
 ``BENCH_streaming.json`` for the dashboard and the perf gate.
@@ -42,7 +45,7 @@ SPEEDUP_FLOOR = 0.9
 REPEATS = int(os.environ.get("REPRO_BENCH_STREAM_REPEATS", "2"))
 
 #: One measured configuration per interpreter: profile the corpus
-#: (batch or streamed), print blocks / wall seconds / peak RSS / the
+#: (materialised list or lazy generator), print blocks / wall seconds / peak RSS / the
 #: CRC of the canonical profile bytes as JSON on stdout.
 _DRIVER = r"""
 import json, resource, sys, time, zlib
@@ -53,10 +56,9 @@ from repro.corpus.streaming import iter_corpus
 from repro.parallel import (profile_corpus_sharded,
                             profile_corpus_streamed)
 start = time.perf_counter()
-if mode == "batch":
+if mode == "list":
     corpus = build_corpus(scale=scale, seed=seed)
-    profile = profile_corpus_sharded(corpus, uarch, seed=seed,
-                                     jobs=1, stream=False)
+    profile = profile_corpus_sharded(corpus, uarch, seed=seed, jobs=1)
 else:
     profile = profile_corpus_streamed(
         iter_corpus(scale=scale, seed=seed), uarch, seed=seed, jobs=1)
@@ -76,7 +78,6 @@ def _measure(mode: str, scale: float, seed: int = 0) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
-    env.pop("REPRO_STREAM", None)
     out = subprocess.run(
         [sys.executable, "-c", _DRIVER, mode, UARCH, repr(scale),
          str(seed)],
@@ -95,34 +96,34 @@ def _best_of(mode: str, scale: float) -> dict:
 
 def test_streaming(report):
     big = SCALE * GROWTH
-    batch_small = _best_of("batch", SCALE)
-    stream_small = _best_of("stream", SCALE)
-    stream_big = _measure("stream", big)
-    batch_big = _measure("batch", big)
+    list_small = _best_of("list", SCALE)
+    gen_small = _best_of("generator", SCALE)
+    gen_big = _measure("generator", big)
+    list_big = _measure("list", big)
 
     # Identity across the subprocess boundary, both scales.
-    assert stream_small["crc"] == batch_small["crc"], \
-        "streamed bytes diverged from batch at the base scale"
-    assert stream_big["crc"] == batch_big["crc"], \
-        "streamed bytes diverged from batch at the grown scale"
+    assert gen_small["crc"] == list_small["crc"], \
+        "generator bytes diverged from the list run at the base scale"
+    assert gen_big["crc"] == list_big["crc"], \
+        "generator bytes diverged from the list run at the grown scale"
 
-    rss_ratio = stream_big["peak_rss_kb"] / stream_small["peak_rss_kb"]
-    speedup = batch_small["seconds"] / stream_small["seconds"]
+    rss_ratio = gen_big["peak_rss_kb"] / gen_small["peak_rss_kb"]
+    speedup = list_small["seconds"] / gen_small["seconds"]
 
     def row(name, m, gate="-"):
         return (name, m["blocks"], round(m["seconds"], 3),
                 round(m["peak_rss_kb"] / 1024, 1), gate)
 
     rows = [
-        row(f"batch {SCALE:g}", batch_small, "baseline"),
-        row(f"stream {SCALE:g}", stream_small,
+        row(f"list {SCALE:g}", list_small, "baseline"),
+        row(f"generator {SCALE:g}", gen_small,
             f"{speedup:.2f}x (>= {SPEEDUP_FLOOR}x)"),
-        row(f"batch {big:g}", batch_big, "context"),
-        row(f"stream {big:g}", stream_big,
+        row(f"list {big:g}", list_big, "context"),
+        row(f"generator {big:g}", gen_big,
             f"rss {rss_ratio:.2f}x (<= {RSS_RATIO}x)"),
     ]
     title = (f"{UARCH}, serial, best of {REPEATS} at scale {SCALE:g}; "
-             f"corpus grows {GROWTH}x, streamed peak RSS "
+             f"corpus grows {GROWTH}x, generator peak RSS "
              f"{rss_ratio:.2f}x; bytes identical at both scales")
     report("streaming", format_table(
         ["run", "blocks", "seconds", "peak rss MiB", "gate"], rows,
@@ -132,15 +133,15 @@ def test_streaming(report):
            "repeats": REPEATS, "identical_outputs": True,
            "rss_ratio": rss_ratio, "rss_ratio_bound": RSS_RATIO,
            "floor": SPEEDUP_FLOOR,
-           "stream": {"blocks": stream_small["blocks"],
-                      "batch_s": batch_small["seconds"],
-                      "stream_s": stream_small["seconds"],
+           "stream": {"blocks": gen_small["blocks"],
+                      "batch_s": list_small["seconds"],
+                      "stream_s": gen_small["seconds"],
                       "speedup": speedup,
-                      "peak_rss_kb": stream_small["peak_rss_kb"],
-                      "grown_blocks": stream_big["blocks"],
-                      "grown_peak_rss_kb": stream_big["peak_rss_kb"],
+                      "peak_rss_kb": gen_small["peak_rss_kb"],
+                      "grown_blocks": gen_big["blocks"],
+                      "grown_peak_rss_kb": gen_big["peak_rss_kb"],
                       "grown_batch_peak_rss_kb":
-                          batch_big["peak_rss_kb"]}}
+                          list_big["peak_rss_kb"]}}
     for path in (os.path.join(REPORT_DIR, "streaming.json"),
                  ROOT_JSON):
         with open(path, "w") as fh:
@@ -148,9 +149,9 @@ def test_streaming(report):
             fh.write("\n")
 
     assert rss_ratio <= RSS_RATIO, (
-        f"streamed peak RSS grew {rss_ratio:.2f}x on a {GROWTH}x "
+        f"generator peak RSS grew {rss_ratio:.2f}x on a {GROWTH}x "
         f"corpus — the constant-memory contract regressed "
         f"(epoch resets or the prefetch bound broke)")
     assert speedup >= SPEEDUP_FLOOR, (
-        f"streamed throughput {speedup:.2f}x of batch "
-        f"< {SPEEDUP_FLOOR}x — the streamed pipeline got slow")
+        f"generator throughput {speedup:.2f}x of the list run "
+        f"< {SPEEDUP_FLOOR}x — the generator source got slow")

@@ -252,8 +252,7 @@ def cmd_corpus(args) -> int:
     from repro.corpus import build_corpus, sampling
     from repro.corpus.io import save_csv, save_json
     from repro.telemetry import profiling
-    if getattr(args, "stream", False) \
-            or os.environ.get("REPRO_STREAM", "").strip() == "1":
+    if args.stream:
         return _stream_corpus_cmd(args)
     with profiling.phase("corpus_build"):
         corpus = build_corpus(scale=args.scale, seed=args.seed)
@@ -503,12 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for profiling (default: "
                             "os.cpu_count(), or $REPRO_JOBS); results "
                             "are bit-identical to --jobs 1")
-        p.add_argument("--stream", action="store_true",
-                       help="constant-memory pipeline: generate -> "
-                            "shard -> profile -> fold -> discard with "
-                            "a bounded prefetch queue (also "
-                            "$REPRO_STREAM; results are bit-identical "
-                            "to batch — see docs/performance.md)")
         p.add_argument("--resume", action="store_true",
                        help="measure through the journaled shard "
                             "cache: a previous run of the same "
@@ -563,6 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="bhive.csv")
     p.add_argument("--measure", action="store_true",
                    help="profile every block and include throughputs")
+    p.add_argument("--stream", action="store_true",
+                   help="never materialise the corpus: generate -> "
+                        "shard -> profile -> write one shard at a "
+                        "time (same rows as without --stream — see "
+                        "docs/performance.md)")
     common(p)
     jobs_arg(p)
     sample_arg(p)
@@ -708,10 +706,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_NO_FASTPATH"] = "1"
     if getattr(args, "no_blockplan", False):
         os.environ["REPRO_NO_BLOCKPLAN"] = "1"
-    if getattr(args, "stream", False):
-        # Exported so pool workers and nested engine calls (e.g. the
-        # Experiment behind --resume) all take the streamed path.
-        os.environ["REPRO_STREAM"] = "1"
     if getattr(args, "triage", None) is not None:
         # Exported so pool workers route (and journal) consistently
         # with the parent.

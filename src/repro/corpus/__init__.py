@@ -11,9 +11,8 @@ from repro.corpus.known_blocks import (div_block, gzip_crc_block,
 from repro.corpus.sampling import (block_category, project_validation,
                                    sample_corpus, sample_stream,
                                    stratum, stratum_counts)
-from repro.corpus.streaming import (corpus_spec_digest, default_prefetch,
-                                    iter_application, iter_corpus,
-                                    stream_enabled)
+from repro.corpus.streaming import (corpus_spec_digest, iter_application,
+                                    iter_corpus)
 from repro.corpus.synthesis import BlockSynthesizer
 from repro.corpus.tracing import assign_frequencies
 
@@ -27,7 +26,6 @@ __all__ = [
     "zero_idiom_block",
     # streaming generation + stratified sampling
     "iter_application", "iter_corpus", "corpus_spec_digest",
-    "stream_enabled", "default_prefetch",
     "block_category", "stratum", "stratum_counts",
     "sample_stream", "sample_corpus", "project_validation",
 ]

@@ -16,23 +16,18 @@ corpus size.  This module provides the lazy counterparts:
   (``tests/corpus/test_streaming.py`` holds both equalities with
   hypothesis).
 
-A streamed pipeline composes them as ``generate → digest → shard →
-profile → fold → discard``: the only per-block state that survives a
-shard's fold is its measured throughput.  The one allocation that
-cannot be made lazy is each application's frequency table —
-``assign_frequencies`` rank-shuffles and smooths over the whole app —
-so peak memory is O(one app's frequency ints + in-flight shards), not
-O(corpus).
-
-``REPRO_STREAM=1`` (or the CLI's ``--stream``) routes
-``profile_corpus_sharded`` through the streamed fold path globally;
-``REPRO_STREAM_PREFETCH`` bounds how many shards may be in flight
-(generated or profiled but not yet folded) per worker.
+The profiling engine (:func:`repro.parallel.profile_corpus_streamed`)
+composes them as ``generate → digest → shard → profile → fold →
+discard``: the only per-block state that survives a shard's fold is
+its measured throughput.  The one allocation that cannot be made lazy
+is each application's frequency table — ``assign_frequencies``
+rank-shuffles and smooths over the whole app — so a ``repro corpus
+--stream`` run peaks at O(one app's frequency ints + in-flight
+shards), not O(corpus).
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Iterator, Optional, Sequence
 
@@ -41,51 +36,7 @@ from repro.corpus.dataset import (DEFAULT_APPS, BlockRecord, get_spec,
 from repro.corpus.synthesis import BlockSynthesizer
 from repro.corpus.tracing import assign_frequencies
 
-__all__ = ["iter_application", "iter_corpus", "stream_enabled",
-           "default_prefetch", "stream_epoch_blocks",
-           "corpus_spec_digest", "DEFAULT_PREFETCH_PER_JOB",
-           "DEFAULT_EPOCH_BLOCKS"]
-
-#: Shards that may be in flight (submitted to the pool, or completed
-#: but not yet foldable because an earlier index is still running) per
-#: worker.  2 keeps every worker busy while the parent folds.
-DEFAULT_PREFETCH_PER_JOB = 2
-
-#: Blocks a streamed profiler may retain dedup/plan state for before
-#: the engine drops and rebuilds it.  Profile results and compiled
-#: plans are pure functions of (block text, machine, config), so the
-#: reset never changes bytes — it only bounds the per-run caches that
-#: would otherwise grow linearly with corpus length.
-DEFAULT_EPOCH_BLOCKS = 512
-
-
-def stream_enabled() -> bool:
-    """``REPRO_STREAM=1``: route batch entry points through the
-    streamed fold path (byte-identical output, constant memory)."""
-    return os.environ.get("REPRO_STREAM", "").strip() == "1"
-
-
-def default_prefetch(jobs: int) -> int:
-    """Bound on in-flight shards: ``REPRO_STREAM_PREFETCH`` per job if
-    set, else :data:`DEFAULT_PREFETCH_PER_JOB` per job."""
-    env = os.environ.get("REPRO_STREAM_PREFETCH", "").strip()
-    per_job = int(env) if env else DEFAULT_PREFETCH_PER_JOB
-    return max(1, per_job) * max(1, jobs)
-
-
-def stream_epoch_blocks() -> int:
-    """Streamed-mode retained-state bound, in blocks.
-
-    Every this-many profiled blocks the streamed engine discards its
-    profiler (whose corpus-level dedup memo grows with every distinct
-    block) and the compiled-plan cache, in the parent for serial runs
-    and inside each pool worker for pooled ones.  ``0`` disables the
-    reset (batch-identical retention).  Tune with
-    ``REPRO_STREAM_EPOCH``.
-    """
-    env = os.environ.get("REPRO_STREAM_EPOCH", "").strip()
-    epoch = int(env) if env else DEFAULT_EPOCH_BLOCKS
-    return max(0, epoch)
+__all__ = ["iter_application", "iter_corpus", "corpus_spec_digest"]
 
 
 def iter_application(name: str, scale: float = 0.01, seed: int = 0,
@@ -136,9 +87,10 @@ def corpus_spec_digest(scale: float, seed: int,
                        shard_size: int = 32) -> str:
     """Stable identity of a generated stream for journal pinning.
 
-    A batch run journals a CRC over every shard digest; a stream of
-    unknown length cannot, so it pins the *generator spec* instead —
-    same scale, seed, app list and shard size means the same shards.
+    A run over a materialised corpus journals a CRC over every shard
+    digest; a stream of unknown length cannot, so it pins the
+    *generator spec* instead — same scale, seed, app list and shard
+    size means the same shards.
     """
     spec = f"{scale!r}|{seed}|{','.join(applications)}|{shard_size}"
     return f"{zlib.crc32(spec.encode()):08x}"

@@ -53,17 +53,6 @@ REGISTRY: List[EnvVar] = [
            "measurement-cache directory", "pipeline"),
     EnvVar("REPRO_REPORT_DIR", "`reports/`",
            "where benches and telemetry write reports", "pipeline"),
-    EnvVar("REPRO_STREAM", "unset",
-           "`1` routes profiling through the constant-memory "
-           "streamed pipeline (same bytes as batch; "
-           "[docs/performance.md](docs/performance.md))", "pipeline"),
-    EnvVar("REPRO_STREAM_PREFETCH", "`2`",
-           "streamed-mode prefetch depth per worker: at most "
-           "`prefetch x jobs` shards are in flight", "pipeline"),
-    EnvVar("REPRO_STREAM_EPOCH", "`512`",
-           "blocks between streamed-mode retained-state resets "
-           "(dedup memo + plan cache; same bytes, bounds RSS; "
-           "`0` retains like batch)", "pipeline"),
     EnvVar("REPRO_SAMPLE", "unset",
            "default `--sample` fraction: profile a stratified sample "
            "and project full-corpus error tables with bootstrap CIs",

@@ -1,14 +1,21 @@
 """The work-sharded profiling engine.
 
-``profile_corpus_sharded`` is the parallel counterpart of
+One engine path, the parallel counterpart of
 ``repro.eval.validation.profile_corpus_detailed``: same inputs, same
 output, bit-for-bit — the determinism suite under ``tests/parallel``
-holds it to that.  The corpus is split into deterministic shards
-(:mod:`repro.parallel.sharding`), each shard is profiled by a worker
-that rebuilds its own simulated machine from a picklable
+holds it to that.  :func:`profile_corpus_streamed` consumes its source
+once — generate → digest → shard → profile → fold → discard.  Each
+deterministic shard (:mod:`repro.parallel.sharding`) is profiled by a
+worker that rebuilds its own simulated machine from a picklable
 :class:`~repro.uarch.descriptor.MachineDescriptor` (no shared mutable
 simulator state), and the per-shard profiles — funnel buckets
-included — are merged back in canonical order.
+included — fold into the merged result in shard-index order as they
+complete.  At most :data:`PREFETCH_PER_JOB` × jobs shards are in
+flight and profilers drop their retained state every
+:data:`EPOCH_BLOCKS` profiled blocks, so memory is bounded on every
+run.  :func:`profile_corpus_sharded` is the entry for a materialised
+corpus: it cuts the shards, pins the journal identity to their
+digests, and streams them through the same loop.
 
 Robustness: a worker that dies (``BrokenProcessPool``) or exceeds the
 per-shard timeout does not poison the run.  The shard is retried
@@ -47,20 +54,20 @@ import shutil
 import tempfile
 import time
 import uuid
+from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                 wait as futures_wait)
 from itertools import chain
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.corpus.dataset import BlockRecord, Corpus
-from repro.corpus import streaming as corpus_streaming
 from repro.profiler.harness import BasicBlockProfiler, ProfilerConfig
 from repro.profiler.result import FailureReason
 from repro.parallel.shard_cache import ShardCache
 from repro.parallel.sharding import (DEFAULT_SHARD_SIZE, ProfileFolder,
-                                     Shard, merge_profiles, shard_corpus,
-                                     shard_digest, stream_shards)
+                                     Shard, shard_corpus, shard_digest,
+                                     stream_shards)
 from repro.resilience import chaos
 from repro.resilience import policy as resilience
 from repro.resilience.journal import RunJournal
@@ -78,6 +85,18 @@ from repro.uarch.descriptor import MachineDescriptor
 #: parent gives up on it and falls back to the serial retry
 #: (``REPRO_SHARD_TIMEOUT`` overrides).
 DEFAULT_SHARD_TIMEOUT = 600.0
+
+#: Shards that may be in flight (pending, submitted to the pool, or
+#: completed but not yet foldable because an earlier shard is still
+#: running) per job.  2 keeps every worker busy while the parent folds.
+PREFETCH_PER_JOB = 2
+
+#: Blocks a profiler may retain dedup/plan state for before the engine
+#: drops and rebuilds it.  Profile results and compiled plans are pure
+#: functions of (block text, machine, config), so the reset never
+#: changes bytes — it only bounds the per-run caches that would
+#: otherwise grow linearly with corpus length.
+EPOCH_BLOCKS = 512
 
 
 def default_jobs() -> int:
@@ -102,7 +121,8 @@ def default_shard_timeout() -> float:
 
 #: Per-worker-process profiler cache: building the scheduler/decomposer
 #: once per (descriptor, config) and reusing it across shards matches
-#: the serial path, where one profiler walks the whole corpus.
+#: the in-process path, where one profiler walks the corpus (both drop
+#: theirs every :data:`EPOCH_BLOCKS` blocks).
 _WORKER_PROFILERS: Dict[Tuple, BasicBlockProfiler] = {}
 
 
@@ -162,13 +182,29 @@ def _worker_profiler(descriptor: MachineDescriptor,
     return profiler
 
 
+#: Blocks this worker has profiled since it last dropped its retained
+#: state (profilers + compiled plans).
+_WORKER_SINCE_RESET = [0]
+
+
 def profile_shard_worker(descriptor: MachineDescriptor,
                          config: Optional[ProfilerConfig],
                          index: int, records: tuple
                          ) -> Tuple[int, CorpusProfile]:
-    """Profile one shard in a worker process (must stay picklable)."""
+    """Profile one shard in a worker process (must stay picklable).
+
+    Every :data:`EPOCH_BLOCKS` profiled blocks the worker drops its
+    profiler cache and the compiled-plan cache, so its RSS tracks the
+    epoch, not the corpus; the bytes are unchanged.
+    """
     from repro.eval.validation import profile_records_detailed
+    from repro.runtime.plan import clear_plan_cache
     _maybe_worker_chaos(records)
+    if _WORKER_SINCE_RESET[0] >= EPOCH_BLOCKS:
+        _WORKER_PROFILERS.clear()
+        clear_plan_cache()
+        _WORKER_SINCE_RESET[0] = 0
+    _WORKER_SINCE_RESET[0] += len(records)
     hub = telemetry.get_telemetry()
     traced = hub.enabled and descriptor.trace is not None
     if traced:
@@ -187,34 +223,6 @@ def profile_shard_worker(descriptor: MachineDescriptor,
         telemetry.event("worker.shard_summary", shard=index,
                         counters=counters)
     return index, profile
-
-
-#: Blocks this worker has profiled since it last dropped its retained
-#: state (profilers + compiled plans) — the streamed engine's
-#: per-worker epoch counter.
-_WORKER_STREAM_SINCE = [0]
-
-
-def profile_shard_worker_streamed(descriptor: MachineDescriptor,
-                                  config: Optional[ProfilerConfig],
-                                  index: int, records: tuple
-                                  ) -> Tuple[int, CorpusProfile]:
-    """Streamed-mode worker entry: bounded retained state.
-
-    Identical bytes to :func:`profile_shard_worker` — it *is* that
-    function, behind a per-worker epoch that drops the profiler cache
-    and the compiled-plan cache every
-    :func:`~repro.corpus.streaming.stream_epoch_blocks` profiled
-    blocks, so a worker's RSS tracks the epoch, not the corpus.
-    """
-    from repro.runtime.plan import clear_plan_cache
-    epoch = corpus_streaming.stream_epoch_blocks()
-    if epoch and _WORKER_STREAM_SINCE[0] >= epoch:
-        _WORKER_PROFILERS.clear()
-        clear_plan_cache()
-        _WORKER_STREAM_SINCE[0] = 0
-    _WORKER_STREAM_SINCE[0] += len(records)
-    return profile_shard_worker(descriptor, config, index, records)
 
 
 #: Decode-table cache_info() totals already exported by this worker
@@ -423,221 +431,38 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
                            worker_fn=None, serial_fn=None,
                            retry: Optional[resilience.RetryPolicy] = None,
                            stats: Optional[Dict] = None,
-                           run_label: Optional[str] = None,
-                           stream: Optional[bool] = None
+                           run_label: Optional[str] = None
                            ) -> CorpusProfile:
-    """Profile a corpus across a worker pool, bit-identical to serial.
+    """Profile a materialised corpus, bit-identical to serial.
 
-    ``jobs=1`` (or a single pending shard) profiles in-process with no
-    pool at all.  ``cache`` enables the v3 shard cache: shards whose
-    digest already has an entry are loaded instead of profiled, and
-    freshly profiled shards are written back atomically.  ``journal``
-    (requires ``cache``) makes the run crash-safe: completed shards
-    are durably journaled with a checksum of their cache bytes, cache
-    hits are verified against the journal on resume, and mismatches
-    are quarantined and re-profiled.  ``stats``, if given, is filled
-    with run accounting (shard counts, cache hits, resumed shards,
-    retries, failures).
+    The list entry to :func:`profile_corpus_streamed`: it cuts
+    ``corpus`` into shards (unless ``shards`` are given), pins the
+    journal identity to a CRC over their digests, and hands the
+    engine the known block and shard totals for the live layer.
 
-    ``stream`` (default: ``$REPRO_STREAM``) routes the run through
-    :func:`profile_corpus_streamed` over the very same shard sequence:
-    the journal identity is unchanged — batch and streamed runs resume
-    each other — and the result is byte-identical (the differential
-    suite proves it), but shards fold into the merged profile as they
-    complete instead of accumulating until the end.
+    ``jobs=1`` (or a corpus that fits the first prefetch window with a
+    single pending shard) profiles in-process with no pool at all.
+    ``cache`` enables the v3 shard cache: shards whose digest already
+    has an entry are loaded instead of profiled, and freshly profiled
+    shards are written back atomically.  ``journal`` (requires
+    ``cache``) makes the run crash-safe: completed shards are durably
+    journaled with a checksum of their cache bytes, cache hits are
+    verified against the journal on resume, and mismatches are
+    quarantined and re-profiled.  ``stats``, if given, is filled with
+    run accounting (shard counts, cache hits, resumed shards, retries,
+    failures).
     """
-    from repro.eval.validation import profile_records_detailed
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    if shard_timeout is None:
-        shard_timeout = default_shard_timeout()
     if shards is None:
         shards = shard_corpus(corpus, shard_size)
-    worker_fn = worker_fn or profile_shard_worker
-    retry = retry or resilience.default_retry_policy(seed)
-
-    if stream is None:
-        stream = corpus_streaming.stream_enabled()
-    if stream:
-        return profile_corpus_streamed(
-            iter(shards), uarch, seed=seed, jobs=jobs, config=config,
-            shard_size=shard_size, shard_timeout=shard_timeout,
-            cache=cache,
-            journal=journal,
-            journal_meta=(_journal_meta(uarch, seed, shards)
-                          if journal is not None else None),
-            worker_fn=worker_fn, serial_fn=serial_fn, retry=retry,
-            stats=stats, run_label=run_label,
-            total_blocks=sum(len(shard) for shard in shards),
-            total_shards=len(shards))
-
-    # Live-layer setup (all of it telemetry-gated): mint the
-    # run-scoped trace ID, announce the run, and build the windowed
-    # aggregator over deterministic global block indices (each shard's
-    # start offset is its prefix sum — shards are contiguous slices).
-    hub = telemetry.get_telemetry()
-    trace_id: Optional[str] = None
-    aggregator: Optional[window.WindowAggregator] = None
-    starts: Optional[Dict[int, int]] = None
-    label = run_label or uarch
-    if hub.enabled:
-        if hub.trace_id is None:
-            hub.trace_id = uuid.uuid4().hex[:12]
-        trace_id = hub.trace_id
-        starts = {}
-        offset = 0
-        for shard in sorted(shards, key=lambda s: s.index):
-            starts[shard.index] = offset
-            offset += len(shard)
-        aggregator = window.WindowAggregator(
-            label, offset,
-            on_window=lambda summary: telemetry.event(
-                "window", label=label, **summary))
-        telemetry.event("run.start", label=label, uarch=uarch,
-                        seed=seed, jobs=jobs, shards=len(shards),
-                        blocks=offset,
-                        window_size=aggregator.window_size)
-
-    descriptor = MachineDescriptor(uarch=uarch, seed=seed,
-                                   trace=trace_id)
-
-    journaled: Dict[str, int] = {}
-    if journal is not None:
-        if cache is None:
-            raise ValueError("journal requires a shard cache")
-        journaled = journal.open(_journal_meta(uarch, seed, shards))
-
-    results: Dict[int, CorpusProfile] = {}
-    by_index = {shard.index: shard for shard in shards}
-    pending: List[Shard] = []
-    resumed = 0
-    try:
-        for shard in shards:
-            cached = _load_verified(cache, shard, journaled)
-            if cached is not None:
-                results[shard.index] = cached
-                _feed_windows(aggregator, starts, shard, cached)
-                if shard.digest in journaled:
-                    resumed += 1
-            else:
-                pending.append(shard)
-
-        run_stats = {"shards": len(shards),
-                     "cache_hits": len(results), "resumed": resumed,
-                     "profiled": 0, "retried": 0, "failed": 0,
-                     "written": 0}
-        telemetry.count("parallel.shards_total", len(shards))
-        if run_stats["cache_hits"]:
-            telemetry.count("parallel.shard_cache_hits",
-                            run_stats["cache_hits"])
-        if cache is not None:
-            if run_stats["cache_hits"]:
-                telemetry.count("cache.shard.hits",
-                                run_stats["cache_hits"])
-            if pending:
-                telemetry.count("cache.shard.misses", len(pending))
-        if resumed:
-            telemetry.count("resilience.resumed_shards", resumed)
-            telemetry.event("resilience.resume", shards=resumed,
-                            pending=len(pending))
-
-        failed: List[Shard] = []
-        with telemetry.span("parallel.profile_corpus", uarch=uarch,
-                            jobs=jobs, shards=len(shards),
-                            pending=len(pending)) as span:
-            if pending and (jobs <= 1 or len(pending) == 1):
-                profiler = BasicBlockProfiler(descriptor.build(),
-                                              config)
-                for shard in pending:
-                    profile = profile_records_detailed(profiler,
-                                                       shard.records)
-                    results[shard.index] = profile
-                    _feed_windows(aggregator, starts, shard, profile)
-                    run_stats["profiled"] += 1
-                    _store(cache, shard, profile, run_stats, journal)
-            elif pending:
-                trace_dir = tempfile.mkdtemp(prefix="repro-trace-") \
-                    if hub.enabled else None
-                try:
-                    failed = _run_pool(pending, descriptor, config,
-                                       jobs, shard_timeout, worker_fn,
-                                       results, run_stats, cache,
-                                       journal, trace_dir=trace_dir,
-                                       trace_id=trace_id,
-                                       aggregator=aggregator,
-                                       starts=starts)
-                    if trace_dir is not None:
-                        _stitch_worker_traces(trace_dir)
-                finally:
-                    if trace_dir is not None:
-                        shutil.rmtree(trace_dir, ignore_errors=True)
-                for shard in failed:
-                    # Escalate pool -> serial: bounded retries in the
-                    # parent; a shard that still fails is bucketed,
-                    # never allowed to poison the run or the cache.
-                    run_stats["retried"] += 1
-                    telemetry.count("parallel.worker_retries")
-                    telemetry.count("resilience.retries")
-                    telemetry.event("parallel.worker_retry",
-                                    shard=shard.index,
-                                    digest=shard.digest)
-                    retry_fn = serial_fn or _serial_shard
-                    try:
-                        profile = retry.run(
-                            lambda attempt, s=shard:
-                            retry_fn(descriptor, config, s),
-                            key=f"serial_rescue|{shard.digest}",
-                            retry_on=(Exception,))
-                        results[shard.index] = profile
-                        _feed_windows(aggregator, starts, shard,
-                                      profile)
-                        run_stats["profiled"] += 1
-                        # The rescue ran in-parent, so the profiler's
-                        # own counters already recorded it — no
-                        # replication (workers alone need that).
-                        _store(cache, shard, profile, run_stats,
-                               journal)
-                    except Exception as exc:
-                        run_stats["failed"] += 1
-                        telemetry.count("parallel.worker_failures")
-                        telemetry.event("parallel.worker_failure",
-                                        shard=shard.index,
-                                        error=type(exc).__name__)
-                        resilience.quarantine_or_raise(
-                            f"shard {shard.index} failed in the pool "
-                            f"and in {retry.max_attempts} serial "
-                            f"attempts", type(exc).__name__)
-                        failure_profile = _worker_failure_profile(shard)
-                        results[shard.index] = failure_profile
-                        _feed_windows(aggregator, starts, shard,
-                                      failure_profile)
-            span.annotate(profiled=run_stats["profiled"],
-                          cache_hits=run_stats["cache_hits"],
-                          resumed=resumed,
-                          failed=run_stats["failed"])
-    finally:
-        if journal is not None:
-            journal.close()
-
-    if stats is not None:
-        stats.update(run_stats)
-    merged = merge_profiles(
-        [(by_index[index], profile)
-         for index, profile in results.items()])
-    # Triage training (opt-in, parent-side): workers appended their
-    # shards' fresh measurements to the triage journal; fold them into
-    # a refreshed surrogate so the *next* run routes sharper.  A no-op
-    # unless $REPRO_TRIAGE armed the stage; degrades on any failure.
-    from repro import triage
-    triage.publish_weights(uarch, seed, config)
-    if aggregator is not None:
-        series = aggregator.finish()
-        window.deposit_run(label, series)
-        telemetry.event("run.end", label=label, uarch=uarch,
-                        total=merged.funnel["total"],
-                        accepted=merged.funnel["accepted"],
-                        windows=len(series))
-    resources.sample_peak_rss()
-    return merged
+    return profile_corpus_streamed(
+        iter(shards), uarch, seed=seed, jobs=jobs, config=config,
+        shard_timeout=shard_timeout, cache=cache, journal=journal,
+        journal_meta=(_journal_meta(uarch, seed, shards)
+                      if journal is not None else None),
+        worker_fn=worker_fn, serial_fn=serial_fn, retry=retry,
+        stats=stats, run_label=run_label,
+        total_blocks=sum(len(shard) for shard in shards),
+        total_shards=len(shards))
 
 
 def _as_shard_stream(source: Union[Iterable[BlockRecord],
@@ -675,38 +500,48 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                             retry: Optional[resilience.RetryPolicy] = None,
                             stats: Optional[Dict] = None,
                             run_label: Optional[str] = None,
-                            prefetch: Optional[int] = None,
                             total_blocks: Optional[int] = None,
                             total_shards: Optional[int] = None,
                             on_shard: Optional[Callable[[Shard,
                                                          "CorpusProfile"],
                                                         None]] = None
                             ) -> CorpusProfile:
-    """Profile a lazily generated corpus in constant memory.
+    """Profile a record or shard source in bounded memory.
 
-    The pipelined counterpart of :func:`profile_corpus_sharded`:
-    ``source`` is an *iterator* of block records (or pre-built shards)
-    that is consumed exactly once — generate → digest → shard →
-    profile → fold → discard.  At most ``prefetch`` shards (default
-    ``$REPRO_STREAM_PREFETCH`` × ``jobs``, never fewer than ``jobs``)
-    are in flight at a time, so generation overlaps profiling in the
-    pool workers while the bounded window provides backpressure: peak
-    RSS is a function of ``jobs`` and ``shard_size``, never of corpus
-    length (``benchmarks/bench_streaming.py`` enforces this).
+    The engine loop, serial and pooled alike.  ``source`` is an
+    *iterator* of block records (or pre-built shards, which is how
+    :func:`profile_corpus_sharded` feeds it) that is consumed exactly
+    once — generate →
+    digest → shard → profile → fold → discard.  At most
+    :data:`PREFETCH_PER_JOB` × ``jobs`` shards are outstanding (pending,
+    in a worker, or completed but not yet foldable) at a time, so
+    generation overlaps profiling in the pool workers while the
+    bounded window provides backpressure: peak RSS is a function of
+    ``jobs`` and ``shard_size``, never of corpus length
+    (``benchmarks/bench_streaming.py`` enforces this).
 
     Results fold incrementally into a :class:`ProfileFolder` in
-    shard-index order — the same fold ``merge_profiles`` performs over
-    the full pair list — so the returned profile is byte-identical to
-    the batch engine's over the same records.  Cache, journal, chaos
-    accounting, serial rescue, and window feeding all reuse the batch
-    engine's helpers; a streamed run with a journal resumes a batch
-    run and vice versa, provided ``journal_meta`` matches.
+    arrival order — the same fold ``merge_profiles`` performs over the
+    index-sorted pair list — so the returned profile is byte-identical
+    to a serial walk of the same records.
 
-    A streamed run cannot derive journal identity from a corpus it has
-    not finished generating, so callers with ``journal`` must pass
-    ``journal_meta`` explicitly (the batch delegation passes its usual
-    corpus digest; generator-mode callers pin a corpus *spec* digest
-    from :func:`repro.corpus.streaming.corpus_spec_digest`).
+    ``jobs=1`` profiles every miss in-process as it arrives.  A pooled
+    run holds its misses until the first window fills or the source
+    ends.  A source that ends inside that window with one pending
+    shard profiles it in-process with no pool at all; with more, the
+    pool forks no more workers than there are pending shards.  A
+    worker exception or per-shard timeout escalates to a bounded
+    serial rescue in the parent; a shard that still fails lands in
+    the ``worker_failure`` bucket (or raises under strict mode), and a
+    broken pool is rebuilt once per submit so one crashed worker
+    cannot sink the rest of the stream.
+
+    The engine cannot derive journal identity from a corpus it has
+    not finished reading, so callers with ``journal`` must pass
+    ``journal_meta`` explicitly (:func:`profile_corpus_sharded` passes
+    a CRC over its shard digests; generator-mode callers pin a corpus
+    *spec* digest from
+    :func:`repro.corpus.streaming.corpus_spec_digest`).
 
     ``total_blocks``/``total_shards`` (when known) size the window
     aggregator and the ``run.start`` event; ``None`` means unknown —
@@ -716,18 +551,14 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     attach to emit rows incrementally.
     """
     from repro.eval.validation import profile_records_detailed
+    from repro.runtime.plan import clear_plan_cache
     jobs = default_jobs() if jobs is None else max(1, jobs)
     if shard_timeout is None:
         shard_timeout = default_shard_timeout()
-    # The batch delegation hands over its resolved default worker —
-    # swap it (and a plain None) for the epoch-bounded streamed entry;
-    # injected custom workers pass through untouched.
-    if worker_fn is None or worker_fn is profile_shard_worker:
-        worker_fn = profile_shard_worker_streamed
+    worker_fn = worker_fn or profile_shard_worker
+    serial_fn = serial_fn or _serial_shard
     retry = retry or resilience.default_retry_policy(seed)
-    if prefetch is None:
-        prefetch = corpus_streaming.default_prefetch(jobs)
-    max_inflight = max(jobs, int(prefetch))
+    max_inflight = PREFETCH_PER_JOB * jobs
 
     shard_iter = _as_shard_stream(source, shard_size)
 
@@ -768,118 +599,23 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     run_stats = {"shards": 0, "cache_hits": 0, "resumed": 0,
                  "profiled": 0, "retried": 0, "failed": 0,
                  "written": 0, "max_queue_depth": 0}
-    offset = 0
-
-    def arrive(shard: Shard) -> None:
-        # Called in shard-index order, the only order the stream can
-        # produce — global block offsets are running prefix sums.
-        nonlocal offset
-        run_stats["shards"] += 1
-        telemetry.count("parallel.shards_total")
-        if starts is not None:
-            starts[shard.index] = offset
-        offset += len(shard)
-
-    def hit(shard: Shard) -> None:
-        run_stats["cache_hits"] += 1
-        telemetry.count("parallel.shard_cache_hits")
-        telemetry.count("cache.shard.hits")
-        if shard.digest in journaled:
-            run_stats["resumed"] += 1
-            telemetry.count("resilience.resumed_shards")
-
-    def fold(shard: Shard, profile: CorpusProfile) -> None:
-        folder.add(shard, profile)
-        _feed_windows(aggregator, starts, shard, profile)
-        if starts is not None:
-            del starts[shard.index]  # bounded parent-side state
-        telemetry.count("stream.folded")
-        if on_shard is not None:
-            on_shard(shard, profile)
-
-    def depth(in_flight: int) -> None:
-        if in_flight > run_stats["max_queue_depth"]:
-            run_stats["max_queue_depth"] = in_flight
-            telemetry.set_gauge("stream.max_queue_depth", in_flight)
-        telemetry.observe("stream.queue_depth", in_flight)
-
-    try:
-        with telemetry.span("parallel.profile_corpus", uarch=uarch,
-                            jobs=jobs, streamed=True) as span:
-            if jobs <= 1:
-                _stream_serial(shard_iter, descriptor, config, cache,
-                               journal, journaled, run_stats,
-                               arrive, hit, fold, depth)
-            else:
-                _stream_pool(shard_iter, descriptor, config, jobs,
-                             max_inflight, shard_timeout, worker_fn,
-                             serial_fn, retry, cache, journal,
-                             journaled, run_stats, hub, trace_id,
-                             arrive, hit, fold, depth)
-            if run_stats["resumed"]:
-                telemetry.event("resilience.resume",
-                                shards=run_stats["resumed"],
-                                pending=run_stats["shards"]
-                                - run_stats["cache_hits"])
-            span.annotate(shards=run_stats["shards"],
-                          profiled=run_stats["profiled"],
-                          cache_hits=run_stats["cache_hits"],
-                          resumed=run_stats["resumed"],
-                          failed=run_stats["failed"])
-    finally:
-        if journal is not None:
-            journal.close()
-
-    if stats is not None:
-        stats.update(run_stats)
-    merged = folder.result()
-    from repro import triage
-    triage.publish_weights(uarch, seed, config)
-    if aggregator is not None:
-        series = aggregator.finish()
-        window.deposit_run(label, series)
-        telemetry.event("run.end", label=label, uarch=uarch,
-                        total=merged.funnel["total"],
-                        accepted=merged.funnel["accepted"],
-                        windows=len(series))
-    resources.sample_peak_rss()
-    return merged
-
-
-def _stream_serial(shard_iter: Iterator[Shard],
-                   descriptor: MachineDescriptor,
-                   config: Optional[ProfilerConfig],
-                   cache: Optional[ShardCache],
-                   journal: Optional[RunJournal],
-                   journaled: Dict[str, int], run_stats: Dict,
-                   arrive, hit, fold, depth) -> None:
-    """The streamed engine's in-process path: profile as shards cut.
-
-    One shared profiler across misses — the batch serial path's
-    memoisation semantics — but the profiler (and the compiled-plan
-    cache with it) is dropped and rebuilt every
-    :func:`~repro.corpus.streaming.stream_epoch_blocks` profiled
-    blocks: results and plans are pure functions of (text, machine,
-    config), so the reset changes no bytes while keeping retained
-    state bounded by the epoch instead of the corpus length.
-    """
-    from repro.eval.validation import profile_records_detailed
-    from repro.runtime.plan import clear_plan_cache
-    epoch = corpus_streaming.stream_epoch_blocks()
-    profiler = None
+    offset = 0                        # global index of the next block
+    order: Deque[int] = deque()       # arrived, not yet folded
+    held: List[Shard] = []            # misses waiting for a pool
+    inflight: Dict[int, Tuple] = {}   # index -> (future, shard, t0)
+    ready: Dict[int, Tuple] = {}      # index -> (shard, profile)
+    exhausted = hung = interrupted = False
+    pool: Optional[ProcessPoolExecutor] = None
+    workers = jobs
+    trace_dir: Optional[str] = None
+    profiler: Optional[BasicBlockProfiler] = None
     since_reset = 0
-    for shard in shard_iter:
-        arrive(shard)
-        telemetry.count("stream.submitted")
-        depth(1)
-        cached = _load_verified(cache, shard, journaled)
-        if cached is not None:
-            hit(shard)
-            fold(shard, cached)
-            continue
-        if cache is not None:
-            telemetry.count("cache.shard.misses")
-        if epoch and since_reset >= epoch:
+
+    def profile_here(shard: Shard) -> CorpusProfile:
+        # One profiler across in-process misses — one walk of the
+        # corpus — dropped with the plan cache every EPOCH_BLOCKS.
+        nonlocal profiler, since_reset
+        if since_reset >= EPOCH_BLOCKS:
             profiler = None
             clear_plan_cache()
             since_reset = 0
@@ -889,57 +625,21 @@ def _stream_serial(shard_iter: Iterator[Shard],
         since_reset += len(shard)
         run_stats["profiled"] += 1
         _store(cache, shard, profile, run_stats, journal)
-        fold(shard, profile)
-
-
-def _stream_pool(shard_iter: Iterator[Shard],
-                 descriptor: MachineDescriptor,
-                 config: Optional[ProfilerConfig], jobs: int,
-                 max_inflight: int, shard_timeout: float,
-                 worker_fn, serial_fn,
-                 retry: resilience.RetryPolicy,
-                 cache: Optional[ShardCache],
-                 journal: Optional[RunJournal],
-                 journaled: Dict[str, int], run_stats: Dict,
-                 hub, trace_id: Optional[str],
-                 arrive, hit, fold, depth) -> None:
-    """The streamed engine's pooled path: bounded-prefetch pipeline.
-
-    A fill loop pulls shards from the generator only while fewer than
-    ``max_inflight`` results are outstanding (submitted or completed
-    but not yet foldable), so the generator provides results exactly
-    as fast as the pool consumes them — that bounded window *is* the
-    backpressure.  A fold loop drains completed shards strictly in
-    index order; because submission is also in index order, the fold
-    frontier can never starve while work is outstanding.
-
-    Failure handling mirrors the batch pool: a worker exception or
-    per-shard timeout escalates to the bounded serial rescue in the
-    parent (same retry keys, same quarantine-or-raise), and a broken
-    pool is rebuilt once per submit so one crashed worker cannot sink
-    the rest of the stream.
-    """
-    inflight: Dict[int, Tuple] = {}   # index -> (future, shard, t0)
-    ready: Dict[int, Tuple] = {}      # index -> (shard, profile)
-    next_fold = 0
-    exhausted = False
-    hung = False
-    interrupted = False
-    pool: Optional[ProcessPoolExecutor] = None
-    trace_dir: Optional[str] = None
+        return profile
 
     def ensure_pool() -> ProcessPoolExecutor:
         nonlocal pool, trace_dir
         if pool is None:
             if hub.enabled and trace_dir is None:
                 trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
-            pool = ProcessPoolExecutor(max_workers=jobs,
+            pool = ProcessPoolExecutor(max_workers=workers,
                                        initializer=_init_worker,
                                        initargs=(trace_dir, trace_id))
         return pool
 
     def submit(shard: Shard) -> None:
         nonlocal pool
+        _account_planned_worker_faults(shard)
         executor = ensure_pool()
         try:
             future = executor.submit(worker_fn, descriptor, config,
@@ -956,16 +656,19 @@ def _stream_pool(shard_iter: Iterator[Shard],
         inflight[shard.index] = (future, shard, time.monotonic())
 
     def rescue(shard: Shard) -> CorpusProfile:
+        # Escalate pool -> serial: bounded retries in the parent; a
+        # shard that still fails is bucketed, never allowed to poison
+        # the run or the cache.  The rescue runs in-parent, so the
+        # profiler's own counters record it — no replication.
         run_stats["retried"] += 1
         telemetry.count("parallel.worker_retries")
         telemetry.count("resilience.retries")
         telemetry.event("parallel.worker_retry", shard=shard.index,
                         digest=shard.digest)
-        retry_fn = serial_fn or _serial_shard
         try:
             profile = retry.run(
-                lambda attempt, s=shard: retry_fn(descriptor, config,
-                                                  s),
+                lambda attempt, s=shard: serial_fn(descriptor, config,
+                                                   s),
                 key=f"serial_rescue|{shard.digest}",
                 retry_on=(Exception,))
         except Exception as exc:
@@ -986,7 +689,8 @@ def _stream_pool(shard_iter: Iterator[Shard],
     def land(future, shard: Shard) -> CorpusProfile:
         try:
             _, profile = future.result(timeout=0)
-        except Exception as exc:
+        except Exception as exc:  # BrokenProcessPool, or whatever
+            # the worker raised — all rescued serially.
             telemetry.event("parallel.shard_error", shard=shard.index,
                             error=type(exc).__name__)
             return rescue(shard)
@@ -995,79 +699,149 @@ def _stream_pool(shard_iter: Iterator[Shard],
         _store(cache, shard, profile, run_stats, journal)
         return profile
 
-    try:
-        while True:
-            # Fill: pull from the generator only while the in-flight
-            # window has room.
-            while not exhausted and \
-                    len(inflight) + len(ready) < max_inflight:
-                shard = next(shard_iter, None)
-                if shard is None:
-                    exhausted = True
-                    break
-                arrive(shard)
-                cached = _load_verified(cache, shard, journaled)
-                if cached is not None:
-                    hit(shard)
-                    ready[shard.index] = (shard, cached)
-                    continue
-                if cache is not None:
-                    telemetry.count("cache.shard.misses")
-                _account_planned_worker_faults([shard])
-                telemetry.count("stream.submitted")
-                submit(shard)
-                depth(len(inflight) + len(ready))
-            # Fold: drain the contiguous completed frontier in index
-            # order (this is what keeps streamed == batch bytes).
-            while next_fold in ready:
-                shard, profile = ready.pop(next_fold)
-                fold(shard, profile)
-                next_fold += 1
-            if exhausted and not inflight:
-                if ready:  # pragma: no cover - invariant guard
-                    raise RuntimeError(
-                        f"stream fold stalled at {next_fold} with "
-                        f"{sorted(ready)} ready")
-                break
-            if not inflight:
-                continue  # window was all cache hits; pull more
-            # Wait for a completion, bounded by the oldest in-flight
-            # shard's remaining timeout budget.
-            now = time.monotonic()
-            oldest = min(t0 for _, _, t0 in inflight.values())
-            futures_wait([f for f, _, _ in inflight.values()],
-                         timeout=max(0.0,
-                                     oldest + shard_timeout - now),
-                         return_when=FIRST_COMPLETED)
-            now = time.monotonic()
-            for index in sorted(inflight):
-                future, shard, t0 = inflight[index]
-                if future.done():
-                    del inflight[index]
-                    ready[index] = (shard, land(future, shard))
-                elif now - t0 > shard_timeout:
-                    hung = True
-                    future.cancel()
-                    del inflight[index]
-                    telemetry.event("parallel.shard_error",
-                                    shard=shard.index,
-                                    error="TimeoutError")
-                    ready[index] = (shard, rescue(shard))
-    except BaseException:
-        interrupted = True
-        raise
-    finally:
-        if pool is not None:
-            if hung or interrupted:
-                _terminate_pool(pool)
-            else:
-                pool.shutdown(wait=True, cancel_futures=True)
-        if trace_dir is not None:
-            try:
-                if not interrupted:
-                    _stitch_worker_traces(trace_dir)
-            finally:
-                shutil.rmtree(trace_dir, ignore_errors=True)
+    with telemetry.span("parallel.profile_corpus", uarch=uarch,
+                        jobs=jobs) as span:
+        try:
+            while True:
+                # Fill: pull from the source only while the window of
+                # outstanding shards has room.
+                while not exhausted and len(order) < max_inflight:
+                    shard = next(shard_iter, None)
+                    if shard is None:
+                        exhausted = True
+                        break
+                    # Shards arrive in index order, so global block
+                    # offsets are running prefix sums.
+                    run_stats["shards"] += 1
+                    telemetry.count("parallel.shards_total")
+                    if starts is not None:
+                        starts[shard.index] = offset
+                    offset += len(shard)
+                    order.append(shard.index)
+                    cached = _load_verified(cache, shard, journaled)
+                    if cached is not None:
+                        run_stats["cache_hits"] += 1
+                        telemetry.count("parallel.shard_cache_hits")
+                        telemetry.count("cache.shard.hits")
+                        if shard.digest in journaled:
+                            run_stats["resumed"] += 1
+                            telemetry.count("resilience.resumed_shards")
+                        ready[shard.index] = (shard, cached)
+                    else:
+                        if cache is not None:
+                            telemetry.count("cache.shard.misses")
+                        telemetry.count("stream.submitted")
+                        if jobs <= 1:
+                            ready[shard.index] = (shard,
+                                                  profile_here(shard))
+                        elif pool is None:
+                            held.append(shard)
+                        else:
+                            submit(shard)
+                    if len(order) > run_stats["max_queue_depth"]:
+                        run_stats["max_queue_depth"] = len(order)
+                        telemetry.set_gauge("stream.max_queue_depth",
+                                            len(order))
+                    telemetry.observe("stream.queue_depth", len(order))
+                # The first window is full or the source ended: start
+                # the pool, sized to the work when the source ended
+                # inside this window.  A lone pending shard never
+                # forks.
+                if held:
+                    if exhausted and len(held) == 1:
+                        ready[held[0].index] = (held[0],
+                                                profile_here(held[0]))
+                    else:
+                        if exhausted:
+                            workers = min(jobs, len(held))
+                        for shard in held:
+                            submit(shard)
+                    held = []
+                # Fold the completed frontier in arrival order (this
+                # is what keeps every run's bytes equal to serial).
+                while order and order[0] in ready:
+                    shard, profile = ready.pop(order.popleft())
+                    folder.add(shard, profile)
+                    _feed_windows(aggregator, starts, shard, profile)
+                    if starts is not None:
+                        del starts[shard.index]
+                    telemetry.count("stream.folded")
+                    if on_shard is not None:
+                        on_shard(shard, profile)
+                if not inflight:
+                    if exhausted:
+                        break
+                    continue  # window was all cache hits; pull more
+                # Wait for a completion, bounded by the oldest
+                # in-flight shard's remaining timeout budget.
+                now = time.monotonic()
+                oldest = min(t0 for _, _, t0 in inflight.values())
+                futures_wait([f for f, _, _ in inflight.values()],
+                             timeout=max(0.0,
+                                         oldest + shard_timeout - now),
+                             return_when=FIRST_COMPLETED)
+                now = time.monotonic()
+                for index in sorted(inflight):
+                    future, shard, t0 = inflight[index]
+                    if future.done():
+                        del inflight[index]
+                        ready[index] = (shard, land(future, shard))
+                    elif now - t0 > shard_timeout:
+                        hung = True
+                        future.cancel()
+                        del inflight[index]
+                        telemetry.event("parallel.shard_error",
+                                        shard=shard.index,
+                                        error="TimeoutError")
+                        ready[index] = (shard, rescue(shard))
+        except BaseException:
+            # KeyboardInterrupt / fatal error: hard-stop the pool,
+            # reap every worker, and let the interrupt propagate.
+            interrupted = True
+            raise
+        finally:
+            if pool is not None:
+                if hung or interrupted:
+                    _terminate_pool(pool)
+                else:
+                    pool.shutdown(wait=True, cancel_futures=True)
+            if trace_dir is not None:
+                try:
+                    if not interrupted:
+                        _stitch_worker_traces(trace_dir)
+                finally:
+                    shutil.rmtree(trace_dir, ignore_errors=True)
+            if journal is not None:
+                journal.close()
+        if run_stats["resumed"]:
+            telemetry.event("resilience.resume",
+                            shards=run_stats["resumed"],
+                            pending=run_stats["shards"]
+                            - run_stats["cache_hits"])
+        span.annotate(shards=run_stats["shards"],
+                      profiled=run_stats["profiled"],
+                      cache_hits=run_stats["cache_hits"],
+                      resumed=run_stats["resumed"],
+                      failed=run_stats["failed"])
+
+    if stats is not None:
+        stats.update(run_stats)
+    merged = folder.result()
+    # Triage training (opt-in, parent-side): workers appended their
+    # shards' fresh measurements to the triage journal; fold them into
+    # a refreshed surrogate so the *next* run routes sharper.  A no-op
+    # unless $REPRO_TRIAGE armed the stage; degrades on any failure.
+    from repro import triage
+    triage.publish_weights(uarch, seed, config)
+    if aggregator is not None:
+        series = aggregator.finish()
+        window.deposit_run(label, series)
+        telemetry.event("run.end", label=label, uarch=uarch,
+                        total=merged.funnel["total"],
+                        accepted=merged.funnel["accepted"],
+                        windows=len(series))
+    resources.sample_peak_rss()
+    return merged
 
 
 def _load_verified(cache: Optional[ShardCache], shard: Shard,
@@ -1116,7 +890,7 @@ def _store(cache: Optional[ShardCache], shard: Shard,
         journal.record_shard(shard.digest, shard.index, checksum)
 
 
-def _account_planned_worker_faults(pending: Sequence[Shard]) -> None:
+def _account_planned_worker_faults(shard: Shard) -> None:
     """Mirror worker-side chaos decisions into the parent's telemetry.
 
     A crashing or hanging worker takes its registry with it, so the
@@ -1127,63 +901,8 @@ def _account_planned_worker_faults(pending: Sequence[Shard]) -> None:
     policy = chaos.active()
     if policy is None:
         return
-    for shard in pending:
-        if policy.should_fire("worker_crash", shard.digest):
-            chaos.account("worker_crash", shard.digest)
-        elif policy.should_fire("worker_hang", shard.digest):
-            chaos.account("worker_hang", shard.digest)
+    if policy.should_fire("worker_crash", shard.digest):
+        chaos.account("worker_crash", shard.digest)
+    elif policy.should_fire("worker_hang", shard.digest):
+        chaos.account("worker_hang", shard.digest)
 
-
-def _run_pool(pending: Sequence[Shard],
-              descriptor: MachineDescriptor,
-              config: Optional[ProfilerConfig], jobs: int,
-              shard_timeout: float, worker_fn,
-              results: Dict[int, CorpusProfile], run_stats: Dict,
-              cache: Optional[ShardCache],
-              journal: Optional[RunJournal] = None,
-              trace_dir: Optional[str] = None,
-              trace_id: Optional[str] = None,
-              aggregator: Optional[window.WindowAggregator] = None,
-              starts: Optional[Dict[int, int]] = None) -> List[Shard]:
-    """Fan pending shards out to a process pool; return the failures."""
-    failed: List[Shard] = []
-    hung = False
-    interrupted = False
-    _account_planned_worker_faults(pending)
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)),
-                               initializer=_init_worker,
-                               initargs=(trace_dir, trace_id))
-    try:
-        futures = [(pool.submit(worker_fn, descriptor, config,
-                                shard.index, shard.records), shard)
-                   for shard in pending]
-        for future, shard in futures:
-            try:
-                index, profile = future.result(timeout=shard_timeout)
-                results[index] = profile
-                _feed_windows(aggregator, starts, shard, profile)
-                run_stats["profiled"] += 1
-                _replicate_profiler_counters(profile)
-                _store(cache, shard, profile, run_stats, journal)
-            except Exception as exc:  # TimeoutError, BrokenProcessPool,
-                # or whatever the worker raised — all retried serially.
-                if isinstance(exc, TimeoutError):
-                    hung = True
-                    future.cancel()
-                failed.append(shard)
-                telemetry.event("parallel.shard_error",
-                                shard=shard.index,
-                                error=type(exc).__name__)
-    except BaseException:
-        # KeyboardInterrupt / fatal error: hard-stop the pool, reap
-        # every worker, and let the interrupt propagate.  Without this
-        # a Ctrl-C would leave orphan workers grinding on and the
-        # management thread waiting on them.
-        interrupted = True
-        raise
-    finally:
-        if hung or interrupted:
-            _terminate_pool(pool)
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return failed

@@ -54,7 +54,8 @@ def resources_section(snapshot: Dict) -> Dict:
 
     Always carries ``peak_rss_kb`` (sampled live at report-build time,
     falling back to the gauge a finished run recorded); the ``stream``
-    sub-section appears only when the streamed engine ran.
+    sub-section appears only when the engine submitted or folded a
+    shard in this process.
     """
     gauges = snapshot.get("gauges", {})
     counters = snapshot.get("counters", {})

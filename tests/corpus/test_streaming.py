@@ -16,8 +16,7 @@ import pytest
 from repro.corpus.dataset import (DEFAULT_APPS, BlockRecord,
                                   build_application, build_corpus)
 from repro.corpus.streaming import (corpus_spec_digest,
-                                    default_prefetch, iter_application,
-                                    iter_corpus, stream_enabled)
+                                    iter_application, iter_corpus)
 from repro.isa.parser import parse_block
 from repro.parallel import shard_corpus, stream_shards
 
@@ -73,23 +72,6 @@ class TestSpecDigest:
         assert base != corpus_spec_digest(0.001, 0, shard_size=16)
         assert base != corpus_spec_digest(
             0.001, 0, applications=("gzip",))
-
-
-class TestEnvSwitches:
-    def test_stream_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM", raising=False)
-        assert not stream_enabled()
-        monkeypatch.setenv("REPRO_STREAM", "1")
-        assert stream_enabled()
-        monkeypatch.setenv("REPRO_STREAM", "0")
-        assert not stream_enabled()
-
-    def test_default_prefetch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM_PREFETCH", raising=False)
-        assert default_prefetch(4) == 8
-        assert default_prefetch(1) == 2
-        monkeypatch.setenv("REPRO_STREAM_PREFETCH", "3")
-        assert default_prefetch(2) == 6
 
 
 # ---------------------------------------------------------------------------

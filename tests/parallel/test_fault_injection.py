@@ -70,6 +70,22 @@ def test_failed_worker_is_retried_serially(corpus, serial, stub):
     assert stats["failed"] == 0
 
 
+def test_single_pending_shard_never_reaches_the_pool(corpus):
+    """One pending shard profiles in-process even at ``jobs=2``, so a
+    failing worker is never consulted and nothing is retried (the
+    serve breaker counts retries as pool trouble)."""
+    records = corpus.records[:8]
+    stats = {}
+    profile = profile_corpus_sharded(records, "haswell", seed=0,
+                                     jobs=2, shard_size=8,
+                                     worker_fn=worker_raises,
+                                     stats=stats)
+    assert _bytes(profile) == _bytes(
+        profile_corpus_detailed(records, "haswell", seed=0))
+    assert stats["shards"] == 1
+    assert stats["retried"] == 0
+
+
 def test_hanging_worker_times_out_and_is_rescued(corpus, serial):
     stats = {}
     start = time.perf_counter()

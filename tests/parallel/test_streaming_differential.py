@@ -1,13 +1,15 @@
-"""Streamed profiling is byte-identical to batch, and never cheats.
+"""The engine profiles a list and a generator to the same bytes.
 
-``profile_corpus_streamed`` consumes a *generator* of records — it can
-never look ahead, count, or re-read its input — yet its merged profile
-must serialise to exactly the bytes the batch sharded engine produces.
-This suite proves that differentially (serial and pooled, all three
-microarchitectures), pins the ``REPRO_STREAM=1`` delegation path in
-``profile_corpus_sharded``, and checks the streamed run's contracts:
-index-ordered folding, honest stats, journal-identity discipline, and
-cache interoperability with batch runs.
+``profile_corpus_sharded`` (a materialised list) and
+``profile_corpus_streamed`` (a *generator* of records that it can
+never look ahead in, count, or re-read) run the same engine loop, and
+both must serialise to exactly the bytes of the plain serial
+``profile_corpus_detailed`` walk.  This suite proves that
+differentially (serial and pooled, all three microarchitectures,
+every prefetch depth and an epoch reset every few blocks), and checks
+the loop's contracts: index-ordered folding, honest stats,
+journal-identity discipline, and cache interoperability between list
+and generator runs.
 """
 
 import json
@@ -16,7 +18,8 @@ import os
 import pytest
 
 from repro.corpus.dataset import build_application
-from repro.parallel import (ShardCache, profile_corpus_sharded,
+from repro.eval.validation import profile_corpus_detailed
+from repro.parallel import (ShardCache, engine, profile_corpus_sharded,
                             profile_corpus_streamed, shard_corpus)
 from repro.resilience import JOURNAL_NAME, RunJournal
 
@@ -34,41 +37,20 @@ def _records(app="openblas", count=26, seed=5):
 
 @pytest.mark.parametrize("uarch", UARCHES)
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_streamed_equals_batch(uarch, jobs):
+def test_generator_equals_list(uarch, jobs):
     records = _records()
-    batch = profile_corpus_sharded(records, uarch, seed=5, jobs=jobs,
-                                   shard_size=4)
+    serial = profile_corpus_detailed(records, uarch, seed=5)
+    listed = profile_corpus_sharded(records, uarch, seed=5, jobs=jobs,
+                                    shard_size=4)
     streamed = profile_corpus_streamed(iter(records), uarch, seed=5,
                                        jobs=jobs, shard_size=4)
-    assert _payload(streamed) == _payload(batch)
-
-
-def test_env_delegation_equals_batch(monkeypatch):
-    """``REPRO_STREAM=1`` reroutes the batch entry point through the
-    streamed engine — same signature, same bytes."""
-    records = _records(count=21)
-    monkeypatch.delenv("REPRO_STREAM", raising=False)
-    batch = profile_corpus_sharded(records, "haswell", seed=5,
-                                   jobs=2, shard_size=8)
-    monkeypatch.setenv("REPRO_STREAM", "1")
-    streamed = profile_corpus_sharded(records, "haswell", seed=5,
-                                      jobs=2, shard_size=8)
-    assert _payload(streamed) == _payload(batch)
-
-
-def test_stream_flag_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_STREAM", "1")
-    records = _records(count=9)
-    explicit_off = profile_corpus_sharded(records, "haswell", seed=5,
-                                          shard_size=4, stream=False)
-    explicit_on = profile_corpus_sharded(records, "haswell", seed=5,
-                                         shard_size=4, stream=True)
-    assert _payload(explicit_off) == _payload(explicit_on)
+    assert _payload(listed) == _payload(serial)
+    assert _payload(streamed) == _payload(serial)
 
 
 def test_accepts_shard_stream():
-    """Pre-cut shards stream through unchanged (the delegation path
-    hands over shards, not records)."""
+    """Pre-cut shards stream through unchanged (the list entry hands
+    over shards, not records)."""
     records = _records(count=18)
     shards = shard_corpus(records, 4)
     streamed = profile_corpus_streamed(iter(shards), "skylake", seed=5,
@@ -122,23 +104,25 @@ def test_journal_requires_identity(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_cache_interop_with_batch(tmp_path, jobs):
-    """A batch run warms the cache; the streamed run over the same
-    records resumes every shard from it — and vice versa."""
+def test_cache_interop_list_and_generator(tmp_path, jobs):
+    """A list run warms the cache; the generator run over the same
+    records resumes every shard from it."""
     records = _records(count=16)
     cache = ShardCache(str(tmp_path))
-    batch_stats = {}
-    batch = profile_corpus_sharded(records, "haswell", seed=5,
-                                   jobs=jobs, shard_size=4,
-                                   cache=cache, stats=batch_stats)
-    assert batch_stats["cache_hits"] == 0
+    list_stats = {}
+    listed = profile_corpus_sharded(records, "haswell", seed=5,
+                                    jobs=jobs, shard_size=4,
+                                    cache=cache, stats=list_stats)
+    assert list_stats["cache_hits"] == 0
     stream_stats = {}
     streamed = profile_corpus_streamed(iter(records), "haswell",
                                        seed=5, jobs=jobs, shard_size=4,
                                        cache=cache, stats=stream_stats)
     assert stream_stats["cache_hits"] == 4
     assert stream_stats["profiled"] == 0
-    assert _payload(streamed) == _payload(batch)
+    serial = profile_corpus_detailed(records, "haswell", seed=5)
+    assert _payload(listed) == _payload(serial)
+    assert _payload(streamed) == _payload(serial)
 
 
 def test_streamed_run_is_rerunnable_from_journal(tmp_path):
@@ -167,10 +151,23 @@ def test_streamed_run_is_rerunnable_from_journal(tmp_path):
 
 
 def test_prefetch_depth_does_not_change_bytes(monkeypatch):
+    """Sweep the window and force an epoch reset every 4 blocks.
+
+    Pool workers fork after the patch, so they inherit the epoch too;
+    every run — serial and pooled, list and generator — must equal the
+    plain serial walk.
+    """
     records = _records(count=24)
-    payloads = set()
-    for prefetch in ("1", "2", "5"):
-        monkeypatch.setenv("REPRO_STREAM_PREFETCH", prefetch)
-        payloads.add(_payload(profile_corpus_streamed(
-            iter(records), "haswell", seed=5, jobs=2, shard_size=3)))
-    assert len(payloads) == 1
+    expected = _payload(profile_corpus_detailed(records, "haswell",
+                                                seed=5))
+    monkeypatch.setattr(engine, "EPOCH_BLOCKS", 4)
+    for prefetch in (1, 2, 5):
+        monkeypatch.setattr(engine, "PREFETCH_PER_JOB", prefetch)
+        for jobs in (1, 2):
+            streamed = profile_corpus_streamed(
+                iter(records), "haswell", seed=5, jobs=jobs,
+                shard_size=3)
+            listed = profile_corpus_sharded(records, "haswell", seed=5,
+                                            jobs=jobs, shard_size=3)
+            assert _payload(streamed) == expected, (prefetch, jobs)
+            assert _payload(listed) == expected, (prefetch, jobs)
