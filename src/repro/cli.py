@@ -471,17 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable compiled block plans and run the "
                             "historical per-instruction interpreter "
                             "(same results, slower)")
-        p.add_argument("--triage", nargs="?", const="1", default=None,
-                       metavar="TOL",
-                       help="enable learned triage: blocks whose "
-                            "surrogate prediction confirms their "
-                            "journaled cached measurement (within "
-                            "relative tolerance TOL, default 0.25) "
-                            "replay the exact cached bytes instead of "
-                            "re-simulating; novel/disagreeing blocks "
-                            "run the full pipeline (also "
-                            "$REPRO_TRIAGE / $REPRO_TRIAGE_TOL; see "
-                            "docs/performance.md)")
         p.add_argument("--chaos", metavar="SPEC", default=None,
                        help="arm deterministic fault injection, e.g. "
                             "'42:worker_crash=0.2,disk_full=0.1' or "
@@ -706,20 +695,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_NO_FASTPATH"] = "1"
     if getattr(args, "no_blockplan", False):
         os.environ["REPRO_NO_BLOCKPLAN"] = "1"
-    if getattr(args, "triage", None) is not None:
-        # Exported so pool workers route (and journal) consistently
-        # with the parent.
-        if args.triage != "1":
-            try:
-                tol = float(args.triage)
-            except ValueError:
-                tol = -1.0
-            if tol <= 0.0:
-                print(f"error: --triage {args.triage!r}: tolerance "
-                      "must be a positive number", file=sys.stderr)
-                return 2
-            os.environ["REPRO_TRIAGE_TOL"] = args.triage
-        os.environ["REPRO_TRIAGE"] = "1"
     if getattr(args, "chaos", None):
         from repro.resilience import ChaosPolicy, ChaosSpecError
         try:

@@ -64,15 +64,6 @@ REGISTRY: List[EnvVar] = [
     EnvVar("REPRO_NO_BLOCKPLAN", "unset",
            "`1` disables compiled block plans (same bytes, slower)",
            "performance"),
-    EnvVar("REPRO_TRIAGE", "unset",
-           "`1` enables learned triage: surrogate-confirmed cached "
-           "measurements replay instead of re-simulating "
-           "([docs/performance.md](docs/performance.md))",
-           "performance"),
-    EnvVar("REPRO_TRIAGE_TOL", "`0.25`",
-           "relative surrogate-vs-cached agreement band for triage "
-           "revalidation (routing only — never changes measured "
-           "bytes)", "performance"),
     # -- robustness knobs -------------------------------------------------
     EnvVar("REPRO_CHAOS", "unset",
            "arm deterministic fault injection "

@@ -107,13 +107,13 @@ class CorpusProfile:
 
     ``info`` carries purely informational per-run telemetry — one
     count per key of ``ProfileResult.extra`` (currently
-    ``fastpath_extrapolated``: blocks whose measurement used the
-    steady-state fast path, ``blockplan_compiled``: blocks executed
-    through compiled block plans, and ``triage_revalidated``: blocks
-    whose journaled cached measurement was replayed by the triage
-    surrogate instead of re-simulated).  It is kept *outside* the
-    funnel so the funnel — and therefore accepted/dropped accounting —
-    stays byte-identical whichever switches are on or off.
+    ``fastpath_extrapolated``: blocks whose measurement replicated an
+    annotation tail or came from a two-factor checkpoint, and
+    ``blockplan_compiled``: blocks executed through compiled block
+    plans, plus the ``chaos_block_poison`` and
+    ``step_budget_exceeded`` quarantine markers).  It is kept
+    *outside* the funnel so the funnel — and therefore accepted/dropped
+    accounting — stays byte-identical whichever switches are on or off.
     """
 
     throughputs: Dict[int, float]
@@ -131,10 +131,7 @@ def profile_records_detailed(profiler: BasicBlockProfiler,
 
     The single accept/drop policy shared by the serial path and every
     parallel worker (``repro.parallel``), so a sharded run cannot
-    diverge from a serial one by construction.  Routing through
-    ``profile_many`` (rather than per-record ``profile`` calls) lets
-    triage revalidate and journal inside each shard as well as in
-    serial runs.
+    diverge from a serial one by construction.
     """
     throughputs: Dict[int, float] = {}
     funnel = CorpusProfile.empty_funnel()
@@ -167,10 +164,6 @@ def profile_corpus_detailed(corpus: Corpus, uarch: str, seed: int = 0,
         profile = profile_records_detailed(profiler, corpus)
         sp.annotate(blocks=profile.funnel["total"],
                     accepted=profile.funnel["accepted"])
-    # Opt-in triage training from this run's journal (no-op unless
-    # $REPRO_TRIAGE armed the stage; see repro.triage.publish_weights).
-    from repro import triage
-    triage.publish_weights(uarch, seed, config)
     return profile
 
 

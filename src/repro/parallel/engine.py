@@ -313,7 +313,6 @@ _STITCH_EXCLUDED = frozenset({
     "profiler.blocks_total", "profiler.blocks_accepted",
     "profiler.fastpath_extrapolated", "profiler.blockplan_compiled",
     "profiler.chaos_block_poison", "profiler.step_budget_exceeded",
-    "profiler.triage_revalidated",
 })
 
 
@@ -827,12 +826,6 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     if stats is not None:
         stats.update(run_stats)
     merged = folder.result()
-    # Triage training (opt-in, parent-side): workers appended their
-    # shards' fresh measurements to the triage journal; fold them into
-    # a refreshed surrogate so the *next* run routes sharper.  A no-op
-    # unless $REPRO_TRIAGE armed the stage; degrades on any failure.
-    from repro import triage
-    triage.publish_weights(uarch, seed, config)
     if aggregator is not None:
         series = aggregator.finish()
         window.deposit_run(label, series)

@@ -148,8 +148,6 @@ class BasicBlockProfiler:
             telemetry.count("profiler.blockplan_compiled")
         if result.extra.get("chaos_block_poison"):
             telemetry.count("profiler.chaos_block_poison")
-        if result.extra.get("triage_revalidated"):
-            telemetry.count("profiler.triage_revalidated")
         if result.extra.get("step_budget_exceeded"):
             telemetry.count("profiler.step_budget_exceeded")
 
@@ -353,20 +351,11 @@ class BasicBlockProfiler:
         """Profile a corpus; order of results matches the input.
 
         Every block goes through :meth:`profile`, so a repeated text
-        is a dedup-memo hit.  When triage is active (``repro.triage``,
-        opt-in), a pre-pass seeds the memo with revalidated cached
-        measurements — blocks it cannot vouch for fall through to the
-        loop unchanged — and freshly measured blocks are journaled
-        after the loop for future revalidation.
+        is a dedup-memo hit.
         """
-        from repro import triage
         with telemetry.span("profiler.profile_many",
                             uarch=self.machine.name) as sp:
-            items = [parse_block(b) if isinstance(b, str) else b
-                     for b in blocks]
-            triage.prepare_triage(self, items)
-            results = [self.profile(block) for block in items]
-            triage.absorb_results(self, items, results)
+            results = [self.profile(block) for block in blocks]
             sp.annotate(blocks=len(results),
                         accepted=sum(1 for r in results if r.ok),
                         fastpath_extrapolated=sum(
@@ -374,10 +363,7 @@ class BasicBlockProfiler:
                             if r.extra.get("fastpath_extrapolated")),
                         blockplan_compiled=sum(
                             1 for r in results
-                            if r.extra.get("blockplan_compiled")),
-                        triage_revalidated=sum(
-                            1 for r in results
-                            if r.extra.get("triage_revalidated")))
+                            if r.extra.get("blockplan_compiled")))
         return results
 
 

@@ -42,9 +42,8 @@ def journal_line(record: Dict) -> str:
     """Serialize a record with its own integrity checksum appended.
 
     The line format is shared beyond the run journal: the serve-side
-    request journal (:mod:`repro.serve.requestlog`) and the triage
-    store reuse it so every crash-safe NDJSON file in the tree fails
-    torn writes the same way.
+    request journal (:mod:`repro.serve.requestlog`) reuses it so every
+    crash-safe NDJSON file in the tree fails torn writes the same way.
     """
     payload = json.dumps(record, sort_keys=True)
     crc = zlib.crc32(payload.encode())

@@ -3,14 +3,15 @@
 Three layers, all provably byte-identical to full simulation (the
 differential suite under ``tests/simcore`` holds them to it):
 
-* **Steady-state extrapolation** — the functional executor and the
-  timing model both detect when an unrolled run's per-iteration
-  signature (architectural state delta, memory footprint, cycle delta)
-  becomes periodic, then replicate/extrapolate the remaining
-  iterations analytically instead of simulating them
-  (:mod:`repro.simcore.fastrun`, :mod:`repro.simcore.periodicity`,
-  plus the steady-state hooks in ``uarch/machine.py`` and
-  ``uarch/scheduler.py``).
+* **Steady-state extrapolation** — the functional executor detects
+  when an unrolled run's per-iteration state becomes periodic and
+  replicates the remaining iterations' events instead of executing
+  them (:mod:`repro.simcore.fastrun`); the L1D annotation pass stops
+  once a periodic trace goes all-hit and replicates its tail
+  (:mod:`repro.simcore.periodicity` plus the hooks in
+  ``uarch/machine.py``).  The scheduler simulates every iteration; a
+  combined two-factor run reads the small factor's makespan at a
+  checkpoint of the large one.
 * **Decode/uop caching** — parsed instructions are interned
   (``isa/parser.py``), their hashes cached, and uop decomposition is
   resolved once per static slot per schedule call instead of once per

@@ -1,6 +1,6 @@
 """Unified cache telemetry: every cache, one protocol, one section.
 
-The repo has grown six caches, each of which used to report ad hoc or
+The repo has five caches, each of which used to report ad hoc or
 not at all:
 
 * the **shard cache** (``parallel/shard_cache.py``) — on-disk
@@ -12,10 +12,7 @@ not at all:
 * the **dedup memo** (``profiler/harness.py``) — content-addressed
   block-profile memoisation;
 * the **page cache** (``runtime/memory.py``) — the last-translated
-  virtual page fast path;
-* the **triage store** (``triage/stage.py``, opt-in) — journaled
-  measurements replayed when the learned surrogate confirms them
-  (hits = revalidated blocks, misses = novel + disagreeing).
+  virtual page fast path.
 
 Each registers a provider here — a zero-argument callable returning a
 :class:`CacheStats` snapshot — and the run report renders them all in

@@ -64,7 +64,9 @@ class RunResult:
     base_cycles: int
     #: Informational fast-path accounting (``attempted``,
     #: ``extrapolated``, per-layer flags); empty with the fast path
-    #: off.  Never feeds counters or acceptance.
+    #: off.  ``extrapolated`` marks a run whose annotation tail was
+    #: replicated or that came from a two-factor checkpoint.  Never
+    #: feeds counters or acceptance.
     fastpath: Dict[str, int] = field(default_factory=dict)
     #: Synthesized result for ``checkpoint_unroll`` iterations,
     #: byte-identical to a standalone :meth:`Machine.run` at that
@@ -119,17 +121,14 @@ class Machine:
                                 memory: VirtualMemory,
                                 steady: Optional[Tuple[int, int]] = None
                                 ) -> Tuple[List[InstrAnnotation], int,
-                                           int, Optional[Tuple[int, int]],
-                                           int, int]:
+                                           int, int, int]:
         """Run the L1D model over the trace (warm-up pass + timed pass).
 
         Returns per-dynamic-instruction annotations, the timed pass's
-        read/write miss counts, a steady witness for the *annotations*
-        (``(t, q)``: annotation of iteration ``i`` equals that of
-        ``i + q`` for ``i >= t``, or ``None``), how many tail
-        iterations were replicated rather than simulated, and the
-        iteration count at which the warm-up pass reached its all-hit
-        fixed point (``unroll`` when it never did).
+        read/write miss counts, how many tail iterations were
+        replicated rather than simulated, and the iteration count at
+        which the warm-up pass reached its all-hit fixed point
+        (``unroll`` when it never did).
 
         ``steady`` is the trace's event-periodicity witness.  With it,
         each pass stops once ``q`` consecutive steady iterations
@@ -187,8 +186,7 @@ class Machine:
                         ann.read_accesses.append((access.address,
                                                   access.width, penalty))
                 append_ann(ann)
-            return (annotations, read_misses, write_misses, None, 0,
-                    trace.unroll)
+            return annotations, read_misses, write_misses, 0, trace.unroll
 
         t, q = steady
         block_len = trace.block_len or 1
@@ -271,15 +269,7 @@ class Machine:
                 read_accesses=src.read_accesses,
                 write_accesses=src.write_accesses))
 
-        if simulated < unroll:
-            ann_steady = (simulated - q, q)
-        elif streak >= q:
-            # No tail left to replicate, but the final iterations were
-            # all-hit and event-periodic — still a valid witness.
-            ann_steady = (unroll - streak, q)
-        else:
-            ann_steady = None
-        return (annotations, read_misses, write_misses, ann_steady,
+        return (annotations, read_misses, write_misses,
                 unroll - simulated, warmup_fixed)
 
     #: Fraction of capacity-exceeded code lines that still demand-miss
@@ -335,6 +325,10 @@ class Machine:
         ``trace`` must come from a functional execution of exactly
         ``unroll`` copies of ``block`` under ``memory``'s final mapping.
 
+        The scheduler always simulates all ``unroll`` iterations.  With
+        the fast path on, only the L1D annotation pass may stop early
+        and replicate its tail (see :meth:`_data_cache_annotations`).
+
         ``checkpoint_unroll`` (fast path only) asks for a second,
         synthesized result at a smaller unroll factor, derived from
         the same simulation pass — the combined two-factor run.  It is
@@ -362,16 +356,11 @@ class Machine:
             raise ValueError("trace does not match block × unroll")
         fast = simcore.enabled() and not keep_records
         steady = detect_event_periodicity(trace) if fast else None
-        (annotations, read_misses, write_misses, ann_steady,
-         replicated, warmup_fixed) = self._data_cache_annotations(
+        (annotations, read_misses, write_misses, replicated,
+         warmup_fixed) = self._data_cache_annotations(
              trace, memory, steady=steady)
         l1i_misses = self._instruction_cache_annotations(
             block, unroll, annotations)
-        # An L1I overflow charges fetch stalls at a stride unrelated
-        # to the iteration period, so the schedule never settles into
-        # an iteration-periodic pattern — mandatory bail-out for
-        # large-footprint kernels.
-        sched_steady = ann_steady if (fast and not l1i_misses) else None
         checkpoint = None
         if fast and checkpoint_unroll and steady is not None \
                 and 0 < checkpoint_unroll < unroll and not l1i_misses:
@@ -383,7 +372,6 @@ class Machine:
                 checkpoint = checkpoint_unroll
         schedule = self.scheduler.schedule(block, unroll, annotations,
                                            keep_records=keep_records,
-                                           steady=sched_steady,
                                            checkpoint=checkpoint)
         base = CounterSample(
             cycles=schedule.cycles,
@@ -399,10 +387,7 @@ class Machine:
                 "attempted": 1,
                 "trace_periodic": 1 if steady is not None else 0,
                 "ann_replicated": replicated,
-                "sched_extrapolated": schedule.extrapolated_iterations,
-                "extrapolated": 1 if (replicated or
-                                      schedule.extrapolated_iterations)
-                else 0,
+                "extrapolated": 1 if replicated else 0,
             }
         checkpoint_result = None
         if checkpoint is not None \
@@ -426,8 +411,7 @@ class Machine:
                 base_cycles=cp_cycles,
                 fastpath={"attempted": 1, "trace_periodic": 1,
                           "ann_replicated": cp_replicated,
-                          "sched_extrapolated": 0, "checkpointed": 1,
-                          "extrapolated": 1})
+                          "checkpointed": 1, "extrapolated": 1})
         rng = self._rng(block, unroll)
         samples = [self._perturb(base, rng) for _ in range(reps)]
         if telemetry.is_enabled():
@@ -445,8 +429,7 @@ class Machine:
                 if fastpath["extrapolated"]:
                     telemetry.count("simcore.runs_extrapolated")
                     telemetry.count("simcore.iterations_skipped",
-                                    max(replicated,
-                                        schedule.extrapolated_iterations))
+                                    replicated)
                 else:
                     telemetry.count("simcore.runs_full")
             if checkpoint_result is not None:

@@ -37,17 +37,6 @@ GOLDEN_LANE_SHAPES = (
 )
 GOLDEN_LANE_MEMBERS = 8
 
-#: Triage fixture shape: a mixed corpus for the triage differential
-#: suite (``tests/triage``).  The ``cached`` role re-derives a subset
-#: of the golden corpus (same apps, same seed — so a cold triage run
-#: over it journals exactly those measurements), the ``novel`` role
-#: draws from a disjoint seed, so a warm run over the mixed corpus
-#: must revalidate the former and fall through to full simulation for
-#: the latter.
-TRIAGE_CACHED_APPS = (("llvm", 10), ("openblas", 6))
-TRIAGE_NOVEL_APPS = (("llvm", 6), ("gzip", 4))
-TRIAGE_NOVEL_SEED = 23
-
 
 def lane_family(shape, members):
     """Same-shape member texts for one family shape.
@@ -79,37 +68,6 @@ def build_records():
     return Corpus(records)
 
 
-def build_triage_records():
-    """The mixed novel/cached corpus behind ``golden_triage.json``.
-
-    Novel blocks whose text collides with a cached block (the
-    generators can repeat a popular idiom across seeds) are re-labelled
-    ``cached`` — the triage store is content-addressed, so a repeated
-    text legitimately revalidates no matter which role produced it.
-    """
-    from repro.corpus.dataset import BlockRecord, Corpus, \
-        build_application
-    records = []
-    cached_texts = set()
-    for app, count in TRIAGE_CACHED_APPS:
-        for record in build_application(app, count=count, seed=SEED):
-            cached_texts.add(record.block.text())
-            records.append((BlockRecord(
-                block=record.block, application=app,
-                frequency=record.frequency,
-                block_id=len(records)), "cached"))
-    for app, count in TRIAGE_NOVEL_APPS:
-        for record in build_application(app, count=count,
-                                        seed=TRIAGE_NOVEL_SEED):
-            role = "cached" if record.block.text() in cached_texts \
-                else "novel"
-            records.append((BlockRecord(
-                block=record.block, application=app,
-                frequency=record.frequency,
-                block_id=len(records)), role))
-    return Corpus([r for r, _ in records]), [role for _, role in records]
-
-
 def main() -> None:
     from repro.eval.validation import profile_corpus_detailed
 
@@ -123,21 +81,6 @@ def main() -> None:
     }
     with open(os.path.join(HERE, "golden_corpus.json"), "w") as fh:
         json.dump(corpus_doc, fh, indent=1)
-        fh.write("\n")
-
-    triage_corpus, roles = build_triage_records()
-    triage_doc = {
-        "seed": SEED,
-        "novel_seed": TRIAGE_NOVEL_SEED,
-        "blocks": [{"block_id": r.block_id,
-                    "application": r.application,
-                    "frequency": r.frequency,
-                    "role": role,
-                    "text": r.block.text()}
-                   for r, role in zip(triage_corpus, roles)],
-    }
-    with open(os.path.join(HERE, "golden_triage.json"), "w") as fh:
-        json.dump(triage_doc, fh, indent=1)
         fh.write("\n")
 
     for uarch in UARCHES:

@@ -21,7 +21,7 @@ from repro.corpus.dataset import build_application
 from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import (ShardCache, engine, profile_corpus_sharded,
                             profile_corpus_streamed, shard_corpus)
-from repro.resilience import JOURNAL_NAME, RunJournal
+from repro.resilience import JOURNAL_NAME, RunJournal, chaos
 
 UARCHES = ("ivybridge", "haswell", "skylake")
 
@@ -33,6 +33,19 @@ def _payload(profile) -> str:
 
 def _records(app="openblas", count=26, seed=5):
     return build_application(app, count=count, seed=seed).records
+
+
+def _assert_conserved(stats, shards):
+    """Every shard is a cache hit, profiled or failed, and only a
+    cache hit can be resumed.
+
+    Holds under any chaos policy: injected cache truncation, garbage
+    and write faults turn hits into re-profiles, never lose a shard.
+    """
+    assert stats["shards"] == shards
+    assert stats["cache_hits"] + stats["profiled"] + stats["failed"] \
+        == shards
+    assert stats["resumed"] <= stats["cache_hits"]
 
 
 @pytest.mark.parametrize("uarch", UARCHES)
@@ -106,20 +119,23 @@ def test_journal_requires_identity(tmp_path):
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_cache_interop_list_and_generator(tmp_path, jobs):
     """A list run warms the cache; the generator run over the same
-    records resumes every shard from it."""
+    records resumes every shard from it (with no chaos armed)."""
     records = _records(count=16)
     cache = ShardCache(str(tmp_path))
     list_stats = {}
     listed = profile_corpus_sharded(records, "haswell", seed=5,
                                     jobs=jobs, shard_size=4,
                                     cache=cache, stats=list_stats)
+    _assert_conserved(list_stats, 4)
     assert list_stats["cache_hits"] == 0
     stream_stats = {}
     streamed = profile_corpus_streamed(iter(records), "haswell",
                                        seed=5, jobs=jobs, shard_size=4,
                                        cache=cache, stats=stream_stats)
-    assert stream_stats["cache_hits"] == 4
-    assert stream_stats["profiled"] == 0
+    _assert_conserved(stream_stats, 4)
+    if chaos.active() is None:
+        assert stream_stats["cache_hits"] == 4
+        assert stream_stats["profiled"] == 0
     serial = profile_corpus_detailed(records, "haswell", seed=5)
     assert _payload(listed) == _payload(serial)
     assert _payload(streamed) == _payload(serial)
@@ -127,7 +143,8 @@ def test_cache_interop_list_and_generator(tmp_path, jobs):
 
 def test_streamed_run_is_rerunnable_from_journal(tmp_path):
     """Two streamed runs sharing a cache+journal: the second loads
-    every shard back and reproduces the first's bytes."""
+    every shard back (with no chaos armed) and reproduces the first's
+    bytes."""
     records = _records(count=16)
 
     def run():
@@ -145,9 +162,12 @@ def test_streamed_run_is_rerunnable_from_journal(tmp_path):
     first, first_stats = run()
     second, second_stats = run()
     assert first == second
+    _assert_conserved(first_stats, 4)
+    _assert_conserved(second_stats, 4)
     assert first_stats["resumed"] == 0
-    assert second_stats["resumed"] == 4
-    assert second_stats["profiled"] == 0
+    if chaos.active() is None:
+        assert second_stats["resumed"] == 4
+        assert second_stats["profiled"] == 0
 
 
 def test_prefetch_depth_does_not_change_bytes(monkeypatch):

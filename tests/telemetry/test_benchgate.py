@@ -18,7 +18,7 @@ COMMITTED = benchgate.discover_bench_files(REPO_ROOT)
 
 #: Files every checkout of this repo must carry (self-mode floors).
 EXPECTED_COMMITTED = ("BENCH_simcore.json", "BENCH_blockplan.json",
-                      "BENCH_windows.json", "BENCH_triage.json")
+                      "BENCH_windows.json")
 
 
 def _write(path, doc):

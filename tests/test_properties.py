@@ -2,16 +2,19 @@
 
 import json
 import os
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import simcore
 from repro.corpus import BlockSynthesizer, get_spec
 from repro.errors import ModelError, UnsupportedInstructionError
 from repro.isa.parser import parse_block
 from repro.models import IacaModel, LlvmMcaModel, OsacaModel
 from repro.models.portsim import PortSimulatorModel
 from repro.profiler import BasicBlockProfiler
+from repro.runtime import blockplan
 from repro.uarch import Machine
 from repro.uarch.scheduler import DataflowScheduler
 from repro.uarch.tables import get_uarch
@@ -130,9 +133,7 @@ def golden_blocks():
 def check_combined_schedule(model, block, uarch):
     """Assert the model's one combined pass equals two standalone ones.
 
-    The same holds with an explicit ``(0, 1)`` witness, which arms the
-    steady-state detector and its checkpoint formula.  Returns whether
-    the model analysed the block at all.
+    Returns whether the model analysed the block at all.
     """
     u1, u2 = PortSimulatorModel.UNROLL_PAIR
     try:
@@ -145,10 +146,6 @@ def check_combined_schedule(model, block, uarch):
     c2 = sched.schedule(analysed, u2).cycles
     assert (combined.checkpoint_cycles, combined.cycles) == (c1, c2)
     assert combined.records == []
-    witnessed = sched.schedule(analysed, u2, steady=(0, 1),
-                               checkpoint=u1)
-    assert (witnessed.checkpoint_cycles, witnessed.cycles) == (c1, c2)
-    assert sched.schedule(analysed, u1, steady=(0, 1)).cycles == c1
     # The throughput the two-call implementation derived.
     two_call = max((c2 - c1) / (u2 - u1), 1.0 / sched.desc.issue_width)
     assert model.simulate(analysed, uarch)[0] == two_call
@@ -173,15 +170,27 @@ class TestCombinedStaticSchedule:
         assert analysed >= 40
 
 
-def test_witness_fires_before_the_checkpoint():
-    """The witnessed runs above really take the detector's checkpoint
-    path: on some golden block it fires before iteration ``u1``, so
-    ``checkpoint_cycles`` comes from its closed form."""
-    u1, u2 = PortSimulatorModel.UNROLL_PAIR
-    model = SIMULATORS["IACA"]
-    sched = model._scheduler("haswell")
-    early = [block for block in golden_blocks()
-             if block.is_supported and sched.schedule(
-                 model.preprocess(block), u2, steady=(0, 1),
-                 checkpoint=u1).extrapolated_iterations > u2 - u1]
-    assert early
+def measured(result):
+    """Everything a profile measures; ``extra`` is informational only."""
+    return (result.ok, result.failure, result.throughput,
+            tuple(astuple(m) for m in result.measurements),
+            result.pages_mapped, result.num_faults,
+            result.subnormal_events)
+
+
+#: (fast path, block plans) per tier; the first is the interpreter.
+TIERS = ((False, False), (False, True), (True, False), (True, True))
+
+
+@given(block=corpus_blocks(), uarch=st.sampled_from(UARCHES))
+@settings(max_examples=60, deadline=None)
+def test_every_tier_measures_generated_blocks_identically(block, uarch):
+    """Fast path and block plans agree with the interpreter on
+    generated blocks, not only on the golden corpus."""
+    results = []
+    for fast, plans in TIERS:
+        with simcore.forced(fast), blockplan.forced(plans):
+            result = BasicBlockProfiler(Machine(uarch)).profile(block)
+        results.append(measured(result))
+    for tier, result in zip(TIERS[1:], results[1:]):
+        assert result == results[0], tier
