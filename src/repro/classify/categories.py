@@ -12,10 +12,10 @@ problem, replicating the paper's Table IV names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from itertools import permutations
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.classify.lda import LatentDirichletAllocation, LdaConfig
 from repro.classify.portmap import PortMapper
@@ -136,6 +136,18 @@ def _label_scores(profile: Dict[str, float]) -> List[float]:
     ]
 
 
+def _best_labels(score: np.ndarray) -> Tuple[int, ...]:
+    """Label index per topic that maximises the total affinity.
+
+    An exact search over every one-to-one topic-to-label assignment
+    (at most 6! = 720 of them), in lexicographic order; on a tied
+    total the first assignment wins.
+    """
+    rows = score.tolist()
+    return max(permutations(range(len(CATEGORY_LABELS)), len(rows)),
+               key=lambda labels: sum(map(list.__getitem__, rows, labels)))
+
+
 def classify_blocks(blocks: Sequence[BasicBlock],
                     uarch: str = "haswell",
                     config: Optional[LdaConfig] = None,
@@ -174,12 +186,11 @@ def classify_blocks(blocks: Sequence[BasicBlock],
                     for t, m in members.items()}
         score = np.array([_label_scores(profiles[t])
                           for t in range(n_topics)])
-        topic_idx, label_idx = linear_sum_assignment(-score)
-        total = float(score[topic_idx, label_idx].sum())
+        label_idx = _best_labels(score)
+        total = float(score[range(n_topics), label_idx].sum())
         if best is None or total > best[0]:
             best = (total, lda, doc_topics, dominant, profiles,
-                    {int(t): int(label) + 1
-                     for t, label in zip(topic_idx, label_idx)})
+                    {t: label + 1 for t, label in enumerate(label_idx)})
 
     _, lda, doc_topics, dominant, profiles, topic_to_category = best
     categories = [topic_to_category[int(t)] for t in dominant]

@@ -15,7 +15,9 @@ from repro.corpus.dataset import Corpus
 from repro.eval import metrics
 from repro.models.base import CostModel
 from repro.models.ithemal import IthemalModel
-from repro.profiler.harness import BasicBlockProfiler, ProfilerConfig
+from repro.profiler.harness import (BasicBlockProfiler, ProfilerConfig,
+                                    profile_records_detailed)
+from repro.profiler.result import CorpusProfile
 from repro.telemetry import core as telemetry
 from repro.uarch.machine import Machine
 
@@ -95,64 +97,6 @@ class ValidationResult:
         ok = sum(1 for r in self.rows
                  if r.predictions.get(model) is not None)
         return ok / len(self.rows)
-
-
-@dataclass
-class CorpusProfile:
-    """Ground-truth measurements plus the accept/drop funnel.
-
-    ``funnel`` is the run-report analogue of the paper's Table I:
-    ``accepted`` plus every ``dropped`` count sums to ``total`` (the
-    corpus size), so no block silently disappears from the pipeline.
-
-    ``info`` carries purely informational per-run telemetry — one
-    count per key of ``ProfileResult.extra`` (currently
-    ``fastpath_extrapolated``: blocks whose measurement replicated an
-    annotation tail or came from a two-factor checkpoint, and
-    ``blockplan_compiled``: blocks executed through compiled block
-    plans, plus the ``chaos_block_poison`` and
-    ``step_budget_exceeded`` quarantine markers).  It is kept
-    *outside* the funnel so the funnel — and therefore accepted/dropped
-    accounting — stays byte-identical whichever switches are on or off.
-    """
-
-    throughputs: Dict[int, float]
-    funnel: Dict
-    info: Dict = field(default_factory=dict)
-
-    @staticmethod
-    def empty_funnel(total: int = 0) -> Dict:
-        return {"total": total, "accepted": 0, "dropped": {}}
-
-
-def profile_records_detailed(profiler: BasicBlockProfiler,
-                             records) -> CorpusProfile:
-    """Profile an ordered run of records with one profiler.
-
-    The single accept/drop policy shared by the serial path and every
-    parallel worker (``repro.parallel``), so a sharded run cannot
-    diverge from a serial one by construction.
-    """
-    throughputs: Dict[int, float] = {}
-    funnel = CorpusProfile.empty_funnel()
-    info: Dict[str, int] = {}
-    records = list(records)
-    results = profiler.profile_many([r.block for r in records])
-    for record, result in zip(records, results):
-        funnel["total"] += 1
-        if result.ok and result.throughput > 0:
-            throughputs[record.block_id] = result.throughput
-            funnel["accepted"] += 1
-        else:
-            reason = ("zero_throughput" if result.failure is None
-                      else result.failure.value)
-            funnel["dropped"][reason] = \
-                funnel["dropped"].get(reason, 0) + 1
-        for key, value in result.extra.items():
-            if value:
-                info[key] = info.get(key, 0) + 1
-    return CorpusProfile(throughputs=throughputs, funnel=funnel,
-                         info=info)
 
 
 def profile_corpus_detailed(corpus: Corpus, uarch: str, seed: int = 0,

@@ -62,8 +62,9 @@ from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
 from repro.corpus.dataset import BlockRecord, Corpus
-from repro.profiler.harness import BasicBlockProfiler, ProfilerConfig
-from repro.profiler.result import FailureReason
+from repro.profiler.harness import (BasicBlockProfiler, ProfilerConfig,
+                                    profile_records_detailed)
+from repro.profiler.result import CorpusProfile, FailureReason
 from repro.parallel.shard_cache import ShardCache
 from repro.parallel.sharding import (DEFAULT_SHARD_SIZE, ProfileFolder,
                                      Shard, shard_corpus, shard_digest,
@@ -75,11 +76,6 @@ from repro.telemetry import core as telemetry
 from repro.telemetry import resources
 from repro.telemetry import window
 from repro.uarch.descriptor import MachineDescriptor
-
-# ``repro.eval.validation`` (``CorpusProfile``,
-# ``profile_records_detailed``) is imported lazily at the call sites:
-# ``repro.eval`` imports the pipeline, which imports this package, so
-# a module-level import would make import order matter.
 
 #: Ceiling on how long one shard may take in a worker before the
 #: parent gives up on it and falls back to the serial retry
@@ -197,7 +193,6 @@ def profile_shard_worker(descriptor: MachineDescriptor,
     profiler cache and the compiled-plan cache, so its RSS tracks the
     epoch, not the corpus; the bytes are unchanged.
     """
-    from repro.eval.validation import profile_records_detailed
     from repro.runtime.plan import clear_plan_cache
     _maybe_worker_chaos(records)
     if _WORKER_SINCE_RESET[0] >= EPOCH_BLOCKS:
@@ -257,7 +252,6 @@ def _export_decode_delta() -> None:
 
 def _worker_failure_profile(shard: Shard) -> CorpusProfile:
     """Account a whole shard under the ``worker_failure`` bucket."""
-    from repro.eval.validation import CorpusProfile
     return CorpusProfile(
         throughputs={},
         funnel={"total": len(shard), "accepted": 0,
@@ -549,7 +543,6 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     order — the hook streaming writers (``repro corpus --stream``)
     attach to emit rows incrementally.
     """
-    from repro.eval.validation import profile_records_detailed
     from repro.runtime.plan import clear_plan_cache
     jobs = default_jobs() if jobs is None else max(1, jobs)
     if shard_timeout is None:
@@ -865,7 +858,6 @@ def _load_verified(cache: Optional[ShardCache], shard: Shard,
 def _serial_shard(descriptor: MachineDescriptor,
                   config: Optional[ProfilerConfig],
                   shard: Shard) -> CorpusProfile:
-    from repro.eval.validation import profile_records_detailed
     profiler = BasicBlockProfiler(descriptor.build(), config)
     return profile_records_detailed(profiler, shard.records)
 

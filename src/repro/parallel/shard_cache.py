@@ -49,13 +49,11 @@ import zlib
 from typing import Dict, Iterable, Optional
 
 from repro.parallel.sharding import Shard
+from repro.profiler.result import CorpusProfile
 from repro.resilience import chaos
 from repro.resilience import policy as resilience
 from repro.telemetry import cachestats
 from repro.telemetry import core as telemetry
-
-# ``CorpusProfile`` is imported lazily (see sharding.py): importing
-# ``repro.eval`` here would close an import cycle through the pipeline.
 
 CACHE_VERSION = 3
 
@@ -209,7 +207,6 @@ class ShardCache:
         account for every block — is quarantined so it cannot fail
         again on every future run.
         """
-        from repro.eval.validation import CorpusProfile
         path = self.path_for(shard)
         try:
             with open(path) as fh:
@@ -328,7 +325,6 @@ class ShardCache:
         to ``unknown_pre_v3_cache`` if the pool runs dry).  Returns
         the number of shards imported.
         """
-        from repro.eval.validation import CorpusProfile
         pool = [[reason, count] for reason, count
                 in (profile.funnel.get("dropped") or {}).items()]
         imported = 0

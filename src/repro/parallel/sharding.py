@@ -27,11 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.corpus.dataset import BlockRecord, Corpus
-
-# NOTE: ``repro.eval.validation`` (for ``CorpusProfile``) is imported
-# lazily inside the merge functions: ``repro.eval`` imports the
-# pipeline, which imports this package — a module-level import here
-# would make ``import repro.parallel`` order-dependent.
+from repro.profiler.result import CorpusProfile
 
 #: Default number of blocks per shard (``REPRO_SHARD_SIZE`` overrides
 #: at the pipeline level).  Small enough that a pool keeps every worker
@@ -114,7 +110,6 @@ def stream_shards(records: Iterable[BlockRecord],
 
 def merge_funnels(funnels: Sequence[Dict]) -> Dict:
     """Sum per-shard funnels; bucket order is first-encounter order."""
-    from repro.eval.validation import CorpusProfile
     merged = CorpusProfile.empty_funnel()
     for funnel in funnels:
         merged["total"] += funnel.get("total", 0)
@@ -139,8 +134,6 @@ class ProfileFolder:
     """
 
     def __init__(self):
-        from repro.eval.validation import CorpusProfile
-        self._profile_cls = CorpusProfile
         self._throughputs: Dict[int, float] = {}
         self._funnel = CorpusProfile.empty_funnel()
         self._info: Dict[str, int] = {}
@@ -167,8 +160,8 @@ class ProfileFolder:
         self.folded += 1
 
     def result(self) -> CorpusProfile:
-        return self._profile_cls(throughputs=self._throughputs,
-                                 funnel=self._funnel, info=self._info)
+        return CorpusProfile(throughputs=self._throughputs,
+                             funnel=self._funnel, info=self._info)
 
 
 def merge_profiles(shard_profiles: Iterable[Tuple[Shard, CorpusProfile]]

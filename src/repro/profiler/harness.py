@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.errors import (ArithmeticFault, ChaosFault, MemoryFault,
                           StepBudgetExceeded,
@@ -25,8 +25,8 @@ from repro.isa.parser import parse_block
 from repro.profiler.environment import Environment, EnvironmentConfig
 from repro.profiler.filters import AcceptancePolicy
 from repro.profiler.mapping import DEFAULT_MAX_FAULTS, map_pages
-from repro.profiler.result import (FailureReason, Measurement,
-                                   ProfileResult)
+from repro.profiler.result import (CorpusProfile, FailureReason,
+                                   Measurement, ProfileResult)
 from repro.profiler.unroll import (BASE_FACTOR, NAIVE_UNROLL, UnrollPlan,
                                    naive_plan, two_factor_plan)
 from repro.runtime import blockplan
@@ -392,3 +392,33 @@ def profile_block(block: Union[BasicBlock, str],
     """One-shot convenience: profile a block on a fresh machine."""
     return BasicBlockProfiler(Machine(uarch, seed=seed), config) \
         .profile(block)
+
+
+def profile_records_detailed(profiler: BasicBlockProfiler,
+                             records) -> CorpusProfile:
+    """Profile an ordered run of records with one profiler.
+
+    The single accept/drop policy shared by the serial path and every
+    parallel worker (``repro.parallel``), so a sharded run cannot
+    diverge from a serial one by construction.
+    """
+    throughputs: Dict[int, float] = {}
+    funnel = CorpusProfile.empty_funnel()
+    info: Dict[str, int] = {}
+    records = list(records)
+    results = profiler.profile_many([r.block for r in records])
+    for record, result in zip(records, results):
+        funnel["total"] += 1
+        if result.ok and result.throughput > 0:
+            throughputs[record.block_id] = result.throughput
+            funnel["accepted"] += 1
+        else:
+            reason = ("zero_throughput" if result.failure is None
+                      else result.failure.value)
+            funnel["dropped"][reason] = \
+                funnel["dropped"].get(reason, 0) + 1
+        for key, value in result.extra.items():
+            if value:
+                info[key] = info.get(key, 0) + 1
+    return CorpusProfile(throughputs=throughputs, funnel=funnel,
+                         info=info)

@@ -1,4 +1,4 @@
-"""Profiling results and failure taxonomy."""
+"""Profiling results, failure taxonomy and per-corpus profiles."""
 
 from __future__ import annotations
 
@@ -82,3 +82,31 @@ class ProfileResult:
             return (f"ProfileResult({self.uarch}, "
                     f"throughput={self.throughput:.2f})")
         return f"ProfileResult({self.uarch}, failure={self.failure})"
+
+
+@dataclass
+class CorpusProfile:
+    """Ground-truth measurements plus the accept/drop funnel.
+
+    ``funnel`` is the run-report analogue of the paper's Table I:
+    ``accepted`` plus every ``dropped`` count sums to ``total`` (the
+    corpus size), so no block silently disappears from the pipeline.
+
+    ``info`` carries purely informational per-run telemetry — one
+    count per key of ``ProfileResult.extra`` (currently
+    ``fastpath_extrapolated``: blocks whose measurement replicated an
+    annotation tail or came from a two-factor checkpoint, and
+    ``blockplan_compiled``: blocks executed through compiled block
+    plans, plus the ``chaos_block_poison`` and
+    ``step_budget_exceeded`` quarantine markers).  It is kept
+    *outside* the funnel so the funnel — and therefore accepted/dropped
+    accounting — stays byte-identical whichever switches are on or off.
+    """
+
+    throughputs: Dict[int, float]
+    funnel: Dict
+    info: Dict = field(default_factory=dict)
+
+    @staticmethod
+    def empty_funnel(total: int = 0) -> Dict:
+        return {"total": total, "accepted": 0, "dropped": {}}

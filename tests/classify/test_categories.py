@@ -1,11 +1,29 @@
 """Port mapping and block categorisation."""
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from repro.classify import (CATEGORY_LABELS, PortMapper,
                             category_shares_by_app, classify_blocks)
+from repro.classify import categories
 from repro.corpus import build_corpus
 from repro.isa.parser import parse_block, parse_instruction
+
+
+def _scipy_labels(score):
+    """Label index per topic from scipy's assignment solver."""
+    topics, labels = linear_sum_assignment(-score)
+    assert topics.tolist() == list(range(len(score)))
+    return tuple(int(label) for label in labels)
+
+
+def _same_classification(blocks, result, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(categories, "_best_labels", _scipy_labels)
+        reference = classify_blocks(blocks)
+    assert result.categories == reference.categories
+    assert result.topic_of_category == reference.topic_of_category
 
 
 class TestPortMapper:
@@ -110,3 +128,34 @@ class TestClassification:
         a = classify_blocks(corpus.blocks)
         b = classify_blocks(corpus.blocks)
         assert a.categories == b.categories
+
+    def test_same_as_scipy_assignment(self, corpus, result, monkeypatch):
+        _same_classification(corpus.blocks, result, monkeypatch)
+
+
+class TestLabelAssignment:
+    @pytest.mark.parametrize("n_topics", [6, 5, 4])
+    def test_search_matches_scipy_on_random_scores(self, n_topics):
+        rng = np.random.default_rng(n_topics)
+        for _ in range(40):
+            score = rng.normal(size=(n_topics, len(CATEGORY_LABELS)))
+            assert categories._best_labels(score) == _scipy_labels(score)
+
+    def test_tied_optimum_keeps_the_first_assignment(self):
+        """Two empty clusters score alike, so swapping their labels
+        ties (exactly, with integer scores); the lexicographically
+        first assignment wins."""
+        rng = np.random.default_rng(7)
+        score = rng.integers(-8, 8, size=(6, len(CATEGORY_LABELS)))
+        score = score.astype(float)
+        score[4] = score[1]
+        labels = categories._best_labels(score)
+        assert labels[1] < labels[4]
+        total = score[range(6), labels].sum()
+        assert total == score[range(6), _scipy_labels(score)].sum()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_as_scipy_on_the_benchmark_corpora(self, seed,
+                                                     monkeypatch):
+        blocks = build_corpus(scale=0.0002, seed=seed).blocks
+        _same_classification(blocks, classify_blocks(blocks), monkeypatch)

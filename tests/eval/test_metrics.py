@@ -1,10 +1,26 @@
 """Evaluation metrics."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
 from repro.eval.metrics import (average_error, kendall_tau,
                                 relative_error, weighted_error)
+
+#: Throughputs drawn mostly from a small pool, so ties in either input
+#: and joint ties are frequent.
+_THROUGHPUTS = (st.sampled_from((0.25, 1.0, 1.5, 2, 3.0, 8.0))
+                | st.floats(min_value=0.01, max_value=1000.0))
+
+
+def _same_float(ours, theirs) -> bool:
+    """Bit-equal, or both NaN."""
+    return type(ours) is float and (
+        ours == theirs or (math.isnan(ours) and math.isnan(theirs)))
 
 
 class TestRelativeError:
@@ -75,6 +91,48 @@ class TestKendallTau:
         tau = kendall_tau(predicted, measured)
         if tau is not None and tau == tau:  # not NaN
             assert -1.0 <= tau <= 1.0
+
+    @given(st.lists(st.tuples(_THROUGHPUTS, _THROUGHPUTS),
+                    min_size=2, max_size=80),
+           st.booleans())
+    def test_bit_identical_to_scipy(self, pairs, as_arrays):
+        predicted = [p for p, _ in pairs]
+        measured = [m for _, m in pairs]
+        if as_arrays:
+            predicted, measured = np.array(predicted), np.array(measured)
+        assert _same_float(
+            kendall_tau(predicted, measured),
+            float(stats.kendalltau(predicted, measured).statistic))
+
+    @pytest.mark.parametrize("n", [700, 5000])
+    def test_bit_identical_to_scipy_past_many_merge_passes(self, n):
+        rng = random.Random(n)
+        pool = [rng.uniform(1.0, 50.0) for _ in range(n // 4)]
+        measured = [rng.choice(pool) for _ in range(n)]
+        predicted = [m * rng.uniform(0.5, 2.0) for m in measured]
+        # Every seventh prediction is exact, so repeats of a pool value
+        # among them tie in both inputs.
+        predicted[::7] = measured[::7]
+        assert _same_float(
+            kendall_tau(predicted, measured),
+            float(stats.kendalltau(predicted, measured).statistic))
+
+    @pytest.mark.parametrize("predicted, measured", [
+        ([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]),
+        ([7.0, 7.0], [7.0, 7.0]),
+        ([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [3.0, 2.0, float("nan")]),
+    ])
+    @pytest.mark.parametrize("as_arrays", [False, True])
+    def test_all_tied_or_nan_input_is_nan_like_scipy(
+            self, predicted, measured, as_arrays):
+        if as_arrays:
+            predicted, measured = np.array(predicted), np.array(measured)
+        tau = kendall_tau(predicted, measured)
+        assert math.isnan(tau)
+        assert _same_float(
+            tau, float(stats.kendalltau(predicted, measured).statistic))
 
 
 @given(st.floats(min_value=0.01, max_value=1000, allow_nan=False),

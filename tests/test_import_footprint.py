@@ -1,0 +1,71 @@
+"""What importing and profiling load, checked in fresh interpreters.
+
+The evaluation stack needs scipy only for LDA's ``digamma``.  Kendall's
+tau and the topic-to-label assignment are computed in the repo, so
+``scipy.stats`` and ``scipy.optimize``, which would dominate start-up
+time and memory, stay unloaded.  The profiling path (``repro.parallel``
+and the profiler under it, which ``repro serve`` and ``repro corpus``
+run) needs no evaluation code, numpy or scipy at all.  No timing is
+asserted, only which modules a fresh interpreter ends up holding.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+
+_PROFILE_TWO_BLOCKS = """
+from repro.corpus.dataset import BlockRecord, Corpus
+from repro.isa.parser import parse_block
+from repro.parallel import profile_corpus_sharded
+
+blocks = [parse_block("add $1, %rdi\\ncmp %rcx, %rdi"),
+          parse_block("imul %rbx, %rax")]
+corpus = Corpus([BlockRecord(block=b, application="probe", frequency=1,
+                             block_id=i) for i, b in enumerate(blocks)])
+profile = profile_corpus_sharded(corpus, "haswell", jobs=1)
+assert profile.funnel["total"] == 2, profile.funnel
+"""
+
+
+def _loaded(script: str, modules, tmp_path) -> dict:
+    """Run ``script`` in a fresh interpreter; which ``modules`` it holds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + \
+        env.get("PYTHONPATH", "")
+    report = ("\nimport json, sys\nprint(json.dumps({m: m in sys.modules "
+              f"for m in {list(modules)!r}}}))\n")
+    out = subprocess.run([sys.executable, "-c", script + report],
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_pipeline_import_leaves_scipy_stats_and_optimize_out(tmp_path):
+    loaded = _loaded("import repro.eval.pipeline",
+                     ("scipy.stats", "scipy.optimize"), tmp_path)
+    assert loaded == {"scipy.stats": False, "scipy.optimize": False}
+
+
+def test_profiling_path_loads_no_eval_numpy_or_scipy(tmp_path):
+    loaded = _loaded(_PROFILE_TWO_BLOCKS,
+                     ("repro.parallel", "repro.eval", "numpy", "scipy"),
+                     tmp_path)
+    assert loaded == {"repro.parallel": True, "repro.eval": False,
+                      "numpy": False, "scipy": False}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("repro.parallel", "repro.eval"),
+    ("repro.eval", "repro.parallel"),
+])
+def test_parallel_and_eval_import_in_either_order(first, second,
+                                                  tmp_path):
+    loaded = _loaded(f"import {first}\nimport {second}",
+                     (first, second), tmp_path)
+    assert all(loaded.values())
