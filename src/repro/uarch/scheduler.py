@@ -16,6 +16,16 @@ a later load with ready inputs takes an earlier cycle than a stalled
 older ALU op, which is precisely the behaviour behind the paper's
 llvm-mca mis-scheduling case study.
 
+Each :meth:`DataflowScheduler.schedule` call first compiles one plan
+per distinct instruction of the block: register bases numbered into a
+call-local table, a shape code, the fused-slot count and the micro-ops
+as ``(kind code, ports, occupancy, latency)`` tuples.  Divider variants
+(``InstrAnnotation.div_class``) compile on first use within the call.
+One flat loop then walks the dynamic instructions over those plans,
+with port state and the store window in plain lists.  All of that
+state is local to the call: nothing is kept between calls or shared at
+module level.
+
 The same scheduler powers the ground-truth machine and the IACA /
 llvm-mca / OSACA analogues; only tables and policies differ.
 """
@@ -28,7 +38,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.isa.instruction import BasicBlock, Instruction
 from repro.isa.operands import is_reg
 from repro.uarch.descriptor import UarchDescriptor
-from repro.uarch.uops import DecomposedInstruction, Decomposer, Uop
+from repro.uarch.uops import DecomposedInstruction, Decomposer
+
+#: Micro-op kind codes, indexing their ``UopRecord.kind`` names.
+COMPUTE, LOAD, LOAD_OP, STORE_ADDR, STORE_DATA = range(5)
+KIND_NAMES = ("compute", "load", "load_op", "store_addr", "store_data")
+
+#: Plan shapes: what the instruction does past rename.
+EXECUTES, ZERO_IDIOM, ELIMINATED_MOVE, NOP = range(4)
 
 
 @dataclass(slots=True)
@@ -86,49 +103,6 @@ class ScheduleResult:
         return first
 
 
-class _PortFile:
-    """Tracks per-cycle port occupancy.
-
-    Occupancy is kept as a dense floor plus a sparse overflow set:
-    every cycle below ``_dense[p]`` is busy, and ``_busy[p]`` holds
-    the busy cycles at or above the floor.  On a saturated port the
-    floor simply advances and the sparse set stays empty, which
-    short-circuits the free-cycle walk.
-    """
-
-    def __init__(self, ports: Sequence[int]):
-        self._busy: Dict[int, set] = {p: set() for p in ports}
-        self._dense: Dict[int, int] = {p: 0 for p in ports}
-        self._reserved_until: Dict[int, int] = {p: 0 for p in ports}
-        self.counts: Dict[int, int] = {p: 0 for p in ports}
-
-    def earliest_free(self, port: int, lower: int, occupancy: int) -> int:
-        cycle = self._reserved_until[port]
-        if lower > cycle:
-            cycle = lower
-        dense = self._dense[port]
-        if cycle < dense:
-            cycle = dense
-        busy = self._busy[port]
-        while cycle in busy:
-            cycle += 1
-        return cycle
-
-    def reserve(self, port: int, cycle: int, occupancy: int) -> None:
-        if cycle == self._dense[port]:
-            busy = self._busy[port]
-            edge = cycle + 1
-            while edge in busy:
-                busy.remove(edge)
-                edge += 1
-            self._dense[port] = edge
-        else:
-            self._busy[port].add(cycle)
-        if occupancy > 1:
-            self._reserved_until[port] = cycle + occupancy
-        self.counts[port] += 1
-
-
 class DataflowScheduler:
     """Schedules an unrolled instruction stream on one core."""
 
@@ -147,7 +121,11 @@ class DataflowScheduler:
                  annotations: Optional[Sequence[InstrAnnotation]] = None,
                  keep_records: bool = False,
                  checkpoint: Optional[int] = None) -> ScheduleResult:
-        """Schedule ``unroll`` copies of ``block``; returns the makespan.
+        """Schedule ``unroll`` copies of ``block``.
+
+        ``annotations`` holds one entry per dynamic instruction, in
+        program order.  The result carries the makespan and, with
+        ``keep_records``, one :class:`UopRecord` per scheduled micro-op.
 
         ``checkpoint`` asks for the makespan after that many
         iterations as well (``ScheduleResult.checkpoint_cycles``) —
@@ -156,47 +134,208 @@ class DataflowScheduler:
         certified that the prefix annotations are identical too.
         """
         desc = self.desc
-        slot_plans = [self._slot_plan(instr)
-                      for instr in block.instructions]
-        ports = _PortFile(desc.ports)
-        reg_ready: Dict[str, int] = {}
+        decompose = self.decomposer.decompose
+        compile_plan = self._compile_plan
+        #: Register base -> index into ``reg_ready``.  ``None`` is the
+        #: source of an eliminated move without a register operand: it
+        #: is never written, so it always reads cycle 0.
+        reg_index: Dict[Optional[str], int] = {None: 0}
+        #: (instruction, divider class) -> plan.  Divider variants are
+        #: compiled the first time the loop meets them; the instruction
+        #: is the same, so they number no new registers.
+        plans: Dict[tuple, tuple] = {}
+        instrs = block.instructions
+        slot_plans = []
+        for instr in instrs:
+            key = (instr, None)
+            if key not in plans:
+                plans[key] = compile_plan(instr, decompose(*key), reg_index)
+            slot_plans.append(plans[key])
+
+        n_ports = max(desc.ports) + 1
+        busy = [set() for _ in range(n_ports)]
+        #: Every cycle below ``dense[p]`` is busy on port ``p``;
+        #: ``busy[p]`` holds the busy cycles at or above that floor,
+        #: so a saturated port keeps an empty set and a short walk.
+        dense = [0] * n_ports
+        reserved_until = [0] * n_ports
+        counts = [0] * n_ports
+        reg_ready = [0] * len(reg_index)
         #: Recent stores: (address, width, data_ready_cycle).
         stores: List[Tuple[int, int, int]] = []
+        store_window = self.STORE_WINDOW
         records: List[UopRecord] = []
+        record = records.append
+        forwarding = self.model_memory_dependencies
+        forward_latency = desc.store_forward_latency
+        subnormal_penalty = desc.subnormal_penalty
+        issue_width = desc.issue_width
+        anns = annotations if annotations else None
+
         makespan = 0
         slots_used = 0
         stall_cycles = 0
         index = 0
-
-        # Everything that depends only on the instruction — register
-        # dependency structure and the (non-division) decomposition —
-        # is computed once per slot, not once per dynamic instruction.
-        decomposer = self.decomposer
-        issue_width = desc.issue_width
-        schedule_instruction = self._schedule_instruction
-
-        block_len = len(block)
         checkpoint_cycles: Optional[int] = None
         for iteration in range(unroll):
-            for slot in range(block_len):
-                plan = slot_plans[slot]
-                instr = plan[0]
-                ann = annotations[index] if annotations else None
-                if ann is not None:
-                    stall_cycles += ann.fetch_stall
-                    div_class = ann.div_class
-                    decomposed = plan[5] if div_class is None \
-                        else decomposer.decompose(instr, div_class)
-                else:
-                    decomposed = plan[5]
+            for slot, plan in enumerate(slot_plans):
+                reads = writes = None
+                subnormal = False
+                if anns is not None:
+                    ann = anns[index]
+                    if ann is not None:
+                        stall_cycles += ann.fetch_stall
+                        if ann.div_class is not None:
+                            key = (instrs[slot], ann.div_class)
+                            plan = plans.get(key)
+                            if plan is None:
+                                plan = plans[key] = compile_plan(
+                                    key[0], decompose(*key), reg_index)
+                        reads = ann.read_accesses
+                        writes = ann.write_accesses
+                        subnormal = ann.subnormal
+                (shape, fused_slots, uops, addr_regs, data_regs,
+                 write_regs, elim_reg, mnemonic) = plan
                 alloc = slots_used // issue_width + stall_cycles
-                finish = schedule_instruction(
-                    plan, decomposed, ann, alloc, ports, reg_ready,
-                    stores, records if keep_records else None,
-                    index, slot)
-                slots_used += decomposed.fused_slots
-                if finish > makespan:
-                    makespan = finish
+                slots_used += fused_slots
+
+                if shape != EXECUTES:
+                    # Rename-stage instructions: no execution at all.
+                    # Their finish *is* the allocation clock, or the
+                    # moved value's readiness.
+                    finish_max = alloc
+                    if shape != NOP:
+                        if shape == ELIMINATED_MOVE \
+                                and reg_ready[elim_reg] > alloc:
+                            finish_max = reg_ready[elim_reg]
+                        for reg in write_regs:
+                            reg_ready[reg] = finish_max
+                        if keep_records:
+                            record(UopRecord(index, slot, mnemonic,
+                                             "eliminated", None, alloc,
+                                             finish_max))
+                    if finish_max > makespan:
+                        makespan = finish_max
+                    index += 1
+                    continue
+
+                addr_ready = alloc
+                for reg in addr_regs:
+                    ready = reg_ready[reg]
+                    if ready > addr_ready:
+                        addr_ready = ready
+                data_ready = alloc
+                for reg in data_regs:
+                    ready = reg_ready[reg]
+                    if ready > data_ready:
+                        data_ready = ready
+                load_result = None
+                compute_result = None
+                finish_max = alloc
+                next_read = 0
+
+                for kind, ports, occupancy, latency in uops:
+                    if kind == COMPUTE:
+                        lower = data_ready
+                        if load_result is not None and load_result > lower:
+                            lower = load_result
+                    elif kind == STORE_DATA:
+                        lower = compute_result \
+                            if compute_result is not None else data_ready
+                    elif kind == LOAD_OP:
+                        # Un-split load-op (llvm-mca policy): waits for all.
+                        lower = addr_ready if addr_ready > data_ready \
+                            else data_ready
+                    else:  # load, store_addr
+                        lower = addr_ready
+
+                    # The port free earliest wins; ties go to the port
+                    # with fewer micro-ops so far, then to the first
+                    # listed.
+                    if not ports:
+                        dispatch = lower
+                        port = None
+                    else:
+                        port = None
+                        for candidate in ports:
+                            cycle = reserved_until[candidate]
+                            if lower > cycle:
+                                cycle = lower
+                            if cycle < dense[candidate]:
+                                cycle = dense[candidate]
+                            taken = busy[candidate]
+                            while cycle in taken:
+                                cycle += 1
+                            if port is None or cycle < dispatch or \
+                                    (cycle == dispatch and counts[candidate]
+                                     < counts[port]):
+                                dispatch = cycle
+                                port = candidate
+                        if dispatch == dense[port]:
+                            taken = busy[port]
+                            edge = dispatch + 1
+                            while edge in taken:
+                                taken.remove(edge)
+                                edge += 1
+                            dense[port] = edge
+                        else:
+                            busy[port].add(dispatch)
+                        if occupancy > 1:
+                            reserved_until[port] = dispatch + occupancy
+                        counts[port] += 1
+
+                    if subnormal and (kind == COMPUTE or kind == LOAD_OP):
+                        latency += subnormal_penalty
+                    finish = dispatch + latency
+
+                    if kind == COMPUTE:
+                        compute_result = finish
+                    elif kind == LOAD or kind == LOAD_OP:
+                        if reads and next_read < len(reads):
+                            address, width, penalty = reads[next_read]
+                            next_read += 1
+                            finish += penalty  # miss/split penalty
+                            if forwarding and stores:
+                                # Store-to-load forwarding: the youngest
+                                # overlapping store decides.  A partial
+                                # overlap replays from the cache after
+                                # the store commits — an expensive stall.
+                                end = address + width
+                                for s_addr, s_width, s_ready in \
+                                        reversed(stores):
+                                    if end <= s_addr \
+                                            or address >= s_addr + s_width:
+                                        continue  # disjoint
+                                    ready = s_ready + forward_latency
+                                    if address < s_addr \
+                                            or end > s_addr + s_width:
+                                        ready += 10
+                                    if ready > finish:
+                                        finish = ready
+                                    break
+                        load_result = finish
+                        if kind == LOAD_OP:
+                            compute_result = finish
+                    elif kind == STORE_DATA and writes:
+                        for address, width in writes:
+                            stores.append((address, width, finish))
+                        if len(stores) > store_window:
+                            del stores[:-store_window]
+
+                    if finish > finish_max:
+                        finish_max = finish
+                    if keep_records:
+                        record(UopRecord(index, slot, mnemonic,
+                                         KIND_NAMES[kind], port, dispatch,
+                                         finish))
+
+                result_ready = compute_result if compute_result is not None \
+                    else (load_result if load_result is not None
+                          else finish_max)
+                for reg in write_regs:
+                    reg_ready[reg] = result_ready
+                if finish_max > makespan:
+                    makespan = finish_max
                 index += 1
             if iteration + 1 == checkpoint:
                 # Same drain formula as the final return — this *is*
@@ -215,9 +354,17 @@ class DataflowScheduler:
 
     # ------------------------------------------------------------------
 
-    def _slot_plan(self, instr: Instruction) -> tuple:
-        """Static per-slot facts: dependency bases, move-elimination
-        source, and the division-free decomposition."""
+    def _compile_plan(self, instr: Instruction,
+                      decomposed: DecomposedInstruction,
+                      reg_index: Dict[Optional[str], int]) -> tuple:
+        """Everything ``schedule`` needs to know about one instruction:
+        ``(shape, fused slots, uops, address regs, data regs, written
+        regs, move-elimination source, mnemonic)``, with registers
+        numbered through the call's ``reg_index``."""
+        def number(bases):
+            return tuple(reg_index.setdefault(base, len(reg_index))
+                         for base in bases)
+
         mem = instr.memory_operand
         addr_bases = [r.base for r in mem.registers] if mem else []
         if instr.mnemonic in ("push", "pop"):
@@ -234,159 +381,17 @@ class DataflowScheduler:
             write_bases.append("__flags__")
         elim_src = next((op.base for op in instr.operands[1:]
                          if is_reg(op)), None)
-        return (instr, tuple(addr_bases), tuple(data_bases),
-                tuple(write_bases), elim_src,
-                self.decomposer.decompose(instr, None))
-
-    def _schedule_instruction(self, plan: tuple,
-                              decomposed: DecomposedInstruction,
-                              ann: Optional[InstrAnnotation],
-                              alloc: int,
-                              ports: _PortFile,
-                              reg_ready: Dict[str, int],
-                              stores: List[Tuple[int, int, int]],
-                              records: Optional[List[UopRecord]],
-                              index: int, slot: int) -> int:
-        desc = self.desc
-        instr, addr_bases, data_bases, write_bases, elim_src, _ = plan
-        reg_get = reg_ready.get
-
-        # Rename-stage instructions: no execution at all.  Their
-        # finish *is* the allocation clock.
         if decomposed.is_zero_idiom:
-            for base in write_bases:
-                reg_ready[base] = alloc
-            if records is not None:
-                records.append(UopRecord(index, slot, instr.mnemonic,
-                                         "eliminated", None, alloc, alloc))
-            return alloc
-        if decomposed.is_eliminated_move:
-            src_ready = reg_get(elim_src, 0) if elim_src is not None else 0
-            value_ready = max(alloc, src_ready)
-            for base in write_bases:
-                reg_ready[base] = value_ready
-            if records is not None:
-                records.append(UopRecord(index, slot, instr.mnemonic,
-                                         "eliminated", None, alloc,
-                                         value_ready))
-            return value_ready
-        if not decomposed.uops:  # plain nop
-            return alloc
-
-        addr_ready = alloc
-        for base in addr_bases:
-            ready = reg_get(base, 0)
-            if ready > addr_ready:
-                addr_ready = ready
-        data_ready = alloc
-        for base in data_bases:
-            ready = reg_get(base, 0)
-            if ready > data_ready:
-                data_ready = ready
-
-        load_result = None
-        compute_result = None
-        finish_max = alloc
-        if ann is not None:
-            reads = list(ann.read_accesses) if ann.read_accesses else None
-            writes = ann.write_accesses
+            shape = ZERO_IDIOM
+        elif decomposed.is_eliminated_move:
+            shape = ELIMINATED_MOVE
+        elif not decomposed.uops:
+            shape = NOP
         else:
-            reads = None
-            writes = ()
-        forwarding = self.model_memory_dependencies
-
-        for uop in decomposed.uops:
-            if uop.kind == "load":
-                lower = addr_ready
-            elif uop.kind == "load_op":
-                # Un-split load-op (llvm-mca policy): waits for all.
-                lower = max(addr_ready, data_ready)
-            elif uop.kind == "store_addr":
-                lower = addr_ready
-            elif uop.kind == "store_data":
-                lower = compute_result if compute_result is not None \
-                    else data_ready
-            else:  # compute
-                lower = data_ready
-                if load_result is not None and load_result > lower:
-                    lower = load_result
-
-            dispatch, port = self._dispatch(ports, uop, lower)
-            latency = uop.latency
-            if ann and ann.subnormal and uop.kind in ("compute", "load_op"):
-                latency += desc.subnormal_penalty
-            finish = dispatch + latency
-
-            if uop.kind in ("load", "load_op"):
-                if reads:
-                    finish += reads[0][2]  # miss/split penalty
-                    if forwarding and stores:
-                        finish = self._apply_forwarding(finish, reads,
-                                                        stores, dispatch)
-                    reads.pop(0)
-                load_result = finish
-                if uop.kind == "load_op":
-                    compute_result = finish
-            elif uop.kind == "compute":
-                compute_result = finish
-            elif uop.kind == "store_data":
-                for address, width in writes:
-                    stores.append((address, width, finish))
-                del stores[:-self.STORE_WINDOW]
-
-            if finish > finish_max:
-                finish_max = finish
-            if records is not None:
-                records.append(UopRecord(index, slot, instr.mnemonic,
-                                         uop.kind, port, dispatch, finish))
-
-        result_ready = compute_result if compute_result is not None \
-            else (load_result if load_result is not None else finish_max)
-        for base in write_bases:
-            reg_ready[base] = result_ready
-        return finish_max
-
-    def _apply_forwarding(self, finish: int, reads, stores,
-                          dispatch: int) -> int:
-        """Store-to-load forwarding / memory-dependence stalls."""
-        if not (self.model_memory_dependencies and reads and stores):
-            return finish
-        address, width, _penalty = reads[0]
-        lo, hi = address, address + width
-        for s_addr, s_width, s_ready in reversed(stores):
-            s_lo, s_hi = s_addr, s_addr + s_width
-            if hi <= s_lo or lo >= s_hi:
-                continue  # disjoint
-            if s_lo <= lo and hi <= s_hi:
-                # Fully forwarded from the store buffer.
-                return max(finish,
-                           s_ready + self.desc.store_forward_latency)
-            # Partial overlap: the load replays from the cache after
-            # the store commits — an expensive stall.
-            return max(finish, s_ready + self.desc.store_forward_latency
-                       + 10)
-        return finish
-
-    def _dispatch(self, ports: _PortFile, uop: Uop,
-                  lower: int) -> Tuple[int, Optional[int]]:
-        uop_ports = uop.ports
-        if not uop_ports:
-            return lower, None
-        occupancy = uop.occupancy
-        if len(uop_ports) == 1:
-            port = uop_ports[0]
-            cycle = ports.earliest_free(port, lower, occupancy)
-            ports.reserve(port, cycle, occupancy)
-            return cycle, port
-        earliest_free = ports.earliest_free
-        counts = ports.counts
-        best_cycle = None
-        best_port = None
-        for port in uop_ports:
-            cycle = earliest_free(port, lower, occupancy)
-            if best_cycle is None or cycle < best_cycle or \
-                    (cycle == best_cycle
-                     and counts[port] < counts[best_port]):
-                best_cycle, best_port = cycle, port
-        ports.reserve(best_port, best_cycle, occupancy)
-        return best_cycle, best_port
+            shape = EXECUTES
+        uops = tuple((KIND_NAMES.index(uop.kind), uop.ports,
+                      uop.occupancy, uop.latency)
+                     for uop in decomposed.uops)
+        return (shape, decomposed.fused_slots, uops, number(addr_bases),
+                number(data_bases), number(write_bases),
+                number((elim_src,))[0], instr.mnemonic)

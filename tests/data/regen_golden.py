@@ -6,14 +6,20 @@ changed**::
     PYTHONPATH=src python tests/data/regen_golden.py
 
 and commit the rewritten ``golden_corpus.json`` /
-``golden_profile_<uarch>.json`` together with the change that moved
-the numbers, explaining the drift in the commit message.  The guard
-test (``tests/parallel/test_golden.py``) exists precisely so that
+``golden_profile_<uarch>.json`` / ``golden_schedules.json`` together
+with the change that moved the numbers, explaining the drift in the
+commit message.  The guard tests (``tests/parallel/test_golden.py``
+and ``tests/uarch/test_golden_schedules.py``) exist precisely so that
 timing drift cannot land silently.
+
+A scheduler rewrite that claims identity must leave every file here
+byte-identical: re-run this script and ``git diff --exit-code
+tests/data/`` must print nothing.
 """
 
 import json
 import os
+import zlib
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -68,6 +74,96 @@ def build_records():
     return Corpus(records)
 
 
+def records_crc(records):
+    """CRC-32 over a schedule's ``UopRecord`` tuples, in order."""
+    rows = [(r.instr_index, r.slot, r.mnemonic, r.kind, r.port,
+             r.dispatch, r.finish) for r in records]
+    return zlib.crc32(json.dumps(rows).encode())
+
+
+def schedule_entry(unroll, checkpoint, result, records):
+    return [unroll, checkpoint, result.cycles, result.checkpoint_cycles,
+            records_crc(records)]
+
+
+def profiler_schedules(block, uarch):
+    """Every ``schedule()`` call one default-mode profile makes.
+
+    A spy on the machine's scheduler captures each call's arguments
+    and re-runs it with ``keep_records=True`` before the profiler
+    sees the result, so the records belong to exactly the inputs
+    (annotations included) the profiler scheduled.
+    """
+    from repro import simcore
+    from repro.profiler import BasicBlockProfiler
+    from repro.uarch import Machine
+
+    machine = Machine(uarch)
+    schedule = machine.scheduler.schedule
+    calls = []
+
+    def spy(block, unroll, annotations=None, keep_records=False,
+            checkpoint=None):
+        result = schedule(block, unroll, annotations,
+                          keep_records=keep_records, checkpoint=checkpoint)
+        records = schedule(block, unroll, annotations, keep_records=True,
+                           checkpoint=checkpoint).records
+        calls.append(schedule_entry(unroll, checkpoint, result, records))
+        return result
+
+    machine.scheduler.schedule = spy
+    with simcore.forced(True):
+        BasicBlockProfiler(machine).profile(block)
+    return calls
+
+
+def model_schedules(model, block, uarch):
+    """A port simulator's combined two-factor pass and figure trace,
+    or ``None`` when the model refuses the block."""
+    from repro.errors import ModelError, UnsupportedInstructionError
+
+    u1, u2 = model.UNROLL_PAIR
+    try:
+        analysed = model.preprocess(block)
+        schedule = model._scheduler(uarch).schedule
+        combined = schedule(analysed, u2, checkpoint=u1)
+        records = schedule(analysed, u2, keep_records=True,
+                           checkpoint=u1).records
+        trace = model.schedule_trace(block, uarch, 3)
+    except (ModelError, UnsupportedInstructionError):
+        return None
+    return [schedule_entry(u2, u1, combined, records),
+            schedule_entry(3, None, trace, trace.records)]
+
+
+def uarch_schedules(corpus, uarch):
+    """Every schedule the profiler and the port simulators run on
+    ``corpus`` for one uarch: ``{block_id: {caller: entries}}``, each
+    entry ``[unroll, checkpoint, cycles, checkpoint cycles, CRC]``."""
+    from repro.models import IacaModel, LlvmMcaModel, OsacaModel
+
+    models = [cls() for cls in (IacaModel, LlvmMcaModel, OsacaModel)]
+    schedules = {}
+    for record in corpus:
+        entry = {"profiler": profiler_schedules(record.block, uarch)}
+        for model in models:
+            entry[model.name] = model_schedules(model, record.block, uarch)
+        schedules[str(record.block_id)] = entry
+    return schedules
+
+
+def dump_schedule_doc(doc, fh):
+    """One line per (uarch, block): diffs name the block that moved."""
+    fh.write('{\n')
+    for u, (uarch, blocks) in enumerate(doc.items()):
+        fh.write(f' "{uarch}": {{\n')
+        for b, (block_id, entry) in enumerate(blocks.items()):
+            tail = "," if b + 1 < len(blocks) else ""
+            fh.write(f'  "{block_id}": {json.dumps(entry)}{tail}\n')
+        fh.write(" }" + ("," if u + 1 < len(doc) else "") + "\n")
+    fh.write("}\n")
+
+
 def main() -> None:
     from repro.eval.validation import profile_corpus_detailed
 
@@ -94,6 +190,12 @@ def main() -> None:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         print(f"wrote {path}: {profile.funnel}")
+
+    path = os.path.join(HERE, "golden_schedules.json")
+    with open(path, "w") as fh:
+        dump_schedule_doc({uarch: uarch_schedules(corpus, uarch)
+                           for uarch in UARCHES}, fh)
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import os
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import simcore
 from repro.corpus import BlockSynthesizer, get_spec
@@ -16,7 +16,7 @@ from repro.models.portsim import PortSimulatorModel
 from repro.profiler import BasicBlockProfiler
 from repro.runtime import blockplan
 from repro.uarch import Machine
-from repro.uarch.scheduler import DataflowScheduler
+from repro.uarch.scheduler import DataflowScheduler, InstrAnnotation
 from repro.uarch.tables import get_uarch
 from repro.uarch.uops import Decomposer
 
@@ -168,6 +168,72 @@ class TestCombinedStaticSchedule:
                        for block in golden_blocks())
         # Nearly all 46 blocks must be analysed, or this proves nothing.
         assert analysed >= 40
+
+
+#: Shapes generated corpora rarely draw: dividers, and rename-only
+#: tails whose makespan is the front-end drain (fetch stalls included).
+RARE_BLOCKS = ("xor %edx, %edx\ndiv %ecx\ntest %edx, %edx",
+               "mov (%rdi), %rax\ncqo\nidiv %rcx\nmov %rax, 8(%rdi)",
+               "add (%rsi), %rax\nnop\nxor %ecx, %ecx\nmov %rax, %rbx")
+
+#: Few addresses and widths, so drawn writes fully or partly cover
+#: later reads (store forwarding and its partial-overlap replay).
+ADDRESSES = (0x5000, 0x5004, 0x5008)
+WIDTHS = (1, 4, 8)
+
+
+@st.composite
+def annotation(draw, instr, div_classes):
+    """Dynamic facts a trace could record for one execution of ``instr``."""
+    ann = InstrAnnotation(
+        subnormal=draw(st.sampled_from((False, False, False, True))),
+        fetch_stall=draw(st.sampled_from((0, 0, 0, 3, 9))))
+    if instr.info.group == "int_div":
+        ann.div_class = draw(st.sampled_from(div_classes))
+    if instr.loads_memory or instr.mnemonic == "pop":
+        ann.read_accesses = draw(st.lists(st.tuples(
+            st.sampled_from(ADDRESSES), st.sampled_from(WIDTHS),
+            st.sampled_from((0, 11, 15))), max_size=2))
+    if instr.stores_memory or instr.mnemonic == "push":
+        ann.write_accesses = draw(st.lists(st.tuples(
+            st.sampled_from(ADDRESSES), st.sampled_from(WIDTHS)),
+            max_size=2))
+    return ann
+
+
+@st.composite
+def annotated_runs(draw):
+    """(block, uarch, u1, u2, one drawn annotation per dynamic
+    instruction of ``u2`` iterations)."""
+    block = draw(st.one_of(
+        corpus_blocks(), st.sampled_from(RARE_BLOCKS).map(parse_block)))
+    assume(block.is_supported and len(block) <= 16)
+    uarch = draw(st.sampled_from(UARCHES))
+    u1 = draw(st.integers(min_value=1, max_value=3))
+    u2 = u1 + draw(st.integers(min_value=1, max_value=3))
+    div_classes = sorted(get_uarch(uarch)[2])
+    anns = [draw(annotation(block.instructions[i % len(block)],
+                            div_classes))
+            for i in range(u2 * len(block))]
+    return block, uarch, u1, u2, anns
+
+
+@given(run=annotated_runs())
+@settings(max_examples=60, deadline=None)
+def test_annotated_checkpoint_is_the_prefix_schedule(run):
+    """The profiler's combined two-factor run relies on this: with
+    identical prefix annotations, the checkpoint reading and every
+    record before it equal a standalone schedule of the prefix."""
+    block, uarch, u1, u2, anns = run
+    sched = make_scheduler(uarch)
+    prefix = anns[:u1 * len(block)]
+    combined = sched.schedule(block, u2, anns, checkpoint=u1)
+    assert combined.checkpoint_cycles == \
+        sched.schedule(block, u1, prefix).cycles
+    long = sched.schedule(block, u2, anns, keep_records=True)
+    short = sched.schedule(block, u1, prefix, keep_records=True)
+    assert short.records == [r for r in long.records
+                             if r.instr_index < len(prefix)]
 
 
 def measured(result):
