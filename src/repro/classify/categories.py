@@ -11,7 +11,7 @@ problem, replicating the paper's Table IV names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,12 +59,7 @@ class ClassifierResult:
         folded into the existing topic space rather than re-clustered.
         Port combinations unseen during fitting are ignored.
         """
-        index = {combo: i for i, combo in enumerate(self.vocabulary)}
-        counts = np.zeros((len(blocks), len(self.vocabulary)))
-        for d, block in enumerate(blocks):
-            for combo in self.mapper.block_combos(block):
-                if combo in index:
-                    counts[d, index[combo]] += 1
+        counts = bag_counts(self.mapper, self.vocabulary, blocks)
         doc_topics = self.lda.transform(counts)
         category_of_topic = {t: c
                              for c, t in self.topic_of_category.items()}
@@ -85,6 +80,21 @@ class ClassifierResult:
                 strength[cat] = score
                 best[cat] = block
         return best
+
+
+def bag_counts(mapper: PortMapper, vocabulary: Sequence[str],
+               blocks: Sequence[BasicBlock]) -> np.ndarray:
+    """(blocks × vocabulary) port-combination counts, LDA's input.
+
+    Combinations outside ``vocabulary`` are ignored.
+    """
+    index = {combo: i for i, combo in enumerate(vocabulary)}
+    counts = np.zeros((len(blocks), len(vocabulary)))
+    for d, block in enumerate(blocks):
+        for combo in mapper.block_combos(block):
+            if combo in index:
+                counts[d, index[combo]] += 1
+    return counts
 
 
 def _cluster_profile(blocks: Sequence[BasicBlock],
@@ -157,25 +167,21 @@ def classify_blocks(blocks: Sequence[BasicBlock],
     LDA is seed-sensitive (mean-field finds local optima); like any
     topic-model user we fit several restarts and keep the one whose
     clusters match the six label semantics best — the automated
-    version of the paper's "manually labelled by inspection".
+    version of the paper's "manually labelled by inspection".  The
+    restarts are fitted in lockstep, in one ``fit`` call.
     """
     mapper = PortMapper(uarch)
     vocabulary = mapper.vocabulary(blocks)
-    index = {combo: i for i, combo in enumerate(vocabulary)}
-    counts = np.zeros((len(blocks), len(vocabulary)))
-    for d, block in enumerate(blocks):
-        for combo in mapper.block_combos(block):
-            counts[d, index[combo]] += 1
+    counts = bag_counts(mapper, vocabulary, blocks)
 
     base = config or LdaConfig()
+    models = [LatentDirichletAllocation(
+                  replace(base, seed=base.seed + 101 * restart))
+              for restart in range(max(1, n_restarts))]
+    models[0].fit(counts, restarts=models[1:])
     best = None
-    for restart in range(max(1, n_restarts)):
-        cfg = LdaConfig(n_topics=base.n_topics, alpha=base.alpha,
-                        beta=base.beta, max_iter=base.max_iter,
-                        inner_iter=base.inner_iter, tol=base.tol,
-                        seed=base.seed + 101 * restart)
-        lda = LatentDirichletAllocation(cfg)
-        doc_topics = lda.fit_transform(counts)
+    for lda in models:
+        doc_topics = lda.transform(counts)
         dominant = doc_topics.argmax(axis=1)
 
         n_topics = doc_topics.shape[1]

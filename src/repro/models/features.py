@@ -185,8 +185,3 @@ def block_features(block: BasicBlock) -> np.ndarray:
     bound = max(pressure[-3], carried, pressure[-1] / 4.0, 0.25)
     extra = np.array([bound, np.log(bound)])
     return np.concatenate([counts, shape, pressure, extra])
-
-
-def corpus_features(blocks) -> np.ndarray:
-    """Stacked feature matrix for a sequence of blocks."""
-    return np.stack([block_features(b) for b in blocks])

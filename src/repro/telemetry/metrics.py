@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import threading
+import zlib
 from typing import Dict, List, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -51,8 +52,9 @@ class Histogram:
     """A distribution with exact count/sum/min/max and sampled quantiles.
 
     Values beyond ``max_samples`` are reservoir-sampled (deterministic
-    per-histogram RNG) so percentiles stay representative at corpus
-    scale without unbounded memory.
+    per-histogram RNG, seeded from a CRC-32 of the name, never from
+    ``hash()``) so percentiles stay representative at corpus scale
+    without unbounded memory.
     """
 
     __slots__ = ("name", "count", "total", "min", "max",
@@ -66,7 +68,8 @@ class Histogram:
         self.max: Optional[float] = None
         self._samples: List[float] = []
         self._max_samples = max_samples
-        self._rng = random.Random(0x5EED ^ hash(name) & 0xFFFF)
+        self._rng = random.Random(
+            0x5EED ^ zlib.crc32(name.encode()) & 0xFFFF)
 
     def observe(self, value: float) -> None:
         self.count += 1

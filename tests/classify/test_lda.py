@@ -1,8 +1,12 @@
-"""Numpy LDA: recovers planted topic structure."""
+"""Numpy LDA: recovers planted topic structure; restarts in lockstep."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.classify.lda import LatentDirichletAllocation, LdaConfig
 
 
@@ -70,3 +74,94 @@ class TestRecovery:
         lda = LatentDirichletAllocation()
         with pytest.raises(RuntimeError):
             lda.transform(np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Restarts in lockstep: a model fitted with siblings is the model alone
+# ---------------------------------------------------------------------------
+
+#: 0 never converges; at 0.3 restarts of one corpus stop at different
+#: outer iterations, so the stack sheds rows mid-fit.
+TOLS = (0.0, 1e-3, 0.1, 0.3)
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A count matrix and 1-4 configs differing in seed and tol."""
+    n_docs = draw(st.integers(2, 40))
+    n_vocab = draw(st.integers(2, 15))
+    rate = draw(st.sampled_from((0.3, 1.0, 3.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    counts = rng.poisson(rate, size=(n_docs, n_vocab)).astype(np.float64)
+    base = LdaConfig(n_topics=draw(st.integers(2, 6)),
+                     max_iter=draw(st.integers(0, 30)),
+                     inner_iter=draw(st.integers(0, 10)))
+    seeds = draw(st.lists(st.integers(0, 10_000), min_size=1,
+                          max_size=4, unique=True))
+    return counts, [replace(base, seed=seed,
+                            tol=draw(st.sampled_from(TOLS)))
+                    for seed in seeds]
+
+
+def fit_in_lockstep(counts, configs):
+    models = [LatentDirichletAllocation(c) for c in configs]
+    models[0].fit(counts, restarts=models[1:])
+    return models
+
+
+def assert_same_bytes(a, b, counts):
+    assert a.n_iter_ == b.n_iter_
+    assert a.components_.tobytes() == b.components_.tobytes()
+    assert a._exp_elog_beta.tobytes() == b._exp_elog_beta.tobytes()
+    assert a.transform(counts).tobytes() == b.transform(counts).tobytes()
+
+
+class TestLockstepRestarts:
+    @settings(max_examples=40, deadline=None)
+    @given(lockstep_cases())
+    def test_fitted_with_siblings_equals_fitted_alone(self, case):
+        counts, configs = case
+        for model, config in zip(fit_in_lockstep(counts, configs),
+                                 configs):
+            alone = LatentDirichletAllocation(config).fit(counts)
+            assert_same_bytes(model, alone, counts)
+
+    def test_restarts_leave_the_stack_at_their_own_iteration(self):
+        counts, _ = planted_corpus(n_docs=10)
+        configs = [LdaConfig(n_topics=3, seed=seed, tol=0.3, max_iter=20,
+                             inner_iter=5) for seed in (0, 1, 2, 3)]
+        models = fit_in_lockstep(counts, configs)
+        assert len({m.n_iter_ for m in models}) > 1
+        for model, config in zip(models, configs):
+            assert_same_bytes(
+                model, LatentDirichletAllocation(config).fit(counts),
+                counts)
+
+    def test_zero_tol_runs_every_iteration(self):
+        counts, _ = planted_corpus(n_docs=12)
+        models = fit_in_lockstep(counts, [LdaConfig(seed=s, tol=0.0,
+                                                    max_iter=7)
+                                          for s in (0, 1)])
+        assert [m.n_iter_ for m in models] == [7, 7]
+
+    def test_restarts_must_share_hyperparameters(self):
+        counts, _ = planted_corpus(n_docs=8)
+        other = LatentDirichletAllocation(LdaConfig(n_topics=3))
+        with pytest.raises(ValueError):
+            LatentDirichletAllocation(LdaConfig()).fit(counts,
+                                                       restarts=[other])
+
+    def test_fit_span_reports_restarts_and_iterations(self):
+        from repro.telemetry import MemorySink
+        counts, _ = planted_corpus(n_docs=12)
+        sink = MemorySink()
+        telemetry.reset()
+        telemetry.enable(sink)
+        try:
+            models = fit_in_lockstep(
+                counts, [LdaConfig(seed=s, max_iter=5) for s in (0, 1, 2)])
+        finally:
+            telemetry.reset()
+        span, = [r for r in sink.records if r["name"] == "classify.lda"]
+        assert span["restarts"] == 3
+        assert span["iterations"] == [m.n_iter_ for m in models]

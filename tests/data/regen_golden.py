@@ -14,7 +14,10 @@ timing drift cannot land silently.
 
 A scheduler rewrite that claims identity must leave every file here
 byte-identical: re-run this script and ``git diff --exit-code
-tests/data/`` must print nothing.
+tests/data/`` must print nothing.  The same holds for the learned half:
+``golden_learned.json`` pins Ithemal's predictions, weights and losses
+on the golden profiles and LDA's categories and topics (guard test
+``tests/models/test_golden_learned.py``).
 """
 
 import json
@@ -28,6 +31,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 APPS = (("llvm", 10), ("openblas", 6), ("gzip", 6))
 SEED = 11
 UARCHES = ("ivybridge", "haswell", "skylake")
+
+#: LDA is also pinned on perfbench's first corpus, whose vocabulary
+#: and size are those of a real Table V run.
+LDA_CORPUS = {"scale": 0.0002, "seed": 0}
+#: ``classify_blocks``' default restarts: LDA seeds 0, 101, 202, 303.
+LDA_RESTARTS = 4
 
 #: Same-shape block families: every member of a family shares its
 #: mnemonics, operand shapes and encoded lengths, with immediates
@@ -72,6 +81,18 @@ def build_records():
                 block=parse_block(text), application="lanes",
                 frequency=2, block_id=len(records)))
     return Corpus(records)
+
+
+def golden_corpus():
+    """The frozen golden corpus, read back from ``golden_corpus.json``."""
+    from repro.corpus.dataset import BlockRecord, Corpus
+    from repro.isa.parser import parse_block
+    with open(os.path.join(HERE, "golden_corpus.json")) as fh:
+        blocks = json.load(fh)["blocks"]
+    return Corpus([BlockRecord(block=parse_block(b["text"]),
+                               application=b["application"],
+                               frequency=b["frequency"],
+                               block_id=b["block_id"]) for b in blocks])
 
 
 def records_crc(records):
@@ -164,6 +185,68 @@ def dump_schedule_doc(doc, fh):
     fh.write("}\n")
 
 
+def array_crc(*arrays):
+    """CRC-32 over the float64 bytes (C order) of ``arrays``, in turn."""
+    import numpy as np
+    return zlib.crc32(b"".join(
+        np.ascontiguousarray(a, dtype=np.float64).tobytes()
+        for a in arrays))
+
+
+def ithemal_golden(corpus, uarch):
+    """Ithemal trained through ``validate()`` on the golden profile:
+    the ``repr`` of each prediction, and CRC-32s of the network's
+    weights and of its per-epoch training losses."""
+    from repro.eval.validation import validate
+    from repro.models import IthemalModel
+
+    with open(os.path.join(HERE, f"golden_profile_{uarch}.json")) as fh:
+        measured = {int(k): v
+                    for k, v in json.load(fh)["throughputs"].items()}
+    model = IthemalModel()
+    result = validate(corpus, uarch, [model], measured=measured)
+    net = model._nets[uarch]
+    return {"predictions": {str(row.block_id):
+                            repr(row.predictions[model.name])
+                            for row in result.rows},
+            "weights_crc": array_crc(net._w1, net._b1, net._w2, net._b2),
+            "losses_crc": array_crc(net.training_losses)}
+
+
+def lda_golden(blocks):
+    """``classify_blocks``' categories and topics, and each restart
+    seed's topics fitted alone on the same count matrix."""
+    from repro.classify.categories import bag_counts, classify_blocks
+    from repro.classify.lda import LatentDirichletAllocation, LdaConfig
+
+    result = classify_blocks(blocks, n_restarts=LDA_RESTARTS)
+    counts = bag_counts(result.mapper, result.vocabulary, blocks)
+    restarts = []
+    for restart in range(LDA_RESTARTS):
+        lda = LatentDirichletAllocation(LdaConfig(seed=101 * restart))
+        doc_topics = lda.fit_transform(counts)
+        restarts.append({"seed": lda.config.seed,
+                         "doc_topics_crc": array_crc(doc_topics),
+                         "components_crc": array_crc(lda.components_)})
+    return {"blocks": len(blocks),
+            "categories": "".join(map(str, result.categories)),
+            "doc_topics_crc": array_crc(result.doc_topics),
+            "restarts": restarts}
+
+
+def learned_golden(corpus):
+    """The learned half's golden document."""
+    from repro.corpus.dataset import build_corpus
+
+    lda_corpus = build_corpus(**LDA_CORPUS)
+    return {
+        "ithemal": {uarch: ithemal_golden(corpus, uarch)
+                    for uarch in UARCHES},
+        "lda": {"golden": lda_golden(corpus.blocks),
+                "scale_0.0002_seed_0": lda_golden(lda_corpus.blocks)},
+    }
+
+
 def main() -> None:
     from repro.eval.validation import profile_corpus_detailed
 
@@ -195,6 +278,12 @@ def main() -> None:
     with open(path, "w") as fh:
         dump_schedule_doc({uarch: uarch_schedules(corpus, uarch)
                            for uarch in UARCHES}, fh)
+    print(f"wrote {path}")
+
+    path = os.path.join(HERE, "golden_learned.json")
+    with open(path, "w") as fh:
+        json.dump(learned_golden(corpus), fh, indent=1)
+        fh.write("\n")
     print(f"wrote {path}")
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.models import IthemalModel, TrainingConfig
+from repro import telemetry
+from repro.isa.parser import parse_block
+from repro.models import IthemalModel, TrainingConfig, ithemal
 from repro.models.features import FEATURE_DIM, block_features
 from repro.models.training import MlpRegressor
 from repro.profiler import BasicBlockProfiler
@@ -75,6 +77,67 @@ class TestTrainingProtocol:
         a = model.predict_safe(blocks[0], "haswell").throughput
         b = model.predict_safe(blocks[0], "haswell").throughput
         assert a == b
+
+
+class TestFeatureMemo:
+    """One feature vector per block text, shared by every uarch."""
+
+    UARCHES = ("ivybridge", "haswell", "skylake")
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        calls = []
+
+        def spy(block):
+            calls.append(block.text())
+            return block_features(block)
+
+        monkeypatch.setattr(ithemal, "block_features", spy)
+        return calls
+
+    def test_features_once_per_block_text_across_uarches(
+            self, small_corpus_module, spied):
+        blocks, measured = small_corpus_module
+        # Re-parsed copies: equal texts in distinct objects.
+        blocks = blocks + [parse_block(b.text()) for b in blocks[:10]]
+        measured = measured + measured[:10]
+        config = TrainingConfig(epochs=20)
+        shared = IthemalModel(config)
+        predictions = {}
+        for uarch in self.UARCHES:
+            shared.fit(blocks[::2], measured[::2], uarch)
+            predictions[uarch] = [shared.predict(b, uarch).throughput
+                                  for b in blocks]
+        assert len(spied) == len(set(spied))
+        assert set(spied) == {b.text() for b in blocks}
+        for uarch in self.UARCHES:
+            fresh = IthemalModel(config).fit(blocks[::2], measured[::2],
+                                             uarch)
+            assert [fresh.predict(b, uarch).throughput
+                    for b in blocks] == predictions[uarch]
+
+    def test_fit_span_reports_rows_epochs_and_memo(self,
+                                                   small_corpus_module):
+        from repro.telemetry import MemorySink
+        blocks, measured = small_corpus_module
+        model = IthemalModel(TrainingConfig(epochs=5))
+        sink = MemorySink()
+        telemetry.reset()
+        telemetry.enable(sink)
+        try:
+            model.fit(blocks, measured, "haswell")
+            model.fit(blocks, measured, "ivybridge")
+        finally:
+            telemetry.reset()
+        first, second = [r for r in sink.records
+                         if r["name"] == "models.ithemal.fit"]
+        assert (first["uarch"], second["uarch"]) == ("haswell",
+                                                     "ivybridge")
+        assert first["epochs"] == 5
+        assert first["feature_hits"] + first["feature_misses"] \
+            == first["rows"]
+        assert first["feature_misses"] > 0
+        assert second["feature_misses"] == 0
 
 
 class TestFeatures:

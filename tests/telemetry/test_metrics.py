@@ -1,6 +1,29 @@
 """Metrics registry: counters, gauges, histogram percentiles."""
 
+import os
+import subprocess
+import sys
+
 from repro.telemetry import Histogram, MetricsRegistry
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+_RESERVOIR_SCRIPT = """
+from repro.telemetry import Histogram
+h = Histogram("span.models.ithemal.fit", max_samples=16)
+for v in range(500):
+    h.observe(float(v))
+print(h._samples)
+"""
+
+
+def _reservoir_under_hashseed(hashseed: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    env["PYTHONPATH"] = os.path.abspath(SRC) \
+        + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", _RESERVOIR_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          check=True).stdout
 
 
 class TestCounterGauge:
@@ -68,6 +91,12 @@ class TestHistogram:
                 h.observe(float(v))
             return h.p95
         assert build() == build()
+
+    def test_reservoir_independent_of_hash_seed(self):
+        """The reservoir RNG is seeded from a CRC-32 of the name, not
+        ``hash()``: fresh interpreters keep the same samples."""
+        runs = {_reservoir_under_hashseed(s) for s in ("0", "1", "7")}
+        assert len(runs) == 1
 
 
 class TestSnapshot:

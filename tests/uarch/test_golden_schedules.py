@@ -21,9 +21,6 @@ import os
 
 import pytest
 
-from repro.corpus.dataset import BlockRecord, Corpus
-from repro.isa.parser import parse_block
-
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 UARCHES = ("ivybridge", "haswell", "skylake")
 
@@ -41,15 +38,8 @@ regen = _load_regen()
 
 @pytest.fixture(scope="module")
 def golden():
-    with open(os.path.join(DATA, "golden_corpus.json")) as fh:
-        blocks = json.load(fh)["blocks"]
-    corpus = Corpus([BlockRecord(block=parse_block(b["text"]),
-                                 application=b["application"],
-                                 frequency=b["frequency"],
-                                 block_id=b["block_id"])
-                     for b in blocks])
     with open(os.path.join(DATA, "golden_schedules.json")) as fh:
-        return corpus, json.load(fh)
+        return regen.golden_corpus(), json.load(fh)
 
 
 @pytest.mark.parametrize("uarch", UARCHES)
