@@ -72,7 +72,7 @@ def _start_daemon(state_dir: str, socket_path: str):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--socket", socket_path, "--state", state_dir,
-         "--jobs", "2", "--coalesce-ms", "2"],
+         "--jobs", "2"],
         env=env, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     client = ServeClient(socket_path=socket_path, timeout=120.0)

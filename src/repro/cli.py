@@ -409,7 +409,7 @@ def cmd_serve(args) -> int:
         jobs=_resolve_jobs(args),
         queue_size=args.queue, deadline_ms=args.deadline_ms,
         rate=args.rate, burst=args.burst, batch_size=args.batch,
-        coalesce_ms=args.coalesce_ms, breaker_threshold=args.breaker,
+        breaker_threshold=args.breaker,
         breaker_cooldown_s=args.breaker_cooldown, drain_s=args.drain,
         state_dir=args.state)
     run_daemon(config)
@@ -594,9 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve",
                        help="run the profiling daemon: accept block "
                             "requests over HTTP (Unix socket or TCP), "
-                            "coalesce them into content-addressed "
-                            "batches, answer from the shared shard "
-                            "cache (see docs/service.md)")
+                            "run whatever is queued as one "
+                            "content-addressed batch, answer from the "
+                            "shared shard cache (see docs/service.md)")
     listen = p.add_mutually_exclusive_group(required=True)
     listen.add_argument("--socket", metavar="PATH", default=None,
                         help="listen on a Unix-domain socket at PATH")
@@ -628,13 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="token-bucket burst capacity (default 16, or "
                         "$REPRO_SERVE_BURST)")
     p.add_argument("--batch", type=int, default=None, metavar="N",
-                   help="max requests coalesced into one engine batch "
-                        "(default 64, or $REPRO_SERVE_BATCH)")
-    p.add_argument("--coalesce-ms", type=float, default=None,
-                   metavar="MS",
-                   help="how long the batcher lingers for more "
-                        "requests to coalesce (default 5, or "
-                        "$REPRO_SERVE_COALESCE_MS)")
+                   help="max queued requests taken into one engine "
+                        "batch (default 64, or $REPRO_SERVE_BATCH)")
     p.add_argument("--breaker", type=int, default=None, metavar="N",
                    help="consecutive worker-trouble batches before "
                         "the circuit breaker opens and batches run "

@@ -102,9 +102,6 @@ REGISTRY: List[EnvVar] = [
     EnvVar("REPRO_SERVE_BATCH", "`64`",
            "max requests coalesced into one content-addressed engine "
            "batch", "serve"),
-    EnvVar("REPRO_SERVE_COALESCE_MS", "`5`",
-           "how long the batcher lingers for concurrent requests to "
-           "coalesce before executing", "serve"),
     EnvVar("REPRO_SERVE_BREAKER", "`3`",
            "consecutive worker-trouble batches before the circuit "
            "breaker opens and batches run scalar", "serve"),

@@ -4,10 +4,12 @@ The batch pipeline (PRs 2–9) turned one-shot profiling runs fast,
 parallel-deterministic, and crash-safe; this package turns them into a
 long-lived service.  ``repro serve --socket PATH | --port N`` stands up
 an asyncio daemon that accepts block-profiling requests over HTTP
-(Unix-domain socket or TCP), coalesces concurrent requests into
-content-addressed one-block shards, and executes them on the existing
-``repro.parallel`` engine — so the shared v3 shard cache becomes a
-multi-tenant result store and dedup across clients is free.
+(Unix-domain socket or TCP), batches whatever is queued when its
+batcher wakes (requests arriving while a batch runs form the next
+one) into content-addressed one-block shards, and executes them on
+the existing ``repro.parallel`` engine — so the shared v3 shard cache
+becomes a multi-tenant result store and dedup across clients is
+free.
 
 Robustness is the headline (see docs/service.md):
 
@@ -22,7 +24,8 @@ Robustness is the headline (see docs/service.md):
   SIGKILL → restart byte-identical replay of in-flight requests;
 * :mod:`repro.serve.metrics` — per-window p50/p95/p99 latency,
   jitter, and deadline-miss-rate ``serve.*`` telemetry;
-* :mod:`repro.serve.daemon` — the asyncio server itself: deadlines
+* :mod:`repro.serve.daemon` — the asyncio server itself: no
+  request runs before its ``req`` record is durable, deadlines are
   enforced before work reaches a worker, graceful SIGTERM drain,
   and the ``serve_*`` chaos fault points.
 """

@@ -25,7 +25,6 @@ DEFAULT_DEADLINE_MS = 30_000
 DEFAULT_RATE = 0.0          # tokens/second per client; 0 = unlimited
 DEFAULT_BURST = 16
 DEFAULT_BATCH = 64
-DEFAULT_COALESCE_MS = 5.0
 DEFAULT_BREAKER_THRESHOLD = 3
 DEFAULT_BREAKER_COOLDOWN_S = 5.0
 DEFAULT_WINDOW = 32
@@ -78,8 +77,6 @@ class ServeConfig:
     burst: int = DEFAULT_BURST
     #: Max requests coalesced into one engine batch.
     batch_size: int = DEFAULT_BATCH
-    #: How long the batcher lingers for more requests to coalesce.
-    coalesce_ms: float = DEFAULT_COALESCE_MS
     #: Consecutive worker-trouble batches before the breaker opens.
     breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD
     #: Seconds the breaker stays open before a half-open probe.
@@ -110,9 +107,6 @@ class ServeConfig:
                 "REPRO_SERVE_BURST", DEFAULT_BURST, _ENV_INT)),
             batch_size=max(1, _env_number(
                 "REPRO_SERVE_BATCH", DEFAULT_BATCH, _ENV_INT)),
-            coalesce_ms=max(0.0, _env_number(
-                "REPRO_SERVE_COALESCE_MS", DEFAULT_COALESCE_MS,
-                _ENV_FLOAT)),
             breaker_threshold=max(1, _env_number(
                 "REPRO_SERVE_BREAKER", DEFAULT_BREAKER_THRESHOLD,
                 _ENV_INT)),

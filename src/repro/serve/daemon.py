@@ -1,11 +1,15 @@
-"""The asyncio daemon: transport, coalescing, deadlines, drain.
+"""The asyncio daemon: transport, batching, deadlines, drain.
 
 One accept loop, one batcher task.  Connections are short-lived
 (one request, one JSON response, close); admitted profiling requests
-are journaled durably, queued, and coalesced — the batcher lingers
-``coalesce_ms`` so concurrent clients' blocks merge into one
-content-addressed engine batch — then executed off-loop in a thread
-(:meth:`ProfilingService.execute` blocks on the worker pool).
+are queued and journaled durably, and the batcher runs none of them
+before its ``req`` record is written.  When it wakes, the batcher
+takes whatever is queued (up to ``batch_size`` requests) with no
+timed wait: requests that arrive while a batch runs form the next
+batch, so concurrent clients' blocks still merge into one
+content-addressed engine batch under load.  Batches execute off-loop
+in a thread (:meth:`ProfilingService.execute` blocks on the worker
+pool).
 
 The robustness ladder, in request order:
 
@@ -16,7 +20,9 @@ The robustness ladder, in request order:
 4. Journal memo: an identical, already-answered request replays its
    recorded results with no queue and no engine work.
 5. Admission: bounded queue → 429 + retry-after when full (or when
-   ``serve_queue_full`` chaos forces the branch).
+   ``serve_queue_full`` chaos forces the branch), then the durable
+   ``req`` record; a journal write that fails answers 500 and the
+   request never runs.
 6. Deadline: work still queued when its deadline passes is cancelled
    *before* it reaches a worker, counted as a per-window miss, and
    answered 504 — never silently dropped.
@@ -49,13 +55,16 @@ from repro.telemetry import core as telemetry
 class _Pending:
     """One admitted request waiting for the batcher."""
 
-    __slots__ = ("request", "future", "digest")
+    __slots__ = ("request", "future", "digest", "journaled")
 
     def __init__(self, request: ProfileRequest,
                  future: "asyncio.Future"):
         self.request = request
         self.future = future
         self.digest = request.digest
+        #: Set once ``record_request`` has returned (or raised, in
+        #: which case ``future`` already holds the 500).
+        self.journaled = asyncio.Event()
 
 
 class ServeDaemon:
@@ -304,9 +313,22 @@ class ServeDaemon:
                 request=digest), \
                 self._retry_headers(decision.retry_after_ms), digest
 
-        # Durable before any work: SIGKILL from here on replays.
-        await asyncio.to_thread(self.service.journal.record_request,
-                                digest, profile_request.body())
+        # Queued first so a full queue sheds before anything is
+        # journaled.  A batcher that is already awake may pop the
+        # request during the write; it waits on ``journaled`` before
+        # running it.  SIGKILL from here on replays.
+        try:
+            await asyncio.to_thread(self.service.journal.record_request,
+                                    digest, profile_request.body())
+        except Exception as exc:  # must not wedge the batcher
+            telemetry.count("serve.journal_errors")
+            telemetry.event("serve.journal_error",
+                            error=type(exc).__name__)
+            self.service.windows.observe_error()
+            self._resolve(pending, 500, http.error_body(
+                500, f"journal write failed: {type(exc).__name__}",
+                request=digest))
+        pending.journaled.set()
         self._wake.set()
         status, body = await future
         return status, body, None, digest
@@ -330,11 +352,7 @@ class ServeDaemon:
             await self._wake.wait()
             self._wake.clear()
             if not len(self.queue):
-                if self._shutdown.is_set():
-                    await asyncio.sleep(0.01)
                 continue
-            if self.config.coalesce_ms > 0:
-                await asyncio.sleep(self.config.coalesce_ms / 1000.0)
             batch = self.queue.pop_batch(self.config.batch_size)
             if not batch:
                 continue
@@ -347,9 +365,21 @@ class ServeDaemon:
                 self._wake.set()
 
     async def _run_batch(self, batch: List[_Pending]) -> None:
+        popped = self.service.clock()
+        telemetry.count("serve.batches")
+        telemetry.count("serve.batched_requests", len(batch))
+        for pending in batch:
+            telemetry.observe(
+                "serve.queue_wait_ms",
+                1000.0 * (popped - pending.request.admitted_at))
+            # Durable before any work: nothing runs ahead of its
+            # ``req`` record.
+            await pending.journaled.wait()
         now = self.service.clock()
         live: List[_Pending] = []
         for pending in batch:
+            if pending.future.done():
+                continue  # its journal write failed: answered 500
             if pending.request.expired(now):
                 # Cancelled before it reaches a worker — journaled,
                 # counted, answered; never silently dropped.

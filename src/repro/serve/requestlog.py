@@ -19,11 +19,16 @@ backends.
 The journal is also the deduplication memo: a ``done`` record doubles
 as a request-level cache, so an identical request replays its recorded
 results without touching the engine at all.
+
+The daemon appends from several threads at once (``req`` records
+from request handlers, ``done`` records from the batcher), so every
+append holds one lock across write, flush and fsync.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.resilience.journal import journal_line, parse_journal_line
@@ -40,6 +45,7 @@ class RequestJournal:
     def __init__(self, path: str):
         self.path = path
         self._fh: Optional[TextIO] = None
+        self._lock = threading.Lock()
         #: Records dropped for failing their self-check on load.
         self.torn_records = 0
         #: digest -> request body for reqs with no done record yet.
@@ -121,9 +127,11 @@ class RequestJournal:
 
     def _append(self, record: Dict) -> None:
         assert self._fh is not None, "request journal not opened"
-        self._fh.write(journal_line(record) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        line = journal_line(record) + "\n"
+        with self._lock:
+            self._fh.write(line)
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if self._fh is not None:

@@ -47,7 +47,6 @@ def clock():
 
 @pytest.fixture
 def serve_config(tmp_path):
-    """A serial, fast-coalescing config rooted in the test tmpdir."""
+    """A serial config rooted in the test tmpdir."""
     return ServeConfig(socket=str(tmp_path / "serve.sock"), jobs=1,
-                       coalesce_ms=1.0,
                        state_dir=str(tmp_path / "state"))

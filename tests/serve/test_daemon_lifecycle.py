@@ -41,27 +41,28 @@ CASES = [
 ]
 
 
-def _env():
+def _env(chaos=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
     for var in ("REPRO_CHAOS", "REPRO_SERVE_STATE", "REPRO_TRACE"):
         env.pop(var, None)
+    if chaos is not None:
+        env["REPRO_CHAOS"] = chaos
     return env
 
 
 class Daemon:
     """One ``repro serve`` subprocess on a Unix socket."""
 
-    def __init__(self, tmp_path, state, name, jobs=1,
-                 coalesce_ms=1.0, extra_args=()):
+    def __init__(self, tmp_path, state, name, jobs=1, chaos=None,
+                 extra_args=()):
         self.socket_path = str(tmp_path / f"{name}.sock")
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--socket", self.socket_path, "--state", str(state),
-             "--jobs", str(jobs), "--coalesce-ms", str(coalesce_ms),
-             *extra_args],
-            env=_env(), start_new_session=True,
+             "--jobs", str(jobs), *extra_args],
+            env=_env(chaos), start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         self.client = ServeClient(socket_path=self.socket_path,
                                   timeout=60.0)
@@ -107,12 +108,12 @@ def test_sigkill_restart_replays_identical_bytes(tmp_path, uarch,
     finally:
         assert daemon.sigterm() == 0
 
-    # 2. Crash: a long coalesce window holds the admitted (and
-    #    durably journaled) request in the queue; SIGKILL the whole
-    #    group before the batcher picks it up.
+    # 2. Crash: the three blocks fork a two-worker pool whose workers
+    #    hang, so the admitted (and durably journaled) request is
+    #    still unanswered when the whole group is SIGKILLed.
     crash_state = tmp_path / "crash"
-    daemon = Daemon(tmp_path, crash_state, "crash", jobs=jobs,
-                    coalesce_ms=5000.0)
+    daemon = Daemon(tmp_path, crash_state, "crash", jobs=2,
+                    chaos="0:worker_hang=1,hang_s=120")
     try:
         errors = []
 

@@ -13,16 +13,20 @@ import json
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import telemetry
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPolicy
+from repro.resilience.journal import parse_journal_line
+from repro.serve import daemon as daemon_module
 from repro.serve import http
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.config import ServeConfig
-from repro.serve.core import ProfilingService
+from repro.serve.core import (ProfilingService, canonical_results_bytes,
+                              request_digest)
 from repro.serve.daemon import ServeDaemon
 
 ADD = "addq %rax, %rbx"
@@ -68,11 +72,57 @@ class DaemonHarness:
         assert not self._thread.is_alive(), "daemon failed to drain"
 
 
+class ExecuteSpy:
+    """Stands in for ``service.execute``: records calls, can hold one.
+
+    ``calls`` gets each call's request digests as the call begins, and
+    ``unjournaled`` every digest that reached ``execute`` before its
+    ``req`` record was on disk.  With ``hold_first`` the first call
+    waits for ``release``, keeping the batcher busy on cue.
+    """
+
+    def __init__(self, service, hold_first=False):
+        self.service = service
+        self.execute = service.execute
+        self.release = threading.Event()
+        if not hold_first:
+            self.release.set()
+        self.calls = []
+        self.unjournaled = []
+        service.execute = self
+
+    def __call__(self, requests, journal=True):
+        with open(self.service.journal.path) as fh:
+            records = [parse_journal_line(line)
+                       for line in fh.read().splitlines()]
+        written = {r["id"] for r in records
+                   if r and r.get("kind") == "req"}
+        self.unjournaled += [r.digest for r in requests
+                             if r.digest not in written]
+        self.calls.append([r.digest for r in requests])
+        if len(self.calls) == 1:
+            self.release.wait(timeout=60.0)
+        return self.execute(requests, journal)
+
+
+def _wait_until(predicate, timeout=30.0) -> bool:
+    """Poll ``predicate`` until it holds; False once ``timeout`` ends."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _digest(blocks):
+    return request_digest("haswell", 0, blocks)
+
+
 @pytest.fixture
 def harness(tmp_path):
     config = ServeConfig(socket=str(tmp_path / "serve.sock"), jobs=1,
-                         coalesce_ms=1.0, window=4,
-                         state_dir=str(tmp_path / "state"))
+                         window=4, state_dir=str(tmp_path / "state"))
     return DaemonHarness(config)
 
 
@@ -174,12 +224,17 @@ class TestChaos:
 
 class TestDeadlines:
     def test_expired_in_queue_is_504_and_journaled(self, tmp_path):
-        # A long coalesce window guarantees the 1ms deadline expires
-        # while the request is still queued — cancelled pre-worker.
+        # A first request holds the batcher inside execute for about
+        # 0.3 s, so the 1ms deadline of the second expires while it is
+        # still queued — cancelled pre-worker.
         config = ServeConfig(socket=str(tmp_path / "serve.sock"),
-                             jobs=1, coalesce_ms=300.0,
-                             state_dir=str(tmp_path / "state"))
-        with DaemonHarness(config) as client:
+                             jobs=1, state_dir=str(tmp_path / "state"))
+        harness = DaemonHarness(config)
+        spy = ExecuteSpy(harness.service, hold_first=True)
+        with harness as client, ThreadPoolExecutor(1) as pool:
+            occupier = pool.submit(client.profile, [MUL])
+            assert _wait_until(lambda: spy.calls)
+            threading.Timer(0.3, spy.release.set).start()
             missed = client.profile([ADD], deadline_ms=1)
             assert missed.status == 504
             assert "deadline" in missed.body["detail"]
@@ -190,13 +245,109 @@ class TestDeadlines:
             ok = client.profile([ADD], deadline_ms=60_000)
             assert ok.status == 200
             assert ok.body["cached"] is False
+            occupier.result()
+
+
+class TestBatcher:
+    def test_requests_queued_behind_a_batch_form_the_next_one(
+            self, harness, tmp_path):
+        spy = ExecuteSpy(harness.service, hold_first=True)
+        blocks = [f"addq ${i}, %rax" for i in range(5)]
+        with harness as client, ThreadPoolExecutor(5) as pool:
+            first = pool.submit(client.profile, [blocks[0]])
+            assert _wait_until(lambda: spy.calls)
+            rest = [pool.submit(client.profile, [text])
+                    for text in blocks[1:]]
+            assert _wait_until(lambda: len(harness.daemon.queue) == 4)
+            spy.release.set()
+            answers = [f.result() for f in [first, *rest]]
+        assert [a.status for a in answers] == [200] * 5
+        assert len(spy.calls) == 2
+        assert sorted(spy.calls[1]) == \
+            sorted(_digest([text]) for text in blocks[1:])
+        # Batching never changes an answer: each request alone on a
+        # fresh daemon gets the same bytes.
+        alone = DaemonHarness(ServeConfig(
+            socket=str(tmp_path / "alone.sock"), jobs=1,
+            state_dir=str(tmp_path / "alone")))
+        with alone as client:
+            for text, answer in zip(blocks, answers):
+                single = client.profile([text])
+                assert canonical_results_bytes(single.body["results"]) \
+                    == canonical_results_bytes(answer.body["results"])
+
+    def test_lone_request_reaches_execute_without_a_timer(
+            self, harness, monkeypatch):
+        spy = ExecuteSpy(harness.service)
+        early_sleeps = []
+        sleep = asyncio.sleep
+
+        async def spy_sleep(delay, *args, **kwargs):
+            if not spy.calls:
+                early_sleeps.append(delay)
+            return await sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(daemon_module.asyncio, "sleep", spy_sleep)
+        with harness as client:
+            assert client.profile([ADD]).status == 200
+        assert spy.calls == [[_digest([ADD])]]
+        assert early_sleeps == []
+
+    def test_nothing_runs_before_its_req_record(self, harness):
+        spy = ExecuteSpy(harness.service, hold_first=True)
+        journal = harness.service.journal
+        record_request = journal.record_request
+        write = threading.Event()
+
+        def slow_record_request(digest, body):
+            if digest == _digest([MUL]):
+                write.wait(timeout=60.0)
+            record_request(digest, body)
+
+        journal.record_request = slow_record_request
+        with harness as client, ThreadPoolExecutor(2) as pool:
+            first = pool.submit(client.profile, [ADD])
+            assert _wait_until(lambda: spy.calls)
+            second = pool.submit(client.profile, [MUL])
+            # MUL is queued; its ``req`` write is held.
+            assert _wait_until(lambda: len(harness.daemon.queue) == 1)
+            spy.release.set()
+            # A batcher that ignored the journal would run MUL now;
+            # give it the chance before letting the write finish.
+            _wait_until(lambda: len(spy.calls) > 1, timeout=0.5)
+            write.set()
+            assert first.result().status == 200
+            assert second.result().status == 200
+        assert spy.calls == [[_digest([ADD])], [_digest([MUL])]]
+        assert spy.unjournaled == []
+
+    def test_failed_journal_write_answers_500_and_never_runs(
+            self, harness):
+        spy = ExecuteSpy(harness.service)
+        journal = harness.service.journal
+        record_request = journal.record_request
+
+        def failing_record_request(digest, body):
+            if digest == _digest([ADD]):
+                raise OSError(28, "No space left on device")
+            record_request(digest, body)
+
+        journal.record_request = failing_record_request
+        with harness as client:
+            lost = client.profile([ADD])
+            assert lost.status == 500
+            assert "journal write failed" in lost.body["detail"]
+            # The batcher is not wedged: the next request is served.
+            assert client.profile([MUL]).status == 200
+            counters = client.stats().body["counters"]
+            assert counters["serve.journal_errors"] == 1
+        assert spy.calls == [[_digest([MUL])]]
 
 
 class TestRateLimit:
     def test_over_rate_client_sheds_with_retry_after(self, tmp_path):
         config = ServeConfig(socket=str(tmp_path / "serve.sock"),
-                             jobs=1, coalesce_ms=1.0,
-                             rate=0.001, burst=1,
+                             jobs=1, rate=0.001, burst=1,
                              state_dir=str(tmp_path / "state"))
         with DaemonHarness(config) as client:
             assert client.profile([ADD], client="greedy").status == 200

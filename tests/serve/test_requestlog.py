@@ -7,6 +7,8 @@ bookkeeping must stay honest under torn tails and dropped work.
 """
 
 import os
+import sys
+import threading
 
 from repro.resilience.journal import journal_line, parse_journal_line
 from repro.serve.requestlog import (REQUEST_LOG_NAME, RequestJournal,
@@ -118,3 +120,35 @@ class TestLineFormat:
             raw = open(str(tmp_path / REQUEST_LOG_NAME)).read()
             assert '"req"' in raw
         assert os.path.getsize(str(tmp_path / REQUEST_LOG_NAME)) > 0
+
+
+class TestConcurrentAppends:
+    def test_threads_appending_at_once_leave_whole_lines(self, tmp_path):
+        """The daemon appends ``req`` and ``done`` from many threads."""
+        threads, pairs = 8, 200
+        with _journal(tmp_path) as journal:
+            journal.open()
+
+            def append(worker: int) -> None:
+                for i in range(pairs):
+                    digest = f"w{worker}-{i}"
+                    journal.record_request(digest, BODY)
+                    journal.record_done(digest, RESULTS)
+
+            workers = [threading.Thread(target=append, args=(w,))
+                       for w in range(threads)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(worker.is_alive() for worker in workers)
+        with _journal(tmp_path) as journal:
+            assert journal.open() == {}
+            assert journal.torn_records == 0
+            assert len(journal.completed) == threads * pairs
+            assert journal.pending == {}
