@@ -71,7 +71,7 @@ def _measured_resumable(args, corpus, jobs: int):
     """
     from repro.eval.pipeline import Experiment
     experiment = Experiment(scale=args.scale, seed=args.seed,
-                            jobs=jobs)
+                            jobs=jobs, uarches=(args.uarch,))
     return experiment.measured(args.uarch, corpus=corpus)
 
 
@@ -348,7 +348,8 @@ def cmd_telemetry(args) -> int:
     if not telemetry.is_enabled():
         telemetry.enable()
     experiment = Experiment(scale=args.scale, seed=args.seed,
-                            jobs=_resolve_jobs(args))
+                            jobs=_resolve_jobs(args),
+                            uarches=(args.uarch,))
     experiment.validation(args.uarch)
     report = experiment.write_run_report(args.uarch,
                                          directory=args.report_dir)

@@ -16,7 +16,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.telemetry import profiling
@@ -31,6 +31,7 @@ from repro.models.llvm_mca import LlvmMcaModel
 from repro.models.osaca import OsacaModel
 from repro.parallel import (DEFAULT_SHARD_SIZE, ShardCache,
                             profile_corpus_sharded, shard_corpus)
+from repro.profiler.result import ProfileResult
 from repro.resilience import JOURNAL_NAME, RunJournal
 from repro.resilience import policy as resilience
 
@@ -172,6 +173,11 @@ class Experiment:
     #: Worker processes for :meth:`measured` (1 = serial in-process).
     jobs: int = DEFAULT_JOBS
     shard_size: int = SHARD_SIZE
+    #: The uarches this experiment will measure.  A serial
+    #: :meth:`measured` of the main corpus times each block it profiles
+    #: on the ones not yet measured as well, so each block is mapped
+    #: and priced once (docs/performance.md).
+    uarches: Tuple[str, ...] = UARCHES
     _corpus: Optional[Corpus] = field(default=None, repr=False)
     _classification: Optional[ClassifierResult] = field(default=None,
                                                         repr=False)
@@ -183,6 +189,10 @@ class Experiment:
         default_factory=dict, repr=False)
     _models: Optional[List[CostModel]] = field(default=None, repr=False)
     _google: Optional[Dict[str, Corpus]] = field(default=None, repr=False)
+    #: (uarch, block text) -> a result profiled alongside another
+    #: uarch, waiting for that uarch's own :meth:`measured` call.
+    _sibling_table: Dict[Tuple[str, str], ProfileResult] = field(
+        default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
 
@@ -241,6 +251,11 @@ class Experiment:
         (``tests/parallel/test_determinism.py``).  A legacy monolithic
         (v1/v2) cache file for this exact corpus is migrated into
         per-shard entries on first load.
+
+        A serial call on the main corpus times each block it profiles
+        on every declared uarch (:attr:`uarches`) not yet measured as
+        well; those results wait in the experiment until that uarch's
+        own call takes them, and are dropped once it returns.
         """
         key = f"{tag}:{uarch}"
         if key in self._measured:
@@ -260,6 +275,15 @@ class Experiment:
         # (corpus, uarch, seed).
         journal = RunJournal(os.path.join(cache.directory,
                                           JOURNAL_NAME))
+        siblings: Tuple[str, ...] = ()
+        table: Dict[Tuple[str, str], ProfileResult] = {}
+        if tag == "main":
+            table = self._sibling_table
+            if jobs == 1:
+                siblings = tuple(u for u in self.uarches if u != uarch
+                                 and f"main:{u}" not in self._measured)
+        waiting = sum(1 for u, _ in table if u == uarch)
+        others = len(table) - waiting
         with profiling.phase(f"measure:{key}"), \
                 telemetry.span("experiment.measure", uarch=uarch,
                                tag=tag, jobs=jobs) as sp:
@@ -267,7 +291,15 @@ class Experiment:
             profile = profile_corpus_sharded(
                 corpus, uarch, seed=self.seed, jobs=jobs,
                 shards=shards, cache=cache, journal=journal,
-                stats=stats, run_label=key)
+                stats=stats, run_label=key, siblings=siblings,
+                table=table if siblings or waiting else None)
+            # Results still left for this uarch (say, its shards came
+            # from the store) would never be taken now.
+            left = [k for k in table if k[0] == uarch]
+            for k in left:
+                del table[k]
+            sp.annotate(sibling_runs=len(table) - others,
+                        sibling_hits=waiting - len(left))
             if stats["profiled"] or stats["failed"]:
                 telemetry.count("cache.misses")
                 telemetry.count("cache.writes", stats["written"])

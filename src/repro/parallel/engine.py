@@ -57,6 +57,7 @@ import uuid
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                 wait as futures_wait)
+from dataclasses import replace
 from itertools import chain
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
@@ -424,7 +425,9 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
                            worker_fn=None, serial_fn=None,
                            retry: Optional[resilience.RetryPolicy] = None,
                            stats: Optional[Dict] = None,
-                           run_label: Optional[str] = None
+                           run_label: Optional[str] = None,
+                           siblings: Sequence[str] = (),
+                           table: Optional[Dict] = None
                            ) -> CorpusProfile:
     """Profile a materialised corpus, bit-identical to serial.
 
@@ -443,7 +446,8 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
     verified against the journal on resume, and mismatches are
     quarantined and re-profiled.  ``stats``, if given, is filled with
     run accounting (shard counts, cache hits, resumed shards, retries,
-    failures).
+    failures).  ``siblings`` and ``table`` reach only the in-process
+    profiler (see :func:`profile_corpus_streamed`).
     """
     if shards is None:
         shards = shard_corpus(corpus, shard_size)
@@ -455,7 +459,7 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
         worker_fn=worker_fn, serial_fn=serial_fn, retry=retry,
         stats=stats, run_label=run_label,
         total_blocks=sum(len(shard) for shard in shards),
-        total_shards=len(shards))
+        total_shards=len(shards), siblings=siblings, table=table)
 
 
 def _as_shard_stream(source: Union[Iterable[BlockRecord],
@@ -497,7 +501,9 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                             total_shards: Optional[int] = None,
                             on_shard: Optional[Callable[[Shard,
                                                          "CorpusProfile"],
-                                                        None]] = None
+                                                        None]] = None,
+                            siblings: Sequence[str] = (),
+                            table: Optional[Dict] = None
                             ) -> CorpusProfile:
     """Profile a record or shard source in bounded memory.
 
@@ -542,6 +548,13 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     ETA.  ``on_shard(shard, profile)`` fires after each fold, in shard
     order — the hook streaming writers (``repro corpus --stream``)
     attach to emit rows incrementally.
+
+    ``siblings`` (uarch names) and ``table`` go to the in-process
+    profiler only: it times each fresh block on the siblings too and
+    leaves their results in ``table``, keyed by (uarch, block text),
+    and takes its own from there (see
+    :class:`~repro.profiler.harness.BasicBlockProfiler`).  Pool
+    workers and the serial rescue get neither.
     """
     from repro.runtime.plan import clear_plan_cache
     jobs = default_jobs() if jobs is None else max(1, jobs)
@@ -612,7 +625,10 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
             clear_plan_cache()
             since_reset = 0
         if profiler is None:
-            profiler = BasicBlockProfiler(descriptor.build(), config)
+            profiler = BasicBlockProfiler(
+                descriptor.build(), config,
+                siblings=[replace(descriptor, uarch=name).build()
+                          for name in siblings], table=table)
         profile = profile_records_detailed(profiler, shard.records)
         since_reset += len(shard)
         run_stats["profiled"] += 1

@@ -11,7 +11,8 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.errors import (ArithmeticFault, ChaosFault, MemoryFault,
                           StepBudgetExceeded,
@@ -24,7 +25,8 @@ from repro.isa.instruction import BasicBlock
 from repro.isa.parser import parse_block
 from repro.profiler.environment import Environment, EnvironmentConfig
 from repro.profiler.filters import AcceptancePolicy
-from repro.profiler.mapping import DEFAULT_MAX_FAULTS, map_pages
+from repro.profiler.mapping import (DEFAULT_MAX_FAULTS, MappingOutcome,
+                                    map_pages)
 from repro.profiler.result import (CorpusProfile, FailureReason,
                                    Measurement, ProfileResult)
 from repro.profiler.unroll import (BASE_FACTOR, NAIVE_UNROLL, UnrollPlan,
@@ -32,7 +34,8 @@ from repro.profiler.unroll import (BASE_FACTOR, NAIVE_UNROLL, UnrollPlan,
 from repro.runtime import blockplan
 from repro.runtime.executor import Executor
 from repro.simcore import config as simcore
-from repro.uarch.machine import Machine
+from repro.runtime.trace import ExecutionTrace
+from repro.uarch.machine import Machine, Pricing, RunResult
 
 
 @dataclass(frozen=True)
@@ -70,13 +73,40 @@ class ProfilerConfig:
         raise ValueError(f"unknown strategy {self.unroll_strategy!r}")
 
 
+@dataclass
+class _Mapped:
+    """A block's functional half, shared by every machine timing it."""
+
+    block: BasicBlock
+    text: str
+    plan: UnrollPlan
+    env: Environment
+    mapping: MappingOutcome
+    #: Each factor's trace, cut once from the mapping run (fast path);
+    #: ``None`` re-executes the block per factor, as the oracle does.
+    traces: Optional[Dict[int, ExecutionTrace]] = None
+    subnormal_events: int = 0
+    #: Each factor's pricing, from the first machine to time it.
+    prices: Dict[int, Pricing] = field(default_factory=dict)
+
+
 class BasicBlockProfiler:
     """Profiles arbitrary basic blocks on one simulated machine."""
 
     def __init__(self, machine: Machine,
-                 config: Optional[ProfilerConfig] = None):
+                 config: Optional[ProfilerConfig] = None, *,
+                 siblings: Sequence[Machine] = (),
+                 table: Optional[Dict[Tuple[str, str],
+                                      ProfileResult]] = None):
         self.machine = machine
         self.config = config if config is not None else ProfilerConfig()
+        #: Machines timed alongside this one on each fresh block, and
+        #: the table, keyed by (uarch, block text), where their results
+        #: wait until a profiler on that uarch takes them.  A profiler
+        #: given no table neither times siblings nor looks results up.
+        #: Both are fast-path layers, ignored with the fast path off.
+        self.siblings = tuple(siblings)
+        self.table = table
         #: Corpus-level dedup: canonical block text -> finished result.
         #: Exact because a result is a pure function of (text, machine,
         #: config) — even the simulated noise is seeded from the text.
@@ -160,7 +190,12 @@ class BasicBlockProfiler:
             return self._profile_guarded(block, text)
         result = self._memo.get(text)
         if result is None:
-            result = self._profile_guarded(block, text)
+            if self.table is not None:
+                result = self.table.pop((self.machine.name, text), None)
+                if result is not None and telemetry.is_enabled():
+                    telemetry.count("profiler.sibling_hits")
+            if result is None:
+                result = self._profile_guarded(block, text)
             self._memo[text] = result
             if telemetry.is_enabled():
                 telemetry.count("cache.dedup.misses")
@@ -215,6 +250,8 @@ class BasicBlockProfiler:
 
     def _profile_fresh(self, block: BasicBlock,
                        text: str) -> ProfileResult:
+        """Profile one block: its functional half once, then the timing
+        half on this profiler's machine and on each sibling."""
         uarch = self.machine.name
         chaos.poison(text)
 
@@ -234,32 +271,98 @@ class BasicBlockProfiler:
         mapping = map_pages(env, block, unroll=plan.max_factor,
                             max_faults=self.config.max_faults,
                             enable_mapping=self.config.mapping_enabled)
+        siblings = self._siblings_for(block, text)
         if not mapping.success:
-            return ProfileResult(text, uarch, failure=mapping.failure,
-                                 num_faults=mapping.num_faults,
-                                 pages_mapped=mapping.pages_mapped,
-                                 detail=mapping.detail)
+            # A mapping failure does not depend on the uarch.
+            failed = [ProfileResult(text, machine.name,
+                                    failure=mapping.failure,
+                                    num_faults=mapping.num_faults,
+                                    pages_mapped=mapping.pages_mapped,
+                                    detail=mapping.detail)
+                      for machine in (self.machine, *siblings)]
+            for result in failed[1:]:
+                self._share(result)
+            return failed[0]
 
         # Fast path: the mapping run's trace *is* the measurement
         # trace (re-initialisation makes every execution identical),
         # and each smaller factor's trace is its prefix — so the two
         # per-factor functional re-executions are skipped entirely.
-        reuse = simcore.enabled() and mapping.trace is not None \
-            and mapping.trace.unroll == plan.max_factor
-        executor = None if reuse else Executor(env.state, env.memory)
+        mapped = _Mapped(block, text, plan, env, mapping)
+        if simcore.enabled() and mapping.trace is not None \
+                and mapping.trace.unroll == plan.max_factor:
+            mapped.traces = {
+                unroll: mapping.trace if unroll == plan.max_factor
+                else mapping.trace.prefix(unroll)
+                for unroll in plan.factors}
+            mapped.subnormal_events = sum(
+                trace.subnormal_count for trace in mapped.traces.values())
+        result = self._time(self.machine, mapped)
+        for machine in siblings:
+            try:
+                self._share(self._time(machine, mapped))
+            except Exception as exc:
+                # No result: its own row re-profiles the block and
+                # quarantines it there (or raises under --strict).
+                telemetry.event("profiler.sibling_failed",
+                                uarch=machine.name,
+                                error=type(exc).__name__)
+        return result
+
+    def _siblings_for(self, block: BasicBlock,
+                      text: str) -> List[Machine]:
+        """The siblings to time ``block`` on: fast path only, and only
+        those that support it, price like this profiler's machine and
+        have no result waiting yet."""
+        if self.table is None or not simcore.enabled():
+            return []
+        key = self.machine.pricing_key
+        return [machine for machine in self.siblings
+                if machine.pricing_key == key and machine.supports(block)
+                and (machine.name, text) not in self.table]
+
+    def _share(self, result: ProfileResult) -> None:
+        self.table[(result.uarch, result.block_text)] = result
+        if telemetry.is_enabled():
+            telemetry.count("profiler.sibling_runs")
+
+    def _time(self, machine: Machine, mapped: "_Mapped") -> ProfileResult:
+        """The timing half of a profile on ``machine``: each factor's
+        runs, acceptance and the derived throughput."""
+        uarch, text, plan = machine.name, mapped.text, mapped.plan
+        block, env, traces = mapped.block, mapped.env, mapped.traces
+        reps = self.config.acceptance.reps
+        executor = Executor(env.state, env.memory) \
+            if traces is None else None
         measurements: List[Measurement] = []
         accepted_cycles: List[int] = []
-        subnormal_events = 0
+        subnormal_events = mapped.subnormal_events
         extrapolated = False
+
+        def timed(unroll: int,
+                  checkpoint_unroll: Optional[int] = None) -> RunResult:
+            # The first machine to time a trace prices it; the rest
+            # reuse its pricing.
+            run = machine.run(block, unroll, traces[unroll], env.memory,
+                              reps=reps, checkpoint_unroll=checkpoint_unroll,
+                              pricing=mapped.prices.get(unroll))
+            mapped.prices.setdefault(unroll, run.pricing)
+            return run
+
         #: Results already produced by a combined two-factor run,
         #: keyed by unroll factor.
         pending: dict = {}
-        combine = reuse and len(plan.factors) == 2 \
+        combine = traces is not None and len(plan.factors) == 2 \
             and plan.factors[0] < plan.factors[1] == plan.max_factor
         for unroll in plan.factors:
             try:
-                if unroll in pending:
-                    trace = mapping.trace
+                if traces is None:
+                    env.reinitialize()
+                    trace = executor.execute_block(block, unroll=unroll)
+                    run = machine.run(block, unroll, trace, env.memory,
+                                      reps=reps)
+                    subnormal_events += trace.subnormal_count
+                elif unroll in pending:
                     run = pending.pop(unroll)
                 elif combine and unroll == plan.factors[0]:
                     # Combined two-factor run: one simulation of the
@@ -267,34 +370,12 @@ class BasicBlockProfiler:
                     # When the machine cannot certify the checkpoint
                     # it still returns a valid large-factor result —
                     # keep it and time the small factor separately.
-                    trace = mapping.trace.prefix(unroll)
-                    big = self.machine.run(
-                        block, plan.max_factor, mapping.trace,
-                        env.memory, reps=self.config.acceptance.reps,
-                        checkpoint_unroll=unroll)
+                    big = timed(plan.max_factor, checkpoint_unroll=unroll)
                     pending[plan.max_factor] = big
-                    if big.checkpoint is not None:
-                        run = big.checkpoint
-                    else:
-                        run = self.machine.run(
-                            block, unroll, trace, env.memory,
-                            reps=self.config.acceptance.reps)
-                elif reuse:
-                    trace = mapping.trace \
-                        if unroll == plan.max_factor \
-                        else mapping.trace.prefix(unroll)
-                    run = self.machine.run(block, unroll, trace,
-                                           env.memory,
-                                           reps=self.config.acceptance
-                                           .reps)
+                    run = big.checkpoint if big.checkpoint is not None \
+                        else timed(unroll)
                 else:
-                    env.reinitialize()
-                    trace = executor.execute_block(block, unroll=unroll)
-                    run = self.machine.run(block, unroll, trace,
-                                           env.memory,
-                                           reps=self.config.acceptance
-                                           .reps)
-                subnormal_events += trace.subnormal_count
+                    run = timed(unroll)
             except MemoryFault as fault:
                 return ProfileResult(text, uarch,
                                      failure=FailureReason.SEGFAULT,
@@ -314,7 +395,7 @@ class BasicBlockProfiler:
             if failure is not None:
                 return ProfileResult(
                     text, uarch, failure=failure,
-                    num_faults=mapping.num_faults,
+                    num_faults=mapped.mapping.num_faults,
                     pages_mapped=env.pages_mapped,
                     measurements=tuple(measurements),
                     detail=f"unroll={unroll}")
@@ -340,7 +421,7 @@ class BasicBlockProfiler:
             throughput=max(throughput, 0.0),
             measurements=tuple(measurements),
             pages_mapped=env.pages_mapped,
-            num_faults=mapping.num_faults,
+            num_faults=mapped.mapping.num_faults,
             subnormal_events=subnormal_events,
             extra=extra)
 

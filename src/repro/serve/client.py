@@ -60,8 +60,12 @@ class ServeClient:
     def _connect(self) -> socket.socket:
         if self.socket_path:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(self.socket_path)
+            try:
+                sock.settimeout(self.timeout)
+                sock.connect(self.socket_path)
+            except BaseException:
+                sock.close()  # e.g. polling a daemon not yet listening
+                raise
         else:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout)

@@ -6,7 +6,9 @@ daemon without editing unit files; the matching ``repro serve`` CLI
 flag, when given, takes precedence.  All parsing is defensive — a
 malformed value falls back to the default rather than refusing to
 start, because a service that fails to boot over a typo'd env var is
-itself a robustness bug.
+itself a robustness bug.  For the same reason a value below a knob's
+lower bound (:data:`LOWER_BOUNDS`) is raised to it, whether it came
+from the environment, a flag or the constructor.
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ DEFAULT_BREAKER_THRESHOLD = 3
 DEFAULT_BREAKER_COOLDOWN_S = 5.0
 DEFAULT_WINDOW = 32
 DEFAULT_DRAIN_S = 10.0
+
+
+#: The least value each numeric knob may take.  Env values and CLI
+#: overrides alike are raised to it: a batch size of 0, say, would pop
+#: nothing, so a queued request would never run nor miss its deadline.
+LOWER_BOUNDS = {"queue_size": 1, "rate": 0.0, "burst": 1,
+                "batch_size": 1, "breaker_threshold": 1,
+                "breaker_cooldown_s": 0.0, "window": 1, "drain_s": 0.0}
 
 
 def _env_number(name: str, default, parse):
@@ -88,35 +98,41 @@ class ServeConfig:
     #: State directory (request journal + per-uarch shard caches).
     state_dir: str = field(default_factory=default_state_dir)
 
+    def __post_init__(self) -> None:
+        for name, floor in LOWER_BOUNDS.items():
+            if getattr(self, name) < floor:
+                object.__setattr__(self, name, floor)
+
     @classmethod
     def from_env(cls, **overrides) -> "ServeConfig":
         """Env-var defaults, then explicit keyword overrides on top.
 
         ``None`` overrides are dropped so argparse defaults of ``None``
-        mean "not given on the command line".
+        mean "not given on the command line".  Either source is raised
+        to :data:`LOWER_BOUNDS`.
         """
         cfg = cls(
-            queue_size=max(1, _env_number(
-                "REPRO_SERVE_QUEUE", DEFAULT_QUEUE, _ENV_INT)),
+            queue_size=_env_number(
+                "REPRO_SERVE_QUEUE", DEFAULT_QUEUE, _ENV_INT),
             deadline_ms=_env_number(
                 "REPRO_SERVE_DEADLINE_MS", DEFAULT_DEADLINE_MS,
                 _ENV_FLOAT),
-            rate=max(0.0, _env_number(
-                "REPRO_SERVE_RATE", DEFAULT_RATE, _ENV_FLOAT)),
-            burst=max(1, _env_number(
-                "REPRO_SERVE_BURST", DEFAULT_BURST, _ENV_INT)),
-            batch_size=max(1, _env_number(
-                "REPRO_SERVE_BATCH", DEFAULT_BATCH, _ENV_INT)),
-            breaker_threshold=max(1, _env_number(
+            rate=_env_number(
+                "REPRO_SERVE_RATE", DEFAULT_RATE, _ENV_FLOAT),
+            burst=_env_number(
+                "REPRO_SERVE_BURST", DEFAULT_BURST, _ENV_INT),
+            batch_size=_env_number(
+                "REPRO_SERVE_BATCH", DEFAULT_BATCH, _ENV_INT),
+            breaker_threshold=_env_number(
                 "REPRO_SERVE_BREAKER", DEFAULT_BREAKER_THRESHOLD,
-                _ENV_INT)),
-            breaker_cooldown_s=max(0.0, _env_number(
+                _ENV_INT),
+            breaker_cooldown_s=_env_number(
                 "REPRO_SERVE_BREAKER_COOLDOWN_S",
-                DEFAULT_BREAKER_COOLDOWN_S, _ENV_FLOAT)),
-            window=max(1, _env_number(
-                "REPRO_SERVE_WINDOW", DEFAULT_WINDOW, _ENV_INT)),
-            drain_s=max(0.0, _env_number(
-                "REPRO_SERVE_DRAIN_S", DEFAULT_DRAIN_S, _ENV_FLOAT)),
+                DEFAULT_BREAKER_COOLDOWN_S, _ENV_FLOAT),
+            window=_env_number(
+                "REPRO_SERVE_WINDOW", DEFAULT_WINDOW, _ENV_INT),
+            drain_s=_env_number(
+                "REPRO_SERVE_DRAIN_S", DEFAULT_DRAIN_S, _ENV_FLOAT),
             state_dir=default_state_dir(),
         )
         cleaned = {k: v for k, v in overrides.items() if v is not None}

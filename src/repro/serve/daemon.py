@@ -254,7 +254,12 @@ class ServeDaemon:
         counters = {name: counter.value
                     for name, counter in registry.counters.items()
                     if name.startswith(("serve.", "cache."))}
+        histograms = {name: histogram.summary()
+                      for name, histogram in list(
+                          registry.histograms.items())
+                      if name.startswith("serve.")}
         return {"counters": counters,
+                "histograms": histograms,
                 "window": self.service.windows.last,
                 "breaker": self.service.breaker.state,
                 "queue_depth": len(self.queue)}

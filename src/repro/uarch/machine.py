@@ -55,6 +55,36 @@ class NoiseParameters:
     jitter_cycles: Tuple[int, int] = (1, 8)
 
 
+@dataclass(frozen=True)
+class Pricing:
+    """A trace priced against the caches: what :meth:`Machine.run`
+    computes before it calls ``schedule()``.
+
+    Pricing reads only the descriptor fields in ``key``
+    (:attr:`Machine.pricing_key`), so every machine with an equal key
+    can time the same trace from one pricing.  ``annotations`` already
+    carry their L1I fetch stalls and are never written again; the
+    scheduler only reads them.
+    """
+
+    key: tuple
+    unroll: int
+    fast: bool
+    periodic: bool
+    annotations: List[InstrAnnotation]
+    read_misses: int
+    write_misses: int
+    l1i_misses: int
+    misaligned: int
+    #: Tail iterations replicated rather than simulated.
+    replicated: int
+    #: The certified two-factor checkpoint (``None`` when none was
+    #: asked for or it cannot be proved exact) and its prefix's
+    #: misaligned-reference count.
+    checkpoint: Optional[int] = None
+    checkpoint_misaligned: int = 0
+
+
 @dataclass
 class RunResult:
     """Everything one measurement run produces."""
@@ -73,6 +103,9 @@ class RunResult:
     #: unroll factor.  Present only when every precondition for the
     #: combined two-factor fast path was certified.
     checkpoint: Optional["RunResult"] = None
+    #: The pricing this run was timed from, for machines with an equal
+    #: pricing key to time the same trace (``None`` on a checkpoint).
+    pricing: Optional[Pricing] = None
 
 
 class Machine:
@@ -112,6 +145,14 @@ class Machine:
 
     def supports(self, block: BasicBlock) -> bool:
         return self.desc.supports_block(block)
+
+    @property
+    def pricing_key(self) -> tuple:
+        """The descriptor fields :meth:`price` reads: machines with an
+        equal key price every trace identically."""
+        desc = self.desc
+        return (desc.l1d, desc.l1i, desc.l1_miss_penalty,
+                desc.split_line_penalty, desc.l1i_miss_penalty)
 
     # ------------------------------------------------------------------
     # Annotation: price the functional trace against the caches
@@ -291,6 +332,9 @@ class Machine:
         stalls the front end — the effect that breaks naive 100x
         unrolling for large blocks (Table II) and motivates the
         two-unroll-factor technique.
+
+        Charges ``fetch_stall`` in place, so it runs once per
+        :meth:`price`, before any machine times the annotations.
         """
         desc = self.desc
         line = desc.l1i.line_size
@@ -316,10 +360,50 @@ class Machine:
     # Measurement
     # ------------------------------------------------------------------
 
+    def price(self, block: BasicBlock, unroll: int, trace: ExecutionTrace,
+              memory: VirtualMemory, keep_records: bool = False,
+              checkpoint_unroll: Optional[int] = None) -> Pricing:
+        """Price the trace against the caches (the first half of a run).
+
+        Covers the periodicity witness, the L1D warm-up and timed
+        passes, the L1I fetch-stall charges, the misaligned-reference
+        counts and the certification of ``checkpoint_unroll`` (see
+        :meth:`run`).  Nothing here reads the timing tables.
+        """
+        if len(trace) != unroll * len(block):
+            raise ValueError("trace does not match block × unroll")
+        fast = simcore.enabled() and not keep_records
+        steady = detect_event_periodicity(trace) if fast else None
+        (annotations, read_misses, write_misses, replicated,
+         warmup_fixed) = self._data_cache_annotations(
+             trace, memory, steady=steady)
+        l1i_misses = self._instruction_cache_annotations(
+            block, unroll, annotations)
+        checkpoint = None
+        if fast and checkpoint_unroll and steady is not None \
+                and 0 < checkpoint_unroll < unroll and not l1i_misses:
+            q = steady[1]
+            simulated = unroll - replicated
+            if (unroll - checkpoint_unroll) % q == 0 \
+                    and warmup_fixed <= checkpoint_unroll \
+                    and simulated <= checkpoint_unroll:
+                checkpoint = checkpoint_unroll
+        line_size = self.desc.l1d.line_size
+        return Pricing(
+            key=self.pricing_key, unroll=unroll, fast=fast,
+            periodic=steady is not None, annotations=annotations,
+            read_misses=read_misses, write_misses=write_misses,
+            l1i_misses=l1i_misses,
+            misaligned=trace.misaligned_count(line_size),
+            replicated=replicated, checkpoint=checkpoint,
+            checkpoint_misaligned=0 if checkpoint is None else
+            trace.prefix(checkpoint).misaligned_count(line_size))
+
     def run(self, block: BasicBlock, unroll: int, trace: ExecutionTrace,
             memory: VirtualMemory, reps: int = 16,
             keep_records: bool = False,
-            checkpoint_unroll: Optional[int] = None) -> RunResult:
+            checkpoint_unroll: Optional[int] = None,
+            pricing: Optional[Pricing] = None) -> RunResult:
         """Time the unrolled block ``reps`` times (Fig. 2's measure loop).
 
         ``trace`` must come from a functional execution of exactly
@@ -328,6 +412,12 @@ class Machine:
         The scheduler always simulates all ``unroll`` iterations.  With
         the fast path on, only the L1D annotation pass may stop early
         and replicate its tail (see :meth:`_data_cache_annotations`).
+
+        ``pricing`` is the :meth:`price` of this very trace (the
+        ``pricing`` of an earlier run on it), made by a machine with an
+        equal :attr:`pricing_key`: the run then skips the cache passes
+        and takes its checkpoint request from the pricing.  A pricing
+        with another key is ignored and the trace is priced here.
 
         ``checkpoint_unroll`` (fast path only) asks for a second,
         synthesized result at a smaller unroll factor, derived from
@@ -352,25 +442,19 @@ class Machine:
         the standalone run's final state; noise is drawn from a fresh
         per-(block, unroll) RNG, so the samples match byte-for-byte.
         """
-        if len(trace) != unroll * len(block):
-            raise ValueError("trace does not match block × unroll")
-        fast = simcore.enabled() and not keep_records
-        steady = detect_event_periodicity(trace) if fast else None
-        (annotations, read_misses, write_misses, replicated,
-         warmup_fixed) = self._data_cache_annotations(
-             trace, memory, steady=steady)
-        l1i_misses = self._instruction_cache_annotations(
-            block, unroll, annotations)
-        checkpoint = None
-        if fast and checkpoint_unroll and steady is not None \
-                and 0 < checkpoint_unroll < unroll and not l1i_misses:
-            q = steady[1]
-            simulated = unroll - replicated
-            if (unroll - checkpoint_unroll) % q == 0 \
-                    and warmup_fixed <= checkpoint_unroll \
-                    and simulated <= checkpoint_unroll:
-                checkpoint = checkpoint_unroll
-        schedule = self.scheduler.schedule(block, unroll, annotations,
+        if pricing is None or pricing.key != self.pricing_key:
+            pricing = self.price(block, unroll, trace, memory,
+                                 keep_records, checkpoint_unroll)
+        elif pricing.unroll != unroll:
+            raise ValueError("pricing does not match the unroll factor")
+        fast = pricing.fast
+        read_misses = pricing.read_misses
+        write_misses = pricing.write_misses
+        l1i_misses = pricing.l1i_misses
+        replicated = pricing.replicated
+        checkpoint = pricing.checkpoint
+        schedule = self.scheduler.schedule(block, unroll,
+                                           pricing.annotations,
                                            keep_records=keep_records,
                                            checkpoint=checkpoint)
         base = CounterSample(
@@ -378,14 +462,13 @@ class Machine:
             l1d_read_misses=read_misses,
             l1d_write_misses=write_misses,
             l1i_misses=l1i_misses,
-            misaligned_mem_refs=trace.misaligned_count(
-                self.desc.l1d.line_size),
+            misaligned_mem_refs=pricing.misaligned,
         )
         fastpath: Dict[str, int] = {}
         if fast:
             fastpath = {
                 "attempted": 1,
-                "trace_periodic": 1 if steady is not None else 0,
+                "trace_periodic": 1 if pricing.periodic else 0,
                 "ann_replicated": replicated,
                 "extrapolated": 1 if replicated else 0,
             }
@@ -398,8 +481,7 @@ class Machine:
                 l1d_read_misses=read_misses,
                 l1d_write_misses=write_misses,
                 l1i_misses=0,
-                misaligned_mem_refs=trace.prefix(checkpoint)
-                .misaligned_count(self.desc.l1d.line_size),
+                misaligned_mem_refs=pricing.checkpoint_misaligned,
             )
             cp_rng = self._rng(block, checkpoint)
             cp_samples = [self._perturb(cp_base, cp_rng)
@@ -453,7 +535,7 @@ class Machine:
                 telemetry.count("simcore.checkpointed_runs")
         return RunResult(samples=samples, schedule=schedule,
                          base_cycles=schedule.cycles, fastpath=fastpath,
-                         checkpoint=checkpoint_result)
+                         checkpoint=checkpoint_result, pricing=pricing)
 
     def _rng(self, block: BasicBlock, unroll: int) -> random.Random:
         digest = zlib.crc32(block.text().encode())

@@ -1,0 +1,237 @@
+"""Sibling profiling: one functional half per block, timed per uarch.
+
+A profiler given siblings and a table maps and prices each fresh block
+once, times it on every sibling that supports it and prices alike, and
+leaves those results in the table for the sibling's own profiler.
+Every result taken from the table must equal a standalone profile.
+"""
+
+from dataclasses import astuple, replace
+
+import pytest
+
+from repro import simcore, telemetry
+from repro.corpus import tensorflow_ablation_block
+from repro.eval.pipeline import UARCHES, Experiment
+from repro.profiler import (AblationStage, BasicBlockProfiler,
+                            config_for_stage, relaxed)
+from repro.profiler.environment import Environment
+from repro.profiler.mapping import map_pages
+from repro.telemetry.core import MemorySink
+from repro.uarch import Machine
+
+
+def _fields(result):
+    return (result.block_text, result.uarch, result.ok, result.failure,
+            result.throughput,
+            tuple(astuple(m) for m in result.measurements),
+            result.pages_mapped, result.num_faults,
+            result.subnormal_events, result.detail, result.extra)
+
+
+def _through_table(block, machines, config=None):
+    """Profile ``block`` on each machine in turn; each profiler times
+    it on the machines after it as well."""
+    table = {}
+    results = [BasicBlockProfiler(machine, config,
+                                  siblings=machines[i + 1:],
+                                  table=table).profile(block)
+               for i, machine in enumerate(machines)]
+    return results, table
+
+
+@pytest.fixture
+def prices(monkeypatch):
+    """Counts :meth:`Machine.price` calls by uarch."""
+    calls = []
+    original = Machine.price
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "price", counting)
+    return calls
+
+
+class TestProfiler:
+    def test_naive_unroll_past_l1i_charges_fetch_stalls_once(self, prices):
+        # 100 copies of the Table II block overflow L1I, so pricing
+        # charges fetch stalls into annotations every uarch then reads.
+        config = relaxed(config_for_stage(AblationStage.FTZ))
+        block = tensorflow_ablation_block()
+        machines = [Machine(u) for u in UARCHES]
+        with simcore.forced(True):
+            shared, table = _through_table(block, machines, config)
+            assert prices == ["ivybridge"]
+            alone = [BasicBlockProfiler(Machine(u), config).profile(block)
+                     for u in UARCHES]
+        assert all(m.l1i_misses for m in shared[0].measurements)
+        assert [_fields(r) for r in shared] == [_fields(r) for r in alone]
+        assert not table
+
+    def test_other_pricing_key_prices_for_itself(self):
+        # One frame per page: the L1D misses, so the miss penalty (a
+        # pricing field) moves the throughput.
+        config = relaxed(config_for_stage(AblationStage.PAGE_MAPPING))
+        block = tensorflow_ablation_block()
+
+        def slow_l1(uarch):
+            machine = Machine(uarch)
+            machine.desc = replace(machine.desc, l1_miss_penalty=40)
+            return machine
+
+        with simcore.forced(True):
+            shared, table = _through_table(
+                block, [Machine("haswell"), slow_l1("skylake")], config)
+            alone = BasicBlockProfiler(slow_l1("skylake"),
+                                       config).profile(block)
+            plain = BasicBlockProfiler(Machine("skylake"),
+                                       config).profile(block)
+        assert shared[1].measurements[0].l1d_read_misses
+        assert _fields(shared[1]) == _fields(alone)
+        assert shared[1].throughput != plain.throughput
+        assert not table
+
+    def test_run_reprices_a_pricing_with_another_key(self):
+        config = relaxed(config_for_stage(AblationStage.PAGE_MAPPING))
+        block = tensorflow_ablation_block()
+        env = Environment(config.environment)
+        env.reset()
+        with simcore.forced(True):
+            mapping = map_pages(env, block, unroll=100)
+            haswell = Machine("haswell").run(block, 100, mapping.trace,
+                                             env.memory)
+            slow = Machine("skylake")
+            slow.desc = replace(slow.desc, l1_miss_penalty=40)
+            reused = slow.run(block, 100, mapping.trace, env.memory,
+                              pricing=haswell.pricing)
+            fresh = slow.run(block, 100, mapping.trace, env.memory)
+        assert reused.pricing.key == slow.pricing_key != haswell.pricing.key
+        assert reused.samples == fresh.samples
+
+    def test_run_refuses_a_pricing_for_another_factor(self):
+        block = tensorflow_ablation_block()
+        env = Environment()
+        env.reset()
+        mapping = map_pages(env, block, unroll=4)
+        machine = Machine("haswell")
+        run = machine.run(block, 4, mapping.trace, env.memory)
+        with pytest.raises(ValueError):
+            machine.run(block, 2, mapping.trace.prefix(2), env.memory,
+                        pricing=run.pricing)
+
+    def test_ivybridge_rejecting_a_block_times_no_sibling(self, prices):
+        machines = [Machine(u) for u in UARCHES]
+        shared, table = _through_table("vpaddd %ymm0, %ymm1, %ymm2",
+                                       machines)
+        assert not shared[0].ok
+        assert "ivybridge" not in prices
+        assert shared[1].ok and shared[2].ok
+        assert not table
+
+    def test_failing_sibling_gets_no_result(self, monkeypatch):
+        machines = [Machine(u) for u in UARCHES]
+        original = Machine.run
+
+        def broken_on_skylake(self, *args, **kwargs):
+            if self.name == "skylake":
+                raise RuntimeError("sibling fault")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "run", broken_on_skylake)
+        table = {}
+        sink = MemorySink()
+        telemetry.enable(sink)
+        try:
+            with simcore.forced(True):
+                result = BasicBlockProfiler(
+                    machines[0], siblings=machines[1:],
+                    table=table).profile("add %rbx, %rax")
+        finally:
+            telemetry.reset()
+        assert result.ok
+        assert list(table) == [("haswell", "add %rbx, %rax")]
+        (failed,) = [r for r in sink.records
+                     if r["name"] == "profiler.sibling_failed"]
+        assert (failed["uarch"], failed["error"]) == \
+            ("skylake", "RuntimeError")
+
+
+def _measure_all(experiment):
+    return {u: (experiment.measured(u), experiment.funnel(u),
+                experiment.info(u)) for u in UARCHES}
+
+
+class TestExperiment:
+    SCALE = 0.0003
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        def use(name):
+            monkeypatch.setenv("REPRO_CACHE", str(tmp_path / name))
+        return use
+
+    def test_suite_equals_one_experiment_per_uarch(self, cache):
+        cache("standalone")
+        alone = {}
+        for uarch in UARCHES:
+            single = Experiment(scale=self.SCALE, seed=9, jobs=1,
+                                uarches=(uarch,))
+            alone[uarch] = (single.measured(uarch), single.funnel(uarch),
+                            single.info(uarch))
+        cache("suite")
+        suite = Experiment(scale=self.SCALE, seed=9, jobs=1)
+        assert _measure_all(suite) == alone
+        assert not suite._sibling_table
+
+    def test_filled_store_leaves_no_sibling_behind(self, cache):
+        # Forced on throughout: the store keeps the fast path's info
+        # tallies, and the siblings exist only on the fast path.
+        with simcore.forced(True):
+            cache("suite")
+            Experiment(scale=self.SCALE, seed=9, jobs=1,
+                       uarches=("skylake",)).measured("skylake")
+            suite = Experiment(scale=self.SCALE, seed=9, jobs=1)
+            suite.measured("ivybridge")
+            suite.measured("haswell")
+            assert {u for u, _ in suite._sibling_table} == {"skylake"}
+            first = _measure_all(suite)
+            assert not suite._sibling_table
+            cache("fresh")
+            assert _measure_all(Experiment(scale=self.SCALE, seed=9,
+                                           jobs=1)) == first
+
+    def test_single_uarch_experiment_times_only_its_uarch(
+            self, cache, monkeypatch):
+        cache("single")
+        timed = set()
+        original = Machine.run
+
+        def recording(self, *args, **kwargs):
+            timed.add(self.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "run", recording)
+        experiment = Experiment(scale=self.SCALE, seed=9, jobs=1,
+                                uarches=("haswell",))
+        experiment.measured("haswell")
+        assert timed == {"haswell"}
+
+    def test_counters_and_span_account_every_sibling(self, cache):
+        cache("traced")
+        sink = MemorySink()
+        telemetry.enable(sink)
+        try:
+            with simcore.forced(True):
+                _measure_all(Experiment(scale=self.SCALE, seed=9, jobs=1))
+            counters = telemetry.registry().snapshot()["counters"]
+        finally:
+            telemetry.reset()
+        spans = [r for r in sink.records
+                 if r["name"] == "experiment.measure"]
+        runs = [span["sibling_runs"] for span in spans]
+        hits = [span["sibling_hits"] for span in spans]
+        assert runs[0] > 0 and runs[2] == 0 and hits[0] == 0
+        assert sum(runs) == sum(hits) == counters["profiler.sibling_runs"]
+        assert counters["profiler.sibling_hits"] == sum(hits)

@@ -183,6 +183,16 @@ class TestRoutes:
             assert stats.body["breaker"] == "closed"
             assert isinstance(stats.body["queue_depth"], int)
 
+    def test_stats_exposes_latency_and_queue_wait_histograms(
+            self, harness):
+        with harness as client:
+            assert client.profile([ADD]).status == 200
+            histograms = client.stats().body["histograms"]
+        for name in ("serve.latency_ms", "serve.queue_wait_ms"):
+            summary = histograms[name]
+            assert summary["count"] >= 1
+            assert 0 <= summary["p50"] <= summary["max"]
+
 
 class TestChaos:
     def test_queue_full_chaos_sheds_429(self, harness):
@@ -249,6 +259,18 @@ class TestDeadlines:
 
 
 class TestBatcher:
+    def test_zero_batch_size_still_answers_a_deadlined_request(
+            self, tmp_path):
+        # ``--batch 0`` is raised to 1: a batch that pops nothing would
+        # leave the request queued past its deadline, never answered.
+        config = ServeConfig.from_env(
+            socket=str(tmp_path / "serve.sock"), jobs=1, batch_size=0,
+            state_dir=str(tmp_path / "state"))
+        with DaemonHarness(config):
+            client = ServeClient(socket_path=config.socket, timeout=10.0)
+            response = client.profile([ADD], deadline_ms=100)
+        assert response.status in (200, 504)
+
     def test_requests_queued_behind_a_batch_form_the_next_one(
             self, harness, tmp_path):
         spy = ExecuteSpy(harness.service, hold_first=True)

@@ -117,7 +117,8 @@ class TestLineFormat:
             journal.open()
             journal.record_request("d1", BODY)
             # Visible to an independent reader before close().
-            raw = open(str(tmp_path / REQUEST_LOG_NAME)).read()
+            with open(str(tmp_path / REQUEST_LOG_NAME)) as fh:
+                raw = fh.read()
             assert '"req"' in raw
         assert os.path.getsize(str(tmp_path / REQUEST_LOG_NAME)) > 0
 

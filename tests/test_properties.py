@@ -260,3 +260,25 @@ def test_every_tier_measures_generated_blocks_identically(block, uarch):
         results.append(measured(result))
     for tier, result in zip(TIERS[1:], results[1:]):
         assert result == results[0], tier
+
+
+@given(block=corpus_blocks(), order=st.permutations(UARCHES))
+@settings(max_examples=40, deadline=None)
+def test_sibling_results_equal_standalone_profiles(block, order):
+    """Each uarch's profiler times the block on the uarches after it
+    too; what each later profiler takes from the table is exactly a
+    standalone profile, on every tier."""
+    for tier in TIERS:
+        with simcore.forced(tier[0]), blockplan.forced(tier[1]):
+            table = {}
+            shared = [BasicBlockProfiler(
+                Machine(uarch),
+                siblings=[Machine(u) for u in order[i + 1:]],
+                table=table).profile(block)
+                for i, uarch in enumerate(order)]
+            alone = [BasicBlockProfiler(Machine(uarch)).profile(block)
+                     for uarch in order]
+        assert not table, tier
+        for uarch, got, want in zip(order, shared, alone):
+            assert (got.uarch, measured(got), got.extra) == \
+                (uarch, measured(want), want.extra), (tier, uarch)
