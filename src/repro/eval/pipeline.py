@@ -35,15 +35,21 @@ from repro.profiler.result import ProfileResult
 from repro.resilience import JOURNAL_NAME, RunJournal
 from repro.resilience import policy as resilience
 
+
+def _env(name: str, default: str) -> str:
+    """``name``'s value, or ``default`` when it is unset or blank (as
+    ``repro.parallel.default_jobs`` reads ``REPRO_JOBS``)."""
+    return os.environ.get(name, "").strip() or default
+
+
 #: Default scale for benches: 1/250 of the paper's 358k blocks.
-DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.004"))
-DEFAULT_SEED = int(os.environ.get("REPRO_SEED", "0"))
+DEFAULT_SCALE = float(_env("REPRO_SCALE", "0.004"))
+DEFAULT_SEED = int(_env("REPRO_SEED", "0"))
 #: Worker processes for measurement.  1 (fully serial) unless
 #: ``REPRO_JOBS`` says otherwise; the CLI defaults to every core
 #: instead (see ``repro.parallel.default_jobs``).
-DEFAULT_JOBS = max(1, int(os.environ.get("REPRO_JOBS", "1")))
-SHARD_SIZE = max(1, int(os.environ.get("REPRO_SHARD_SIZE",
-                                       str(DEFAULT_SHARD_SIZE))))
+DEFAULT_JOBS = max(1, int(_env("REPRO_JOBS", "1")))
+SHARD_SIZE = max(1, int(_env("REPRO_SHARD_SIZE", str(DEFAULT_SHARD_SIZE))))
 
 UARCHES = ("ivybridge", "haswell", "skylake")
 
@@ -173,8 +179,8 @@ class Experiment:
     #: Worker processes for :meth:`measured` (1 = serial in-process).
     jobs: int = DEFAULT_JOBS
     shard_size: int = SHARD_SIZE
-    #: The uarches this experiment will measure.  A serial
-    #: :meth:`measured` of the main corpus times each block it profiles
+    #: The uarches this experiment will measure.  A :meth:`measured` of
+    #: the main corpus, serial or pooled, times each block it profiles
     #: on the ones not yet measured as well, so each block is mapped
     #: and priced once (docs/performance.md).
     uarches: Tuple[str, ...] = UARCHES
@@ -190,7 +196,8 @@ class Experiment:
     _models: Optional[List[CostModel]] = field(default=None, repr=False)
     _google: Optional[Dict[str, Corpus]] = field(default=None, repr=False)
     #: (uarch, block text) -> a result profiled alongside another
-    #: uarch, waiting for that uarch's own :meth:`measured` call.
+    #: uarch, in this process or in a pool worker, waiting for that
+    #: uarch's own :meth:`measured` call.
     _sibling_table: Dict[Tuple[str, str], ProfileResult] = field(
         default_factory=dict, repr=False)
 
@@ -252,9 +259,10 @@ class Experiment:
         (v1/v2) cache file for this exact corpus is migrated into
         per-shard entries on first load.
 
-        A serial call on the main corpus times each block it profiles
-        on every declared uarch (:attr:`uarches`) not yet measured as
-        well; those results wait in the experiment until that uarch's
+        A call on the main corpus, at any ``jobs``, times each block it
+        profiles on every declared uarch (:attr:`uarches`) not yet
+        measured as well; pool workers send those results back with
+        their shards.  They wait in the experiment until that uarch's
         own call takes them, and are dropped once it returns.
         """
         key = f"{tag}:{uarch}"
@@ -279,9 +287,8 @@ class Experiment:
         table: Dict[Tuple[str, str], ProfileResult] = {}
         if tag == "main":
             table = self._sibling_table
-            if jobs == 1:
-                siblings = tuple(u for u in self.uarches if u != uarch
-                                 and f"main:{u}" not in self._measured)
+            siblings = tuple(u for u in self.uarches if u != uarch
+                             and f"main:{u}" not in self._measured)
         waiting = sum(1 for u, _ in table if u == uarch)
         others = len(table) - waiting
         with profiling.phase(f"measure:{key}"), \

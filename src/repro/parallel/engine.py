@@ -117,9 +117,9 @@ def default_shard_timeout() -> float:
 # ---------------------------------------------------------------------------
 
 #: Per-worker-process profiler cache: building the scheduler/decomposer
-#: once per (descriptor, config) and reusing it across shards matches
-#: the in-process path, where one profiler walks the corpus (both drop
-#: theirs every :data:`EPOCH_BLOCKS` blocks).
+#: once per (descriptor, config, siblings) and reusing it across shards
+#: matches the in-process path, where one profiler walks the corpus
+#: (both drop theirs every :data:`EPOCH_BLOCKS` blocks).
 _WORKER_PROFILERS: Dict[Tuple, BasicBlockProfiler] = {}
 
 
@@ -169,12 +169,15 @@ def _maybe_worker_chaos(records: tuple) -> None:
 
 
 def _worker_profiler(descriptor: MachineDescriptor,
-                     config: Optional[ProfilerConfig]
-                     ) -> BasicBlockProfiler:
-    key = (descriptor, config)
+                     config: Optional[ProfilerConfig],
+                     siblings: Tuple[str, ...]) -> BasicBlockProfiler:
+    key = (descriptor, config, siblings)
     profiler = _WORKER_PROFILERS.get(key)
     if profiler is None:
-        profiler = BasicBlockProfiler(descriptor.build(), config)
+        profiler = BasicBlockProfiler(
+            descriptor.build(), config,
+            siblings=[replace(descriptor, uarch=name).build()
+                      for name in siblings])
         _WORKER_PROFILERS[key] = profiler
     return profiler
 
@@ -186,9 +189,17 @@ _WORKER_SINCE_RESET = [0]
 
 def profile_shard_worker(descriptor: MachineDescriptor,
                          config: Optional[ProfilerConfig],
-                         index: int, records: tuple
-                         ) -> Tuple[int, CorpusProfile]:
+                         index: int, records: tuple,
+                         siblings: Tuple[str, ...], waiting: Dict
+                         ) -> Tuple[int, CorpusProfile, Dict, List]:
     """Profile one shard in a worker process (must stay picklable).
+
+    ``waiting`` holds the parent table's results for this shard's
+    blocks on this uarch, keyed (uarch, block text).  The shard is
+    profiled against a table of just those, timing each fresh block on
+    ``siblings`` as well, and the worker returns the profile, the
+    sibling results it left in that table and the keys it took from
+    it, for the parent to fold into its own table.
 
     Every :data:`EPOCH_BLOCKS` profiled blocks the worker drops its
     profiler cache and the compiled-plan cache, so its RSS tracks the
@@ -209,7 +220,8 @@ def profile_shard_worker(descriptor: MachineDescriptor,
         # the parent merges them per shard, in shard-index order.
         hub.registry.reset()
         hub.context["shard"] = index
-    profiler = _worker_profiler(descriptor, config)
+    profiler = _worker_profiler(descriptor, config, siblings)
+    profiler.table = table = dict(waiting)
     with telemetry.span("worker.shard", shard=index,
                         blocks=len(records)):
         profile = profile_records_detailed(profiler, records)
@@ -218,7 +230,10 @@ def profile_shard_worker(descriptor: MachineDescriptor,
         counters = dict(hub.registry.snapshot()["counters"])
         telemetry.event("worker.shard_summary", shard=index,
                         counters=counters)
-    return index, profile
+    taken = [key for key in waiting if key not in table]
+    shared = {key: result for key, result in table.items()
+              if key not in waiting}
+    return index, profile, shared, taken
 
 
 #: Decode-table cache_info() totals already exported by this worker
@@ -299,15 +314,37 @@ def _replicate_profiler_counters(profile: CorpusProfile) -> None:
             telemetry.count(f"profiler.{name}", value)
 
 
+def _land_siblings(table: Dict, shared: Dict, taken: List) -> None:
+    """Fold a pooled shard's sibling traffic into the parent's table.
+
+    Takes the results the shard's worker used off the table and puts
+    the ones it timed for siblings in, counting each as the in-process
+    profiler would: a hit per result taken, a run per result the table
+    did not hold yet.
+    """
+    hits = sum(table.pop(key, None) is not None for key in taken)
+    runs = 0
+    for key, result in shared.items():
+        if key not in table:
+            table[key] = result
+            runs += 1
+    if hits:
+        telemetry.count("profiler.sibling_hits", hits)
+    if runs:
+        telemetry.count("profiler.sibling_runs", runs)
+
+
 #: Worker counters the parent must NOT merge during stitching: these
 #: are re-derived from the merged funnel/info by
 #: ``_replicate_profiler_counters`` (which also covers cache-hit and
-#: rescued shards, where no worker registry exists), so merging them
-#: again would double-count.
+#: rescued shards, where no worker registry exists), or counted from
+#: each landed shard's sibling results by ``_land_siblings``, so
+#: merging them again would double-count.
 _STITCH_EXCLUDED = frozenset({
     "profiler.blocks_total", "profiler.blocks_accepted",
     "profiler.fastpath_extrapolated", "profiler.blockplan_compiled",
     "profiler.chaos_block_poison", "profiler.step_budget_exceeded",
+    "profiler.sibling_runs", "profiler.sibling_hits",
 })
 
 
@@ -446,8 +483,9 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
     verified against the journal on resume, and mismatches are
     quarantined and re-profiled.  ``stats``, if given, is filled with
     run accounting (shard counts, cache hits, resumed shards, retries,
-    failures).  ``siblings`` and ``table`` reach only the in-process
-    profiler (see :func:`profile_corpus_streamed`).
+    failures).  ``siblings`` and ``table`` reach the in-process
+    profiler and every pool worker (see
+    :func:`profile_corpus_streamed`).
     """
     if shards is None:
         shards = shard_corpus(corpus, shard_size)
@@ -549,12 +587,16 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     order — the hook streaming writers (``repro corpus --stream``)
     attach to emit rows incrementally.
 
-    ``siblings`` (uarch names) and ``table`` go to the in-process
-    profiler only: it times each fresh block on the siblings too and
-    leaves their results in ``table``, keyed by (uarch, block text),
-    and takes its own from there (see
-    :class:`~repro.profiler.harness.BasicBlockProfiler`).  Pool
-    workers and the serial rescue get neither.
+    ``siblings`` (uarch names) and ``table`` make each fresh block
+    timed on the siblings too, their results left in ``table`` keyed
+    by (uarch, block text), and each block's own result taken from
+    there when one waits (see
+    :class:`~repro.profiler.harness.BasicBlockProfiler`).  The
+    in-process profiler works on ``table`` itself.  A pooled shard
+    ships with the results waiting for its blocks on ``uarch`` and
+    brings its sibling results back, which land in ``table``.  The
+    serial rescue gets neither, so a rescued shard's blocks are
+    profiled fresh in their own sibling rows.
     """
     from repro.runtime.plan import clear_plan_cache
     jobs = default_jobs() if jobs is None else max(1, jobs)
@@ -588,6 +630,9 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
 
     descriptor = MachineDescriptor(uarch=uarch, seed=seed,
                                    trace=trace_id)
+    # A caller with no table gets no sibling results back, so its
+    # workers time no siblings.
+    shipped_siblings = tuple(siblings) if table is not None else ()
 
     journaled: Dict[str, int] = {}
     if journal is not None:
@@ -648,19 +693,24 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     def submit(shard: Shard) -> None:
         nonlocal pool
         _account_planned_worker_faults(shard)
+        waiting = {}
+        if table is not None:
+            for record in shard.records:
+                key = (uarch, record.block.text())
+                if key in table:
+                    waiting[key] = table[key]
+        args = (descriptor, config, shard.index, shard.records,
+                shipped_siblings, waiting)
         executor = ensure_pool()
         try:
-            future = executor.submit(worker_fn, descriptor, config,
-                                     shard.index, shard.records)
+            future = executor.submit(worker_fn, *args)
         except Exception:
             # The pool died between submits (e.g. a crashed worker
             # broke it): rebuild once and retry; a second failure is
             # fatal and propagates.
             _terminate_pool(executor)
             pool = None
-            future = ensure_pool().submit(worker_fn, descriptor,
-                                          config, shard.index,
-                                          shard.records)
+            future = ensure_pool().submit(worker_fn, *args)
         inflight[shard.index] = (future, shard, time.monotonic())
 
     def rescue(shard: Shard) -> CorpusProfile:
@@ -696,7 +746,7 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
 
     def land(future, shard: Shard) -> CorpusProfile:
         try:
-            _, profile = future.result(timeout=0)
+            _, profile, shared, taken = future.result(timeout=0)
         except Exception as exc:  # BrokenProcessPool, or whatever
             # the worker raised — all rescued serially.
             telemetry.event("parallel.shard_error", shard=shard.index,
@@ -704,6 +754,8 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
             return rescue(shard)
         run_stats["profiled"] += 1
         _replicate_profiler_counters(profile)
+        if table is not None:
+            _land_siblings(table, shared, taken)
         _store(cache, shard, profile, run_stats, journal)
         return profile
 

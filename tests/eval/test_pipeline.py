@@ -1,6 +1,8 @@
 """The cached experiment pipeline."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -110,3 +112,35 @@ class TestGoogle:
 def test_default_experiment_is_shared():
     assert default_experiment(0.0003, 99) is \
         default_experiment(0.0003, 99)
+
+
+_PIPELINE_ENV = ("REPRO_SCALE", "REPRO_SEED", "REPRO_JOBS",
+                 "REPRO_SHARD_SIZE")
+
+
+def _import_pipeline(tmp_path, **env):
+    """Import the pipeline in a fresh interpreter under ``env``."""
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                        "..", ".."))
+    full = {k: v for k, v in os.environ.items() if k not in _PIPELINE_ENV}
+    full["PYTHONPATH"] = os.path.join(root, "src")
+    full.update(env)
+    script = ("import repro.eval.pipeline as p; print(p.DEFAULT_SCALE, "
+              "p.DEFAULT_SEED, p.DEFAULT_JOBS, p.SHARD_SIZE)")
+    return subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=full, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("value", ["", "  "], ids=["empty", "blank"])
+def test_blank_pipeline_env_reads_as_unset(tmp_path, value):
+    out = _import_pipeline(tmp_path,
+                           **{name: value for name in _PIPELINE_ENV})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0.004", "0", "1", "32"]
+
+
+def test_garbage_pipeline_env_is_an_error(tmp_path):
+    out = _import_pipeline(tmp_path, REPRO_JOBS="abc")
+    assert out.returncode != 0
+    assert "ValueError" in out.stderr

@@ -26,15 +26,15 @@ from repro.profiler.result import FailureReason
 
 # --- picklable worker stubs -------------------------------------------------
 
-def worker_raises(descriptor, config, index, records):
+def worker_raises(descriptor, config, index, records, siblings, waiting):
     raise RuntimeError("injected worker exception")
 
 
-def worker_dies(descriptor, config, index, records):
+def worker_dies(descriptor, config, index, records, siblings, waiting):
     os._exit(13)  # hard death: BrokenProcessPool in the parent
 
 
-def worker_hangs(descriptor, config, index, records):
+def worker_hangs(descriptor, config, index, records, siblings, waiting):
     time.sleep(120)
 
 

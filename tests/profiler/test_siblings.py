@@ -3,7 +3,8 @@
 A profiler given siblings and a table maps and prices each fresh block
 once, times it on every sibling that supports it and prices alike, and
 leaves those results in the table for the sibling's own profiler.
-Every result taken from the table must equal a standalone profile.
+Every result taken from the table must equal a standalone profile,
+whether a serial experiment or a pool worker timed it.
 """
 
 from dataclasses import astuple, replace
@@ -17,6 +18,8 @@ from repro.profiler import (AblationStage, BasicBlockProfiler,
                             config_for_stage, relaxed)
 from repro.profiler.environment import Environment
 from repro.profiler.mapping import map_pages
+from repro.resilience import chaos
+from repro.resilience.chaos import ChaosPolicy
 from repro.telemetry.core import MemorySink
 from repro.uarch import Machine
 
@@ -158,19 +161,20 @@ class TestProfiler:
             ("skylake", "RuntimeError")
 
 
-def _measure_all(experiment):
+def _measure_all(experiment, uarches=UARCHES):
     return {u: (experiment.measured(u), experiment.funnel(u),
-                experiment.info(u)) for u in UARCHES}
+                experiment.info(u)) for u in uarches}
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    def use(name):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / name))
+    return use
 
 
 class TestExperiment:
     SCALE = 0.0003
-
-    @pytest.fixture
-    def cache(self, tmp_path, monkeypatch):
-        def use(name):
-            monkeypatch.setenv("REPRO_CACHE", str(tmp_path / name))
-        return use
 
     def test_suite_equals_one_experiment_per_uarch(self, cache):
         cache("standalone")
@@ -235,3 +239,118 @@ class TestExperiment:
         assert runs[0] > 0 and runs[2] == 0 and hits[0] == 0
         assert sum(runs) == sum(hits) == counters["profiler.sibling_runs"]
         assert counters["profiler.sibling_hits"] == sum(hits)
+
+
+SIBLING_COUNTERS = ("profiler.sibling_runs", "profiler.sibling_hits")
+
+
+def _counted(run):
+    """``run()`` with the fast path on and metrics collected, and the
+    counters it left."""
+    telemetry.enable()
+    try:
+        with simcore.forced(True):
+            value = run()
+        return value, telemetry.registry().snapshot()["counters"]
+    finally:
+        telemetry.reset()
+
+
+@pytest.fixture(scope="module")
+def standalone(tmp_path_factory):
+    """By corpus seed: one serial single-uarch experiment per uarch,
+    fast path on (the store keeps its info tallies)."""
+    memo = {}
+
+    def measure(seed):
+        if seed not in memo:
+            with pytest.MonkeyPatch.context() as patch, \
+                    simcore.forced(True):
+                patch.setenv("REPRO_CACHE",
+                             str(tmp_path_factory.mktemp("standalone")))
+                memo[seed] = {}
+                for uarch in UARCHES:
+                    single = Experiment(scale=TestExperiment.SCALE,
+                                        seed=seed, jobs=1,
+                                        uarches=(uarch,))
+                    memo[seed].update(_measure_all(single, (uarch,)))
+        return memo[seed]
+    return measure
+
+
+class TestPooledExperiment:
+    """Pool workers time siblings too: each pooled shard ships with the
+    results waiting for its blocks and brings its sibling results back
+    into the experiment's table."""
+
+    SCALE = TestExperiment.SCALE
+
+    def test_suite_equals_one_serial_experiment_per_uarch(
+            self, cache, standalone):
+        cache("pooled")
+        suite = Experiment(scale=self.SCALE, seed=9, jobs=2)
+        measured, counters = _counted(lambda: _measure_all(suite))
+        assert measured == standalone(9)
+        assert not suite._sibling_table
+        assert counters.get("profiler.sibling_runs", 0) > 0
+
+    def test_filled_store_leaves_no_sibling_behind(self, cache,
+                                                   standalone):
+        cache("pooled")
+
+        def suite_over_a_filled_store():
+            Experiment(scale=self.SCALE, seed=9, jobs=2,
+                       uarches=("skylake",)).measured("skylake")
+            suite = Experiment(scale=self.SCALE, seed=9, jobs=2)
+            suite.measured("ivybridge")
+            suite.measured("haswell")
+            assert {u for u, _ in suite._sibling_table} == {"skylake"}
+            return suite, _measure_all(suite)
+
+        (suite, measured), counters = _counted(suite_over_a_filled_store)
+        assert measured == standalone(9)
+        assert not suite._sibling_table
+        assert counters.get("profiler.sibling_runs", 0) > 0
+
+    def test_rescued_shards_reprofile_in_their_own_rows(self, cache,
+                                                        standalone):
+        # On corpus seed 1 this policy crashes a worker in the first
+        # window, so its shards are rescued with no siblings, while
+        # the last shard of each row lands from a rebuilt pool with
+        # its siblings.
+        cache("chaos")
+        suite = Experiment(scale=self.SCALE, seed=1, jobs=2)
+        with chaos.forced(ChaosPolicy.parse("3:worker_crash=0.5")):
+            measured, counters = _counted(lambda: _measure_all(suite))
+        assert counters.get("parallel.worker_retries", 0) > 0
+        assert measured == standalone(1)
+        assert not suite._sibling_table
+        assert counters.get("profiler.sibling_runs", 0) > 0
+
+    @pytest.mark.parametrize("traced", [True, False],
+                             ids=["traced", "metrics-only"])
+    def test_counters_and_spans_read_as_serial(self, cache, traced):
+        # Chaos off: a rescued shard's blocks are timed in their own
+        # rows, so the counts follow serial only with no worker fault.
+        seen = {}
+        for jobs in (1, 2):
+            cache(f"jobs{jobs}")
+            sink = MemorySink() if traced else None
+            telemetry.enable(sink)
+            try:
+                with simcore.forced(True), chaos.forced(None):
+                    _measure_all(Experiment(scale=self.SCALE, seed=9,
+                                            jobs=jobs))
+                counters = telemetry.registry().snapshot()["counters"]
+            finally:
+                telemetry.reset()
+            spans = [(r["sibling_runs"], r["sibling_hits"])
+                     for r in (sink.records if traced else ())
+                     if r["name"] == "experiment.measure"]
+            seen[jobs] = ([counters.get(name, 0)
+                           for name in SIBLING_COUNTERS], spans)
+        assert seen[1] == seen[2]
+        counted, spans = seen[2]
+        assert all(counted)
+        if traced:
+            assert [sum(column) for column in zip(*spans)] == counted

@@ -186,11 +186,12 @@ def _stub_profile(records) -> CorpusProfile:
                 "dropped": {"worker_failure": len(records)}})
 
 
-def worker_fast_then_hang(descriptor, config, index, records):
+def worker_fast_then_hang(descriptor, config, index, records, siblings,
+                          waiting):
     """Picklable stub: first shard returns, the rest hang."""
     if index > 0:
         time.sleep(120)
-    return index, _stub_profile(records)
+    return index, _stub_profile(records), {}, []
 
 
 class TestPoolTeardown:

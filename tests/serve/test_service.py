@@ -39,7 +39,7 @@ def _service(config, **kw):
 
 # --- picklable failing worker (pool imports this module by reference)
 
-def worker_raises(descriptor, config, index, records):
+def worker_raises(descriptor, config, index, records, siblings, waiting):
     raise RuntimeError("injected worker exception")
 
 
