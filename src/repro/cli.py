@@ -33,8 +33,8 @@ reports the top cumulative hotspots.
 Resilience flags (docs/robustness.md): ``--chaos SPEC`` arms seeded
 deterministic fault injection; ``--strict`` / ``--salvage`` choose
 whether quarantines fail the run or degrade; ``--resume`` (corpus /
-validate) measures through the journaled shard cache so a killed run
-continues from its completed shards.
+validate) measures through the result store so a killed run continues
+from the blocks it stored.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ def _resolve_jobs(args) -> int:
 
 
 def _measured_resumable(args, corpus, jobs: int):
-    """Measure through the journaled shard cache (``--resume``).
+    """Measure through the result store (``--resume``).
 
     Routes measurement through :class:`repro.eval.pipeline.Experiment`,
-    whose shard cache + run journal make a killed run continue from
-    its completed shards with byte-identical output.
+    whose store makes a killed run continue from the blocks it stored,
+    with byte-identical output.
     """
     from repro.eval.pipeline import Experiment
     experiment = Experiment(scale=args.scale, seed=args.seed,
@@ -173,8 +173,7 @@ def _stream_corpus_cmd(args) -> int:
     Records flow straight from the lazy generators through the
     streamed engine into an incremental writer; ``--sample`` threads
     an order-blind stratified filter into the stream; ``--resume``
-    journals against a corpus *spec* digest (scale/seed/apps), since a
-    stream cannot digest records it has not generated yet.
+    reads and fills the same result store as the list source.
     """
     from repro.corpus import sampling, streaming
     from repro.corpus.io import StreamCsvWriter, StreamJsonWriter
@@ -208,21 +207,10 @@ def _stream_corpus_cmd(args) -> int:
         return 0
 
     jobs = _resolve_jobs(args)
-    cache = journal = journal_meta = None
+    cache = None
     if args.resume:
-        from repro.eval.pipeline import JOURNAL_NAME, _shard_cache_dir
-        from repro.parallel import ShardCache
-        from repro.resilience.journal import RunJournal
-        cache = ShardCache(_shard_cache_dir("stream", args.uarch,
-                                            args.seed))
-        journal = RunJournal(os.path.join(cache.directory,
-                                          JOURNAL_NAME))
-        journal_meta = {
-            "uarch": args.uarch, "seed": args.seed,
-            "stream": streaming.corpus_spec_digest(args.scale,
-                                                   args.seed),
-            "sample": fraction or 1.0,
-        }
+        from repro.eval.pipeline import result_store
+        cache = result_store(args.seed)
 
     totals = {"blocks": 0, "measured": 0}
 
@@ -238,8 +226,8 @@ def _stream_corpus_cmd(args) -> int:
     with profiling.phase(f"measure:stream:{args.uarch}"), writer:
         profile_corpus_streamed(
             source(), args.uarch, seed=args.seed, jobs=jobs,
-            cache=cache, journal=journal, journal_meta=journal_meta,
-            run_label=f"stream:{args.uarch}", on_shard=on_shard)
+            cache=cache, run_label=f"stream:{args.uarch}",
+            on_shard=on_shard)
     print(f"measured {totals['measured']}/{totals['blocks']} blocks "
           f"on {args.uarch} ({jobs} jobs, streamed)")
     print(f"wrote {writer.written} blocks to {args.out}")
@@ -479,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "also $REPRO_CHAOS)")
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--strict", action="store_true",
-                          help="promote quarantines (corrupt cache "
-                               "files, poisoned blocks, failed "
+                          help="promote quarantines (corrupt store "
+                               "records, poisoned blocks, failed "
                                "writes) into run failures")
         mode.add_argument("--salvage", action="store_true",
                           help="degrade and continue on quarantines "
@@ -493,11 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "os.cpu_count(), or $REPRO_JOBS); results "
                             "are bit-identical to --jobs 1")
         p.add_argument("--resume", action="store_true",
-                       help="measure through the journaled shard "
-                            "cache: a previous run of the same "
-                            "(scale, seed, uarch) killed mid-flight "
-                            "continues from its completed shards, "
-                            "with byte-identical output")
+                       help="measure through the result store: a "
+                            "previous run with the same seed, killed "
+                            "mid-flight or finished, leaves its blocks "
+                            "stored, and this run profiles only the "
+                            "rest, with byte-identical output")
         p.add_argument("--window", type=int, default=None, metavar="N",
                        help="blocks per live-telemetry window "
                             "(default: 64, or $REPRO_WINDOW); the "
@@ -597,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests over HTTP (Unix socket or TCP), "
                             "run whatever is queued as one "
                             "content-addressed batch, answer from the "
-                            "shared shard cache (see docs/service.md)")
+                            "shared result store (see docs/service.md)")
     listen = p.add_mutually_exclusive_group(required=True)
     listen.add_argument("--socket", metavar="PATH", default=None,
                         help="listen on a Unix-domain socket at PATH")
@@ -644,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ceiling on the graceful SIGTERM drain "
                         "(default 10, or $REPRO_SERVE_DRAIN_S)")
     p.add_argument("--state", metavar="DIR", default=None,
-                   help="state directory: request journal + per-uarch "
-                        "shard caches (default <cache>/serve, or "
+                   help="state directory: request journal + per-seed "
+                        "result stores (default <cache>/serve, or "
                         "$REPRO_SERVE_STATE)")
     common(p)
     p.set_defaults(func=cmd_serve)

@@ -28,7 +28,6 @@ shards), not O(corpus).
 
 from __future__ import annotations
 
-import zlib
 from typing import Iterator, Optional, Sequence
 
 from repro.corpus.dataset import (DEFAULT_APPS, BlockRecord, get_spec,
@@ -36,7 +35,7 @@ from repro.corpus.dataset import (DEFAULT_APPS, BlockRecord, get_spec,
 from repro.corpus.synthesis import BlockSynthesizer
 from repro.corpus.tracing import assign_frequencies
 
-__all__ = ["iter_application", "iter_corpus", "corpus_spec_digest"]
+__all__ = ["iter_application", "iter_corpus"]
 
 
 def iter_application(name: str, scale: float = 0.01, seed: int = 0,
@@ -80,17 +79,3 @@ def iter_corpus(scale: float = 0.01, seed: int = 0,
                                        id_base=next_id):
             yield record
             next_id = record.block_id + 1
-
-
-def corpus_spec_digest(scale: float, seed: int,
-                       applications: Sequence[str] = DEFAULT_APPS,
-                       shard_size: int = 32) -> str:
-    """Stable identity of a generated stream for journal pinning.
-
-    A run over a materialised corpus journals a CRC over every shard
-    digest; a stream of unknown length cannot, so it pins the
-    *generator spec* instead — same scale, seed, app list and shard
-    size means the same shards.
-    """
-    spec = f"{scale!r}|{seed}|{','.join(applications)}|{shard_size}"
-    return f"{zlib.crc32(spec.encode()):08x}"

@@ -47,10 +47,12 @@ REGISTRY: List[EnvVar] = [
            "worker-pool size for `--jobs`-aware commands and benches",
            "pipeline"),
     EnvVar("REPRO_SHARD_SIZE", "`32`",
-           "blocks per content-addressed measurement-cache shard",
+           "blocks per engine shard, the unit of work handed to a pool "
+           "worker (the result store is keyed by block, not shard)",
            "pipeline"),
     EnvVar("REPRO_CACHE", "`.cache/`",
-           "measurement-cache directory", "pipeline"),
+           "root of the result stores: one record per (uarch, block "
+           "text) under `results_<seed>/`", "pipeline"),
     EnvVar("REPRO_REPORT_DIR", "`reports/`",
            "where benches and telemetry write reports", "pipeline"),
     EnvVar("REPRO_SAMPLE", "unset",
@@ -117,7 +119,7 @@ REGISTRY: List[EnvVar] = [
            "shutdown", "serve"),
     EnvVar("REPRO_SERVE_STATE", "`<cache>/serve`",
            "daemon state directory: CRC-self-checked request journal "
-           "plus per-(uarch, seed) shard caches", "serve"),
+           "plus one result store per seed", "serve"),
 ]
 
 #: Order groups render in when a table spans several.

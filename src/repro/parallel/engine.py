@@ -14,8 +14,15 @@ complete.  At most :data:`PREFETCH_PER_JOB` × jobs shards are in
 flight and profilers drop their retained state every
 :data:`EPOCH_BLOCKS` profiled blocks, so memory is bounded on every
 run.  :func:`profile_corpus_sharded` is the entry for a materialised
-corpus: it cuts the shards, pins the journal identity to their
-digests, and streams them through the same loop.
+corpus: it cuts the shards and streams them through the same loop.
+
+The result store (:class:`~repro.parallel.shard_cache.ShardCache`)
+is block-keyed: each arriving shard's blocks are looked up by (uarch,
+text), only the misses are profiled, the parent alone writes their
+entries (and the ones timed for sibling uarches), and hits and fresh
+entries fold in record order through
+:func:`~repro.profiler.harness.fold_entries` — so a shard's profile
+is the same whichever of its blocks the store already held.
 
 Robustness: a worker that dies (``BrokenProcessPool``) or exceeds the
 per-shard timeout does not poison the run.  The shard is retried
@@ -23,20 +30,20 @@ serially in the parent under the bounded
 :class:`repro.resilience.RetryPolicy` (deterministic jittered
 backoff); if every attempt fails, its blocks are recorded under the
 ``worker_failure`` funnel bucket so coverage still accounts for every
-block.  Only successfully profiled shards are written to the shard
-cache.  On ``KeyboardInterrupt`` or any other fatal error the pool is
+block.  Only successfully profiled blocks are written to the store.
+On ``KeyboardInterrupt`` or any other fatal error the pool is
 hard-stopped and its workers reaped, so no orphan processes or
-half-written shard files outlive the run.
+half-written records outlive the run.
 
-Crash-safe resume: pass a :class:`repro.resilience.RunJournal` and
-every completed shard is durably journaled (digest + checksum of the
-cache bytes).  A later run over the same corpus verifies each cache
-hit against the journal and quarantines mismatches, so a run killed
-at any point resumes to byte-identical output.
+Crash-safe resume needs nothing more: every record is written
+atomically and self-checked on load, so a run killed at any point
+resumes from the records it wrote, as store hits, to byte-identical
+output.
 
 Chaos: the ``worker_crash`` / ``worker_hang`` fault points
 (:mod:`repro.resilience.chaos`) fire here, in pool workers only —
-keyed by shard digest, so the parent can mirror the (deterministic)
+keyed by the digest of the shard's misses (the shard's own digest
+when nothing hit), so the parent can mirror the (deterministic)
 decision into the run report's resilience section even though the
 worker's own telemetry dies with it.
 
@@ -64,7 +71,7 @@ from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
 
 from repro.corpus.dataset import BlockRecord, Corpus
 from repro.profiler.harness import (BasicBlockProfiler, ProfilerConfig,
-                                    profile_records_detailed)
+                                    fold_entries, result_entry)
 from repro.profiler.result import CorpusProfile, FailureReason
 from repro.parallel.shard_cache import ShardCache
 from repro.parallel.sharding import (DEFAULT_SHARD_SIZE, ProfileFolder,
@@ -72,7 +79,6 @@ from repro.parallel.sharding import (DEFAULT_SHARD_SIZE, ProfileFolder,
                                      stream_shards)
 from repro.resilience import chaos
 from repro.resilience import policy as resilience
-from repro.resilience.journal import RunJournal
 from repro.telemetry import core as telemetry
 from repro.telemetry import resources
 from repro.telemetry import window
@@ -187,19 +193,32 @@ def _worker_profiler(descriptor: MachineDescriptor,
 _WORKER_SINCE_RESET = [0]
 
 
+def _profile_entries(profiler: BasicBlockProfiler,
+                     records: Sequence[BlockRecord]) -> List[Dict]:
+    """Profile ``records`` in order; one store entry per record."""
+    return [result_entry(result) for result in
+            profiler.profile_many([record.block for record in records])]
+
+
+def _shared_entries(profiler: BasicBlockProfiler
+                    ) -> List[Tuple[str, str, Dict]]:
+    """(uarch, text, entry) of each result the profiler timed for a
+    sibling since it was last asked."""
+    return [(result.uarch, result.block_text, result_entry(result))
+            for result in profiler.take_shared()]
+
+
 def profile_shard_worker(descriptor: MachineDescriptor,
                          config: Optional[ProfilerConfig],
                          index: int, records: tuple,
-                         siblings: Tuple[str, ...], waiting: Dict
-                         ) -> Tuple[int, CorpusProfile, Dict, List]:
-    """Profile one shard in a worker process (must stay picklable).
+                         siblings: Tuple[str, ...]
+                         ) -> Tuple[int, List[Dict], List]:
+    """Profile one shard's store misses in a worker process (must
+    stay picklable).
 
-    ``waiting`` holds the parent table's results for this shard's
-    blocks on this uarch, keyed (uarch, block text).  The shard is
-    profiled against a table of just those, timing each fresh block on
-    ``siblings`` as well, and the worker returns the profile, the
-    sibling results it left in that table and the keys it took from
-    it, for the parent to fold into its own table.
+    Returns the shard index, one entry per record, and the
+    (uarch, text, entry) of every result timed on ``siblings``, for
+    the parent to write to the store.
 
     Every :data:`EPOCH_BLOCKS` profiled blocks the worker drops its
     profiler cache and the compiled-plan cache, so its RSS tracks the
@@ -221,19 +240,15 @@ def profile_shard_worker(descriptor: MachineDescriptor,
         hub.registry.reset()
         hub.context["shard"] = index
     profiler = _worker_profiler(descriptor, config, siblings)
-    profiler.table = table = dict(waiting)
     with telemetry.span("worker.shard", shard=index,
                         blocks=len(records)):
-        profile = profile_records_detailed(profiler, records)
+        entries = _profile_entries(profiler, records)
     if traced:
         _export_decode_delta()
         counters = dict(hub.registry.snapshot()["counters"])
         telemetry.event("worker.shard_summary", shard=index,
                         counters=counters)
-    taken = [key for key in waiting if key not in table]
-    shared = {key: result for key, result in table.items()
-              if key not in waiting}
-    return index, profile, shared, taken
+    return index, entries, _shared_entries(profiler)
 
 
 #: Decode-table cache_info() totals already exported by this worker
@@ -266,13 +281,9 @@ def _export_decode_delta() -> None:
 # Parent side
 # ---------------------------------------------------------------------------
 
-def _worker_failure_profile(shard: Shard) -> CorpusProfile:
-    """Account a whole shard under the ``worker_failure`` bucket."""
-    return CorpusProfile(
-        throughputs={},
-        funnel={"total": len(shard), "accepted": 0,
-                "dropped": {FailureReason.WORKER_FAILURE.value:
-                            len(shard)}})
+#: The entry of a block whose shard failed in the pool and in every
+#: serial rescue; never written to the store.
+_WORKER_FAILURE_ENTRY = {"reason": FailureReason.WORKER_FAILURE.value}
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -295,13 +306,14 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _replicate_profiler_counters(profile: CorpusProfile) -> None:
-    """Mirror a worker-produced profile into the parent's counters.
+    """Mirror the profile of a worker's fresh entries into the
+    parent's counters.
 
     Workers keep their own (reset) telemetry, so the per-block
     ``profiler.*`` counters they would have bumped are lost to the
     parent; re-derive them from the funnel (and the informational
     ``info`` tallies, e.g. ``fastpath_extrapolated``) so run reports
-    built from counters stay consistent with the merged profile.
+    built from counters read as a serial run's.
     """
     funnel = profile.funnel
     telemetry.count("profiler.blocks_total", funnel["total"])
@@ -314,37 +326,15 @@ def _replicate_profiler_counters(profile: CorpusProfile) -> None:
             telemetry.count(f"profiler.{name}", value)
 
 
-def _land_siblings(table: Dict, shared: Dict, taken: List) -> None:
-    """Fold a pooled shard's sibling traffic into the parent's table.
-
-    Takes the results the shard's worker used off the table and puts
-    the ones it timed for siblings in, counting each as the in-process
-    profiler would: a hit per result taken, a run per result the table
-    did not hold yet.
-    """
-    hits = sum(table.pop(key, None) is not None for key in taken)
-    runs = 0
-    for key, result in shared.items():
-        if key not in table:
-            table[key] = result
-            runs += 1
-    if hits:
-        telemetry.count("profiler.sibling_hits", hits)
-    if runs:
-        telemetry.count("profiler.sibling_runs", runs)
-
-
 #: Worker counters the parent must NOT merge during stitching: these
-#: are re-derived from the merged funnel/info by
-#: ``_replicate_profiler_counters`` (which also covers cache-hit and
-#: rescued shards, where no worker registry exists), or counted from
-#: each landed shard's sibling results by ``_land_siblings``, so
-#: merging them again would double-count.
+#: are re-derived from each landed shard's fresh entries by
+#: ``_replicate_profiler_counters``, or counted from its sibling
+#: results as they land, so merging them again would double-count.
 _STITCH_EXCLUDED = frozenset({
     "profiler.blocks_total", "profiler.blocks_accepted",
     "profiler.fastpath_extrapolated", "profiler.blockplan_compiled",
     "profiler.chaos_block_poison", "profiler.step_budget_exceeded",
-    "profiler.sibling_runs", "profiler.sibling_hits",
+    "profiler.sibling_runs",
 })
 
 
@@ -424,7 +414,7 @@ def _feed_windows(aggregator: Optional[window.WindowAggregator],
                   profile: CorpusProfile) -> None:
     """Feed one shard's per-block cycles into the window aggregator.
 
-    Runs at every point a shard result lands (cache hit, serial,
+    Runs at every point a shard result lands (store hit, serial,
     pool, serial rescue, worker-failure bucket), so serial and pooled
     runs observe the same (index, value) pairs; the aggregator's
     arrival-order independence does the rest.  Dropped blocks feed
@@ -440,17 +430,6 @@ def _feed_windows(aggregator: Optional[window.WindowAggregator],
                            throughputs.get(record.block_id))
 
 
-def _journal_meta(uarch: str, seed: int,
-                  shards: Sequence[Shard]) -> Dict:
-    """Run identity the journal pins: same corpus, uarch, and seed."""
-    import zlib
-    crc = 0
-    for shard in shards:
-        crc = zlib.crc32(shard.digest.encode(), crc)
-    return {"uarch": uarch, "seed": seed, "shards": len(shards),
-            "corpus": f"{crc:08x}"}
-
-
 def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
                            *, jobs: Optional[int] = None,
                            config: Optional[ProfilerConfig] = None,
@@ -458,46 +437,40 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
                            shard_timeout: Optional[float] = None,
                            shards: Optional[Sequence[Shard]] = None,
                            cache: Optional[ShardCache] = None,
-                           journal: Optional[RunJournal] = None,
                            worker_fn=None, serial_fn=None,
                            retry: Optional[resilience.RetryPolicy] = None,
                            stats: Optional[Dict] = None,
                            run_label: Optional[str] = None,
                            siblings: Sequence[str] = (),
-                           table: Optional[Dict] = None
+                           on_shard: Optional[Callable[[Shard,
+                                                        CorpusProfile],
+                                                       None]] = None
                            ) -> CorpusProfile:
     """Profile a materialised corpus, bit-identical to serial.
 
     The list entry to :func:`profile_corpus_streamed`: it cuts
-    ``corpus`` into shards (unless ``shards`` are given), pins the
-    journal identity to a CRC over their digests, and hands the
+    ``corpus`` into shards (unless ``shards`` are given) and hands the
     engine the known block and shard totals for the live layer.
 
     ``jobs=1`` (or a corpus that fits the first prefetch window with a
     single pending shard) profiles in-process with no pool at all.
-    ``cache`` enables the v3 shard cache: shards whose digest already
-    has an entry are loaded instead of profiled, and freshly profiled
-    shards are written back atomically.  ``journal`` (requires
-    ``cache``) makes the run crash-safe: completed shards are durably
-    journaled with a checksum of their cache bytes, cache hits are
-    verified against the journal on resume, and mismatches are
-    quarantined and re-profiled.  ``stats``, if given, is filled with
-    run accounting (shard counts, cache hits, resumed shards, retries,
-    failures).  ``siblings`` and ``table`` reach the in-process
-    profiler and every pool worker (see
-    :func:`profile_corpus_streamed`).
+    ``cache`` is the result store: blocks it holds on ``uarch`` are
+    read instead of profiled, and fresh entries are written back
+    atomically, so a killed run resumes from what it wrote.
+    ``stats``, if given, is filled with run accounting (shard counts,
+    store hits, retries, failures).  ``siblings`` and ``on_shard``
+    are passed through (see :func:`profile_corpus_streamed`).
     """
     if shards is None:
         shards = shard_corpus(corpus, shard_size)
     return profile_corpus_streamed(
         iter(shards), uarch, seed=seed, jobs=jobs, config=config,
-        shard_timeout=shard_timeout, cache=cache, journal=journal,
-        journal_meta=(_journal_meta(uarch, seed, shards)
-                      if journal is not None else None),
+        shard_timeout=shard_timeout, cache=cache,
         worker_fn=worker_fn, serial_fn=serial_fn, retry=retry,
         stats=stats, run_label=run_label,
         total_blocks=sum(len(shard) for shard in shards),
-        total_shards=len(shards), siblings=siblings, table=table)
+        total_shards=len(shards), on_shard=on_shard,
+        siblings=siblings)
 
 
 def _as_shard_stream(source: Union[Iterable[BlockRecord],
@@ -529,8 +502,6 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                             shard_size: int = DEFAULT_SHARD_SIZE,
                             shard_timeout: Optional[float] = None,
                             cache: Optional[ShardCache] = None,
-                            journal: Optional[RunJournal] = None,
-                            journal_meta: Optional[Dict] = None,
                             worker_fn=None, serial_fn=None,
                             retry: Optional[resilience.RetryPolicy] = None,
                             stats: Optional[Dict] = None,
@@ -540,8 +511,7 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                             on_shard: Optional[Callable[[Shard,
                                                          "CorpusProfile"],
                                                         None]] = None,
-                            siblings: Sequence[str] = (),
-                            table: Optional[Dict] = None
+                            siblings: Sequence[str] = ()
                             ) -> CorpusProfile:
     """Profile a record or shard source in bounded memory.
 
@@ -562,23 +532,19 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     index-sorted pair list — so the returned profile is byte-identical
     to a serial walk of the same records.
 
-    ``jobs=1`` profiles every miss in-process as it arrives.  A pooled
-    run holds its misses until the first window fills or the source
-    ends.  A source that ends inside that window with one pending
-    shard profiles it in-process with no pool at all; with more, the
-    pool forks no more workers than there are pending shards.  A
-    worker exception or per-shard timeout escalates to a bounded
-    serial rescue in the parent; a shard that still fails lands in
-    the ``worker_failure`` bucket (or raises under strict mode), and a
-    broken pool is rebuilt once per submit so one crashed worker
-    cannot sink the rest of the stream.
-
-    The engine cannot derive journal identity from a corpus it has
-    not finished reading, so callers with ``journal`` must pass
-    ``journal_meta`` explicitly (:func:`profile_corpus_sharded` passes
-    a CRC over its shard digests; generator-mode callers pin a corpus
-    *spec* digest from
-    :func:`repro.corpus.streaming.corpus_spec_digest`).
+    Each arriving shard's blocks are looked up in ``cache`` (the
+    result store) first; a shard every block of which hits is folded
+    at once, and only the misses of the rest are profiled.  ``jobs=1``
+    profiles them in-process as they arrive.  A pooled run holds its
+    misses until the first window fills or the source ends.  A source
+    that ends inside that window with one pending shard profiles it
+    in-process with no pool at all; with more, the pool forks no more
+    workers than there are pending shards.  A worker exception or
+    per-shard timeout escalates to a bounded serial rescue in the
+    parent; a shard that still fails lands in the ``worker_failure``
+    bucket (or raises under strict mode), and a broken pool is rebuilt
+    once per submit so one crashed worker cannot sink the rest of the
+    stream.
 
     ``total_blocks``/``total_shards`` (when known) size the window
     aggregator and the ``run.start`` event; ``None`` means unknown —
@@ -587,16 +553,14 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     order — the hook streaming writers (``repro corpus --stream``)
     attach to emit rows incrementally.
 
-    ``siblings`` (uarch names) and ``table`` make each fresh block
-    timed on the siblings too, their results left in ``table`` keyed
-    by (uarch, block text), and each block's own result taken from
-    there when one waits (see
-    :class:`~repro.profiler.harness.BasicBlockProfiler`).  The
-    in-process profiler works on ``table`` itself.  A pooled shard
-    ships with the results waiting for its blocks on ``uarch`` and
-    brings its sibling results back, which land in ``table``.  The
-    serial rescue gets neither, so a rescued shard's blocks are
-    profiled fresh in their own sibling rows.
+    ``siblings`` (uarch names) make each profiled block timed on them
+    too, in-process or in the worker that profiles it (see
+    :class:`~repro.profiler.harness.BasicBlockProfiler`); the parent
+    writes those results to ``cache``, where the siblings' own runs
+    find them.  Without a store there is nowhere to keep them, so no
+    sibling is timed.  The serial rescue times none either, so a
+    rescued shard's blocks are profiled fresh in their own sibling
+    runs.
     """
     from repro.runtime.plan import clear_plan_cache
     jobs = default_jobs() if jobs is None else max(1, jobs)
@@ -630,29 +594,18 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
 
     descriptor = MachineDescriptor(uarch=uarch, seed=seed,
                                    trace=trace_id)
-    # A caller with no table gets no sibling results back, so its
-    # workers time no siblings.
-    shipped_siblings = tuple(siblings) if table is not None else ()
-
-    journaled: Dict[str, int] = {}
-    if journal is not None:
-        if cache is None:
-            raise ValueError("journal requires a shard cache")
-        if journal_meta is None:
-            raise ValueError(
-                "a streamed run cannot derive journal identity from "
-                "a corpus it has not generated yet; pass journal_meta "
-                "(e.g. corpus_spec_digest(...))")
-        journaled = journal.open(journal_meta)
+    # Sibling results reach their own runs only through the store.
+    siblings = tuple(siblings) if cache is not None else ()
 
     folder = ProfileFolder()
-    run_stats = {"shards": 0, "cache_hits": 0, "resumed": 0,
+    run_stats = {"shards": 0, "cache_hits": 0, "hits": 0,
                  "profiled": 0, "retried": 0, "failed": 0,
-                 "written": 0, "max_queue_depth": 0}
+                 "written": 0, "sibling_runs": 0, "max_queue_depth": 0}
     offset = 0                        # global index of the next block
     order: Deque[int] = deque()       # arrived, not yet folded
-    held: List[Shard] = []            # misses waiting for a pool
-    inflight: Dict[int, Tuple] = {}   # index -> (future, shard, t0)
+    held: List[Tuple] = []            # (shard, entries, work) for a pool
+    inflight: Dict[int, Tuple] = {}   # index -> (future, shard, entries,
+                                      #           work, t0)
     ready: Dict[int, Tuple] = {}      # index -> (shard, profile)
     exhausted = hung = interrupted = False
     pool: Optional[ProcessPoolExecutor] = None
@@ -661,7 +614,50 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     profiler: Optional[BasicBlockProfiler] = None
     since_reset = 0
 
-    def profile_here(shard: Shard) -> CorpusProfile:
+    def lookup(shard: Shard) -> Tuple[List[Optional[Dict]],
+                                      Optional[Shard]]:
+        # The store's entry for each block (None for a miss) and the
+        # shard of the misses still to profile (None when all hit).
+        if cache is None:
+            return [None] * len(shard), shard
+        entries = [cache.load(uarch, record.block.text())
+                   for record in shard.records]
+        misses = tuple(record for record, entry
+                       in zip(shard.records, entries) if entry is None)
+        hits = len(shard) - len(misses)
+        run_stats["hits"] += hits
+        if hits:
+            telemetry.count("cache.shard.hits", hits)
+        if misses:
+            telemetry.count("cache.shard.misses", len(misses))
+        if not misses:
+            return entries, None
+        if hits == 0:
+            return entries, shard
+        return entries, Shard(index=shard.index, records=misses,
+                              digest=shard_digest(misses))
+
+    def finish(shard: Shard, entries: List[Optional[Dict]],
+               work: Shard, fresh: List[Dict],
+               shared: Sequence[Tuple[str, str, Dict]] = (),
+               keep: bool = True) -> CorpusProfile:
+        # Write the fresh entries (``keep``) and the siblings' to the
+        # store, then fold hits and fresh entries in record order.
+        if cache is not None and keep:
+            for record, entry in zip(work.records, fresh):
+                _store(cache, uarch, record.block.text(), entry,
+                       run_stats)
+            for name, text, entry in shared:
+                _store(cache, name, text, entry, run_stats)
+        run_stats["sibling_runs"] += len(shared)
+        fresh_iter = iter(fresh)
+        return fold_entries(
+            (record.block_id,
+             entry if entry is not None else next(fresh_iter))
+            for record, entry in zip(shard.records, entries))
+
+    def profile_here(shard: Shard, entries: List[Optional[Dict]],
+                     work: Shard) -> CorpusProfile:
         # One profiler across in-process misses — one walk of the
         # corpus — dropped with the plan cache every EPOCH_BLOCKS.
         nonlocal profiler, since_reset
@@ -673,12 +669,12 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
             profiler = BasicBlockProfiler(
                 descriptor.build(), config,
                 siblings=[replace(descriptor, uarch=name).build()
-                          for name in siblings], table=table)
-        profile = profile_records_detailed(profiler, shard.records)
-        since_reset += len(shard)
+                          for name in siblings])
+        fresh = _profile_entries(profiler, work.records)
+        since_reset += len(work)
         run_stats["profiled"] += 1
-        _store(cache, shard, profile, run_stats, journal)
-        return profile
+        return finish(shard, entries, work, fresh,
+                      _shared_entries(profiler))
 
     def ensure_pool() -> ProcessPoolExecutor:
         nonlocal pool, trace_dir
@@ -690,17 +686,11 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                                        initargs=(trace_dir, trace_id))
         return pool
 
-    def submit(shard: Shard) -> None:
+    def submit(shard: Shard, entries: List[Optional[Dict]],
+               work: Shard) -> None:
         nonlocal pool
-        _account_planned_worker_faults(shard)
-        waiting = {}
-        if table is not None:
-            for record in shard.records:
-                key = (uarch, record.block.text())
-                if key in table:
-                    waiting[key] = table[key]
-        args = (descriptor, config, shard.index, shard.records,
-                shipped_siblings, waiting)
+        _account_planned_worker_faults(work)
+        args = (descriptor, config, work.index, work.records, siblings)
         executor = ensure_pool()
         try:
             future = executor.submit(worker_fn, *args)
@@ -711,23 +701,24 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
             _terminate_pool(executor)
             pool = None
             future = ensure_pool().submit(worker_fn, *args)
-        inflight[shard.index] = (future, shard, time.monotonic())
+        inflight[shard.index] = (future, shard, entries, work,
+                                 time.monotonic())
 
-    def rescue(shard: Shard) -> CorpusProfile:
+    def rescue(shard: Shard, entries: List[Optional[Dict]],
+               work: Shard) -> CorpusProfile:
         # Escalate pool -> serial: bounded retries in the parent; a
         # shard that still fails is bucketed, never allowed to poison
-        # the run or the cache.  The rescue runs in-parent, so the
+        # the run or the store.  The rescue runs in-parent, so the
         # profiler's own counters record it — no replication.
         run_stats["retried"] += 1
         telemetry.count("parallel.worker_retries")
         telemetry.count("resilience.retries")
         telemetry.event("parallel.worker_retry", shard=shard.index,
-                        digest=shard.digest)
+                        digest=work.digest)
         try:
-            profile = retry.run(
-                lambda attempt, s=shard: serial_fn(descriptor, config,
-                                                   s),
-                key=f"serial_rescue|{shard.digest}",
+            fresh = retry.run(
+                lambda attempt: serial_fn(descriptor, config, work),
+                key=f"serial_rescue|{work.digest}",
                 retry_on=(Exception,))
         except Exception as exc:
             run_stats["failed"] += 1
@@ -739,25 +730,26 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                 f"shard {shard.index} failed in the pool and in "
                 f"{retry.max_attempts} serial attempts",
                 type(exc).__name__)
-            return _worker_failure_profile(shard)
+            return finish(shard, entries, work,
+                          [_WORKER_FAILURE_ENTRY] * len(work),
+                          keep=False)
         run_stats["profiled"] += 1
-        _store(cache, shard, profile, run_stats, journal)
-        return profile
+        return finish(shard, entries, work, fresh)
 
-    def land(future, shard: Shard) -> CorpusProfile:
+    def land(future, shard: Shard, entries: List[Optional[Dict]],
+             work: Shard) -> CorpusProfile:
         try:
-            _, profile, shared, taken = future.result(timeout=0)
+            _, fresh, shared = future.result(timeout=0)
         except Exception as exc:  # BrokenProcessPool, or whatever
             # the worker raised — all rescued serially.
             telemetry.event("parallel.shard_error", shard=shard.index,
                             error=type(exc).__name__)
-            return rescue(shard)
+            return rescue(shard, entries, work)
         run_stats["profiled"] += 1
-        _replicate_profiler_counters(profile)
-        if table is not None:
-            _land_siblings(table, shared, taken)
-        _store(cache, shard, profile, run_stats, journal)
-        return profile
+        _replicate_profiler_counters(fold_entries(enumerate(fresh)))
+        if shared:
+            telemetry.count("profiler.sibling_runs", len(shared))
+        return finish(shard, entries, work, fresh, shared)
 
     with telemetry.span("parallel.profile_corpus", uarch=uarch,
                         jobs=jobs) as span:
@@ -778,26 +770,21 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                         starts[shard.index] = offset
                     offset += len(shard)
                     order.append(shard.index)
-                    cached = _load_verified(cache, shard, journaled)
-                    if cached is not None:
+                    entries, work = lookup(shard)
+                    if work is None:
                         run_stats["cache_hits"] += 1
                         telemetry.count("parallel.shard_cache_hits")
-                        telemetry.count("cache.shard.hits")
-                        if shard.digest in journaled:
-                            run_stats["resumed"] += 1
-                            telemetry.count("resilience.resumed_shards")
-                        ready[shard.index] = (shard, cached)
+                        ready[shard.index] = (shard, fold_entries(
+                            zip(shard.block_ids, entries)))
                     else:
-                        if cache is not None:
-                            telemetry.count("cache.shard.misses")
                         telemetry.count("stream.submitted")
                         if jobs <= 1:
-                            ready[shard.index] = (shard,
-                                                  profile_here(shard))
+                            ready[shard.index] = (
+                                shard, profile_here(shard, entries, work))
                         elif pool is None:
-                            held.append(shard)
+                            held.append((shard, entries, work))
                         else:
-                            submit(shard)
+                            submit(shard, entries, work)
                     if len(order) > run_stats["max_queue_depth"]:
                         run_stats["max_queue_depth"] = len(order)
                         telemetry.set_gauge("stream.max_queue_depth",
@@ -809,13 +796,14 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                 # forks.
                 if held:
                     if exhausted and len(held) == 1:
-                        ready[held[0].index] = (held[0],
-                                                profile_here(held[0]))
+                        shard = held[0][0]
+                        ready[shard.index] = (shard,
+                                              profile_here(*held[0]))
                     else:
                         if exhausted:
                             workers = min(jobs, len(held))
-                        for shard in held:
-                            submit(shard)
+                        for job in held:
+                            submit(*job)
                     held = []
                 # Fold the completed frontier in arrival order (this
                 # is what keeps every run's bytes equal to serial).
@@ -831,21 +819,22 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                 if not inflight:
                     if exhausted:
                         break
-                    continue  # window was all cache hits; pull more
+                    continue  # window was all store hits; pull more
                 # Wait for a completion, bounded by the oldest
                 # in-flight shard's remaining timeout budget.
                 now = time.monotonic()
-                oldest = min(t0 for _, _, t0 in inflight.values())
-                futures_wait([f for f, _, _ in inflight.values()],
+                oldest = min(job[-1] for job in inflight.values())
+                futures_wait([job[0] for job in inflight.values()],
                              timeout=max(0.0,
                                          oldest + shard_timeout - now),
                              return_when=FIRST_COMPLETED)
                 now = time.monotonic()
                 for index in sorted(inflight):
-                    future, shard, t0 = inflight[index]
+                    future, shard, entries, work, t0 = inflight[index]
                     if future.done():
                         del inflight[index]
-                        ready[index] = (shard, land(future, shard))
+                        ready[index] = (shard, land(future, shard,
+                                                    entries, work))
                     elif now - t0 > shard_timeout:
                         hung = True
                         future.cancel()
@@ -853,7 +842,8 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                         telemetry.event("parallel.shard_error",
                                         shard=shard.index,
                                         error="TimeoutError")
-                        ready[index] = (shard, rescue(shard))
+                        ready[index] = (shard, rescue(shard, entries,
+                                                      work))
         except BaseException:
             # KeyboardInterrupt / fatal error: hard-stop the pool,
             # reap every worker, and let the interrupt propagate.
@@ -871,17 +861,10 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                         _stitch_worker_traces(trace_dir)
                 finally:
                     shutil.rmtree(trace_dir, ignore_errors=True)
-            if journal is not None:
-                journal.close()
-        if run_stats["resumed"]:
-            telemetry.event("resilience.resume",
-                            shards=run_stats["resumed"],
-                            pending=run_stats["shards"]
-                            - run_stats["cache_hits"])
         span.annotate(shards=run_stats["shards"],
                       profiled=run_stats["profiled"],
                       cache_hits=run_stats["cache_hits"],
-                      resumed=run_stats["resumed"],
+                      hits=run_stats["hits"],
                       failed=run_stats["failed"])
 
     if stats is not None:
@@ -898,49 +881,18 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     return merged
 
 
-def _load_verified(cache: Optional[ShardCache], shard: Shard,
-                   journaled: Dict[str, int]
-                   ) -> Optional[CorpusProfile]:
-    """Load a shard from cache, cross-checked against the journal.
-
-    A cache hit whose on-disk bytes no longer match the checksum the
-    journal recorded at write time is corrupt (torn write, bit rot, or
-    an injected post-write corruption): quarantine it and re-profile.
-    Hits without a journal entry fall back to the loader's own
-    structural validation.
-    """
-    if cache is None:
-        return None
-    expected = journaled.get(shard.digest)
-    if expected is not None:
-        actual = cache.checksum(shard)
-        if actual is None:
-            return None
-        if actual != expected:
-            cache._quarantine(cache.path_for(shard),
-                              "journal checksum mismatch")
-            return None
-    return cache.load(shard)
-
-
 def _serial_shard(descriptor: MachineDescriptor,
                   config: Optional[ProfilerConfig],
-                  shard: Shard) -> CorpusProfile:
+                  shard: Shard) -> List[Dict]:
     profiler = BasicBlockProfiler(descriptor.build(), config)
-    return profile_records_detailed(profiler, shard.records)
+    return _profile_entries(profiler, shard.records)
 
 
-def _store(cache: Optional[ShardCache], shard: Shard,
-           profile: CorpusProfile, run_stats: Dict,
-           journal: Optional[RunJournal] = None) -> None:
-    if cache is None:
-        return
-    checksum = cache.store(shard, profile)
-    if checksum is None:
-        return  # degraded: write failed, run continues uncached
-    run_stats["written"] += 1
-    if journal is not None:
-        journal.record_shard(shard.digest, shard.index, checksum)
+def _store(cache: ShardCache, uarch: str, text: str, entry: Dict,
+           run_stats: Dict) -> None:
+    if cache.store(uarch, text, entry):
+        run_stats["written"] += 1
+    # else degraded: the write failed, the run continues unstored
 
 
 def _account_planned_worker_faults(shard: Shard) -> None:

@@ -95,18 +95,15 @@ class BasicBlockProfiler:
 
     def __init__(self, machine: Machine,
                  config: Optional[ProfilerConfig] = None, *,
-                 siblings: Sequence[Machine] = (),
-                 table: Optional[Dict[Tuple[str, str],
-                                      ProfileResult]] = None):
+                 siblings: Sequence[Machine] = ()):
         self.machine = machine
         self.config = config if config is not None else ProfilerConfig()
-        #: Machines timed alongside this one on each fresh block, and
-        #: the table, keyed by (uarch, block text), where their results
-        #: wait until a profiler on that uarch takes them.  A profiler
-        #: given no table neither times siblings nor looks results up.
-        #: Both are fast-path layers, ignored with the fast path off.
+        #: Machines timed alongside this one on each fresh block (a
+        #: fast-path layer, ignored with the fast path off), and their
+        #: results, keyed by (uarch, block text), until the owner takes
+        #: them with :meth:`take_shared`.
         self.siblings = tuple(siblings)
-        self.table = table
+        self.shared: Dict[Tuple[str, str], ProfileResult] = {}
         #: Corpus-level dedup: canonical block text -> finished result.
         #: Exact because a result is a pure function of (text, machine,
         #: config) — even the simulated noise is seeded from the text.
@@ -190,12 +187,7 @@ class BasicBlockProfiler:
             return self._profile_guarded(block, text)
         result = self._memo.get(text)
         if result is None:
-            if self.table is not None:
-                result = self.table.pop((self.machine.name, text), None)
-                if result is not None and telemetry.is_enabled():
-                    telemetry.count("profiler.sibling_hits")
-            if result is None:
-                result = self._profile_guarded(block, text)
+            result = self._profile_guarded(block, text)
             self._memo[text] = result
             if telemetry.is_enabled():
                 telemetry.count("cache.dedup.misses")
@@ -233,8 +225,8 @@ class BasicBlockProfiler:
             f"block quarantined ({type(exc).__name__})", str(exc))
         extra: dict = {}
         if isinstance(exc, ChaosFault):
-            # Rides the info plumbing (result.extra -> CorpusProfile
-            # .info -> shard cache -> merge) so injections that fired
+            # Rides the info plumbing (result.extra -> store entry ->
+            # CorpusProfile.info -> merge) so injections that fired
             # inside pool workers stay visible to the parent's report.
             extra["chaos_block_poison"] = 1.0
         if isinstance(exc, StepBudgetExceeded):
@@ -271,7 +263,7 @@ class BasicBlockProfiler:
         mapping = map_pages(env, block, unroll=plan.max_factor,
                             max_faults=self.config.max_faults,
                             enable_mapping=self.config.mapping_enabled)
-        siblings = self._siblings_for(block, text)
+        siblings = self._siblings_for(block)
         if not mapping.success:
             # A mapping failure does not depend on the uarch.
             failed = [ProfileResult(text, machine.name,
@@ -309,22 +301,26 @@ class BasicBlockProfiler:
                                 error=type(exc).__name__)
         return result
 
-    def _siblings_for(self, block: BasicBlock,
-                      text: str) -> List[Machine]:
+    def _siblings_for(self, block: BasicBlock) -> List[Machine]:
         """The siblings to time ``block`` on: fast path only, and only
-        those that support it, price like this profiler's machine and
-        have no result waiting yet."""
-        if self.table is None or not simcore.enabled():
+        those that support it and price like this profiler's machine."""
+        if not self.siblings or not simcore.enabled():
             return []
         key = self.machine.pricing_key
         return [machine for machine in self.siblings
-                if machine.pricing_key == key and machine.supports(block)
-                and (machine.name, text) not in self.table]
+                if machine.pricing_key == key and machine.supports(block)]
 
     def _share(self, result: ProfileResult) -> None:
-        self.table[(result.uarch, result.block_text)] = result
+        self.shared[(result.uarch, result.block_text)] = result
         if telemetry.is_enabled():
             telemetry.count("profiler.sibling_runs")
+
+    def take_shared(self) -> List[ProfileResult]:
+        """The sibling results timed since the last call, in the order
+        they were timed; the profiler keeps none of them."""
+        shared = list(self.shared.values())
+        self.shared.clear()
+        return shared
 
     def _time(self, machine: Machine, mapped: "_Mapped") -> ProfileResult:
         """The timing half of a profile on ``machine``: each factor's
@@ -475,31 +471,54 @@ def profile_block(block: Union[BasicBlock, str],
         .profile(block)
 
 
-def profile_records_detailed(profiler: BasicBlockProfiler,
-                             records) -> CorpusProfile:
-    """Profile an ordered run of records with one profiler.
+def result_entry(result: ProfileResult) -> Dict:
+    """What a corpus profile keeps of one result, and all the result
+    store keeps: the throughput of an accepted block, else the reason
+    it was dropped, plus the keys of its truthy ``extra`` tallies (in
+    their order, which orders a profile's ``info``)."""
+    if result.ok and result.throughput > 0:
+        entry: Dict = {"throughput": result.throughput}
+    else:
+        entry = {"reason": "zero_throughput" if result.failure is None
+                 else result.failure.value}
+    extra = [key for key, value in result.extra.items() if value]
+    if extra:
+        entry["extra"] = extra
+    return entry
 
-    The single accept/drop policy shared by the serial path and every
-    parallel worker (``repro.parallel``), so a sharded run cannot
-    diverge from a serial one by construction.
+
+def fold_entries(pairs: Iterable[Tuple[int, Dict]]) -> CorpusProfile:
+    """Fold (block id, entry) pairs, in record order, into a profile.
+
+    The single accept/drop policy: an entry with a throughput is
+    accepted, any other is dropped under its reason, and each extra
+    key is tallied into ``info``.  Fresh results and stored entries
+    fold alike, so a run served from the store cannot diverge from
+    one that profiled every block.
     """
     throughputs: Dict[int, float] = {}
     funnel = CorpusProfile.empty_funnel()
     info: Dict[str, int] = {}
-    records = list(records)
-    results = profiler.profile_many([r.block for r in records])
-    for record, result in zip(records, results):
+    for block_id, entry in pairs:
         funnel["total"] += 1
-        if result.ok and result.throughput > 0:
-            throughputs[record.block_id] = result.throughput
+        if "throughput" in entry:
+            throughputs[block_id] = entry["throughput"]
             funnel["accepted"] += 1
         else:
-            reason = ("zero_throughput" if result.failure is None
-                      else result.failure.value)
+            reason = entry["reason"]
             funnel["dropped"][reason] = \
                 funnel["dropped"].get(reason, 0) + 1
-        for key, value in result.extra.items():
-            if value:
-                info[key] = info.get(key, 0) + 1
+        for key in entry.get("extra", ()):
+            info[key] = info.get(key, 0) + 1
     return CorpusProfile(throughputs=throughputs, funnel=funnel,
                          info=info)
+
+
+def profile_records_detailed(profiler: BasicBlockProfiler,
+                             records) -> CorpusProfile:
+    """Profile an ordered run of records with one profiler, folded
+    through :func:`fold_entries`."""
+    records = list(records)
+    results = profiler.profile_many([r.block for r in records])
+    return fold_entries((record.block_id, result_entry(result))
+                        for record, result in zip(records, results))

@@ -7,9 +7,8 @@ an asyncio daemon that accepts block-profiling requests over HTTP
 (Unix-domain socket or TCP), batches whatever is queued when its
 batcher wakes (requests arriving while a batch runs form the next
 one) into content-addressed one-block shards, and executes them on
-the existing ``repro.parallel`` engine — so the shared v3 shard cache
-becomes a multi-tenant result store and dedup across clients is
-free.
+the existing ``repro.parallel`` engine — so the block-keyed result
+store becomes multi-tenant and dedup across clients is free.
 
 Robustness is the headline (see docs/service.md):
 

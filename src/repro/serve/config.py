@@ -52,7 +52,7 @@ def _env_number(name: str, default, parse):
 
 
 def default_state_dir() -> str:
-    """Where the daemon keeps its journal and per-uarch shard caches.
+    """Where the daemon keeps its journal and per-seed result stores.
 
     ``$REPRO_SERVE_STATE`` wins; otherwise a ``serve/`` subdirectory of
     the pipeline cache root (``$REPRO_CACHE`` or ``.cache``), so the
@@ -95,7 +95,7 @@ class ServeConfig:
     window: int = DEFAULT_WINDOW
     #: Ceiling on graceful SIGTERM drain before forced shutdown.
     drain_s: float = DEFAULT_DRAIN_S
-    #: State directory (request journal + per-uarch shard caches).
+    #: State directory (request journal + per-seed result stores).
     state_dir: str = field(default_factory=default_state_dir)
 
     def __post_init__(self) -> None:

@@ -2,20 +2,23 @@
 
 :class:`ProfilingService` owns everything that does not need an event
 loop — request validation, content addressing, the request journal,
-the circuit breaker, per-(uarch, seed) shard caches, and the batch
-execution path — so the whole robustness surface is testable
-in-process with plain function calls.  The asyncio daemon
+the circuit breaker, per-seed result stores, and the batch execution
+path — so the whole robustness surface is testable in-process with
+plain function calls.  The asyncio daemon
 (:mod:`repro.serve.daemon`) is a thin transport around it.
 
-Execution model: every block in a request becomes its own **one-block
-shard**, content-addressed by the block's text (the shard digest
-covers only block texts, never ids), and the batch of unique shards
-runs through :func:`repro.parallel.profile_corpus_sharded` against the
-shared v3 shard cache.  Because measurement is a pure function of
+Execution model: every distinct block in a batch becomes its own
+**one-block shard**, and the shards run through
+:func:`repro.parallel.profile_corpus_sharded` against the result store
+(:mod:`repro.parallel.shard_cache`), which keys each result by
+(uarch, block text).  Because measurement is a pure function of
 (block text, uarch, seed) — even simulated noise is seeded from the
-text — two clients sending the same block hit the same cache file, so
+text — two clients sending the same block hit the same record, so
 dedup across clients is free and responses are byte-stable across
-restarts, replays, and serial/pooled backends alike.
+restarts, replays, and serial/pooled backends alike.  Each block's
+answer comes from its shard's folded profile as the engine hands it
+over, never from a re-read of the store, so a failed store write
+cannot lose a drop reason.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.corpus.dataset import BlockRecord, Corpus
 from repro.errors import ReproError
 from repro.isa.parser import parse_block
 from repro.parallel.engine import profile_corpus_sharded
-from repro.parallel.shard_cache import ShardCache
+from repro.parallel.shard_cache import ShardCache, store_directory
 from repro.parallel.sharding import Shard, shard_digest
 from repro.serve import metrics
 from repro.serve.breaker import CircuitBreaker
@@ -153,7 +156,7 @@ class ProfilingService:
         self.windows = ServeWindows(config.window)
         self.journal = RequestJournal(
             os.path.join(config.state_dir, REQUEST_LOG_NAME))
-        self._caches: Dict[Tuple[str, int], ShardCache] = {}
+        self._stores: Dict[int, ShardCache] = {}
         #: Filled by :meth:`recover`; daemon replays before serving.
         self.recovered: Dict[str, Dict] = {}
 
@@ -174,7 +177,7 @@ class ProfilingService:
 
         Runs before the listener opens: a SIGKILLed daemon's in-flight
         work is re-executed (deterministically — content addressing
-        plus the shard cache make the results byte-identical to what
+        plus the result store make the results byte-identical to what
         the dead process would have produced) and journaled as done,
         so clients polling by request digest can still collect it.
         """
@@ -197,16 +200,14 @@ class ProfilingService:
         self.journal.close()
 
     # ------------------------------------------------------------------
-    # caches
+    # stores
 
-    def cache_for(self, uarch: str, seed: int) -> ShardCache:
-        key = (uarch, seed)
-        if key not in self._caches:
-            directory = os.path.join(
-                self.config.state_dir,
-                f"measured_v3_serve_{uarch}_{seed}")
-            self._caches[key] = ShardCache(directory)
-        return self._caches[key]
+    def store_for(self, seed: int) -> ShardCache:
+        """The result store of ``seed`` under the state directory."""
+        if seed not in self._stores:
+            self._stores[seed] = ShardCache(
+                store_directory(self.config.state_dir, seed))
+        return self._stores[seed]
 
     # ------------------------------------------------------------------
     # execution
@@ -227,7 +228,7 @@ class ProfilingService:
         All requests in a batch share (uarch, seed) — the daemon
         groups before calling.  Blocks dedup across the whole batch:
         each distinct text parses once, profiles once (or hits the
-        shard cache), and fans back out to every requesting position.
+        result store), and fans back out to every requesting position.
         Returns the per-request results plus the engine stats.
         """
         assert requests, "empty batch"
@@ -265,18 +266,25 @@ class ProfilingService:
         stats: Dict = {}
         throughputs: Dict[int, float] = {}
         reasons: Dict[int, str] = {}
+
+        def note_reason(shard: Shard, profile) -> None:
+            # A one-block shard drops its block under at most one
+            # reason.
+            for reason in profile.funnel["dropped"]:
+                reasons[shard.index] = reason
+
         if shards:
             corpus = Corpus([s.records[0] for s in shards])
-            cache = self.cache_for(uarch, seed)
             pool_granted = self.breaker.allow_pool()
             jobs = self.config.jobs if pool_granted else 1
             if jobs != self.config.jobs:
                 telemetry.count("serve.scalar_fallback_batches")
             profile = profile_corpus_sharded(
                 corpus, uarch, seed=seed, jobs=jobs, shards=shards,
-                cache=cache, worker_fn=self.worker_fn,
+                cache=self.store_for(seed), worker_fn=self.worker_fn,
                 serial_fn=self.serial_fn, stats=stats,
-                run_label=f"serve batch x{len(requests)}")
+                run_label=f"serve batch x{len(requests)}",
+                on_shard=note_reason)
             throughputs = profile.throughputs
             troubled = bool(stats.get("retried")
                             or stats.get("failed"))
@@ -289,8 +297,6 @@ class ProfilingService:
                     self.breaker.record_failure()
                 else:
                     self.breaker.record_success()
-            reasons = self._drop_reasons(
-                cache, shards, throughputs)
 
         results = [self._assemble(request, by_text, throughputs,
                                   reasons, parse_errors)
@@ -299,31 +305,6 @@ class ProfilingService:
             for request, result in zip(requests, results):
                 self.journal.record_done(request.digest, result)
         return results, stats
-
-    def _drop_reasons(self, cache: ShardCache, shards: List[Shard],
-                      throughputs: Dict[int, float]) -> Dict[int, str]:
-        """Per-block drop reason, read back from the one-block shard.
-
-        A block missing from the merged throughputs was dropped; its
-        shard's cached funnel (single block, so at most one non-zero
-        dropped bucket) names the reason.  A shard that never made it
-        to the cache (worker failure, disk full) reads as ``unknown``.
-        """
-        reasons: Dict[int, str] = {}
-        for shard in shards:
-            block_id = shard.records[0].block_id
-            if block_id in throughputs:
-                continue
-            reason = "unknown"
-            profile = cache.load(shard)
-            if profile is not None:
-                dropped = profile.funnel.get("dropped") or {}
-                for name, count in sorted(dropped.items()):
-                    if count:
-                        reason = name
-                        break
-            reasons[block_id] = reason
-        return reasons
 
     @staticmethod
     def _assemble(request: ProfileRequest, by_text: Dict[str, int],

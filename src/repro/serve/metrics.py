@@ -14,7 +14,7 @@ boundaries.
 Also here: the ``serve`` cache-stats provider — request-level dedup
 (answers replayed from the request journal without touching the
 engine) surfaces in the run report's unified ``caches`` section next
-to the shard cache's own hit rate.
+to the result store's own hit rate.
 """
 
 from __future__ import annotations

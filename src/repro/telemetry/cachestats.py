@@ -3,8 +3,8 @@
 The repo has five caches, each of which used to report ad hoc or
 not at all:
 
-* the **shard cache** (``parallel/shard_cache.py``) — on-disk
-  per-shard profile store;
+* the **result store** (``parallel/shard_cache.py``, reported as
+  ``shard``) — on-disk, one record per (uarch, block text);
 * the **block-plan cache** (``runtime/plan.py``) — compiled symbolic
   plans plus per-executor bound plans;
 * the **decode intern table** (``isa/parser.py``) — the simcore
@@ -98,7 +98,7 @@ def merge_counter_stats(stats: CacheStats,
                         counters: Dict[str, int]) -> CacheStats:
     """Fold stitched-in registry counters into a provider snapshot.
 
-    Providers that count through the telemetry registry (shard cache,
+    Providers that count through the telemetry registry (result store,
     block-plan cache, dedup memo) read the parent registry, which —
     after stitching — already includes worker counts.  Providers that
     keep plain attribute counters (page cache, decode table) only see

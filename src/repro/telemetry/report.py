@@ -120,8 +120,6 @@ def _resilience_section(counters: Dict[str, int],
             counters.get("resilience.cache_write_failures", 0),
         "stale_temps_swept":
             counters.get("resilience.stale_temps_swept", 0),
-        "resumed_shards":
-            counters.get("resilience.resumed_shards", 0),
         "faults_injected": faults,
     }
 
@@ -324,12 +322,12 @@ def render_summary(report: Dict) -> str:
     if any(resilience.get(k) for k in
            ("retries", "quarantined_blocks", "quarantined_cache_files",
             "cache_write_failures", "stale_temps_swept",
-            "resumed_shards", "faults_injected")):
+            "faults_injected")):
         lines += ["", "resilience"]
         rows = [(k, resilience.get(k, 0)) for k in
                 ("retries", "backoff_ms", "quarantined_blocks",
                  "quarantined_cache_files", "cache_write_failures",
-                 "stale_temps_swept", "resumed_shards")
+                 "stale_temps_swept")
                 if resilience.get(k)]
         rows += [(f"fault injected: {point}", n) for point, n in
                  sorted((resilience.get("faults_injected")

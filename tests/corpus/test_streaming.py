@@ -15,8 +15,7 @@ import pytest
 
 from repro.corpus.dataset import (DEFAULT_APPS, BlockRecord,
                                   build_application, build_corpus)
-from repro.corpus.streaming import (corpus_spec_digest,
-                                    iter_application, iter_corpus)
+from repro.corpus.streaming import iter_application, iter_corpus
 from repro.isa.parser import parse_block
 from repro.parallel import shard_corpus, stream_shards
 
@@ -61,17 +60,6 @@ class TestIterEqualsBuild:
                              applications=("gzip", "redis")).records
         assert [_record_key(r) for r in lazy] \
             == [_record_key(r) for r in built]
-
-
-class TestSpecDigest:
-    def test_stable_and_parameter_sensitive(self):
-        base = corpus_spec_digest(0.001, 0)
-        assert base == corpus_spec_digest(0.001, 0)
-        assert base != corpus_spec_digest(0.002, 0)
-        assert base != corpus_spec_digest(0.001, 1)
-        assert base != corpus_spec_digest(0.001, 0, shard_size=16)
-        assert base != corpus_spec_digest(
-            0.001, 0, applications=("gzip",))
 
 
 # ---------------------------------------------------------------------------

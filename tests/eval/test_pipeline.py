@@ -27,59 +27,62 @@ class TestLaziness:
         assert len(tiny.classification.categories) == len(tiny.corpus)
 
 
+def _records(directory, uarch):
+    return {name for name in os.listdir(directory)
+            if name.startswith(f"{uarch}-")}
+
+
 class TestMeasurementCache:
     def test_disk_cache_roundtrip(self, tiny, tmp_path):
         first = tiny.measured("haswell")
-        dirs = [f for f in os.listdir(tmp_path)
-                if f.startswith("measured_v3_")]
-        assert dirs == ["measured_v3_main_haswell_9"]
-        assert os.listdir(tmp_path / dirs[0])  # per-shard entries
-        # A fresh experiment object reads the cache instead of
+        assert os.listdir(tmp_path) == ["results_9"]
+        assert _records(tmp_path / "results_9", "haswell")
+        # A fresh experiment object reads the store instead of
         # re-simulating.
         again = Experiment(scale=0.0003, seed=9)
         assert again.measured("haswell") == first
         assert again.funnel("haswell") == tiny.funnel("haswell")
 
-    def test_cache_keyed_by_shard_content(self, tiny, tmp_path):
-        """v3 keys shard files by content digest: a different corpus
-        (different scale) adds new shard entries to the same
-        (tag, uarch, seed) directory instead of matching stale ones."""
+    def test_store_keyed_by_block_text(self, tiny, tmp_path):
+        """Records are keyed by block text: a different corpus (another
+        scale) adds records for its own blocks to the same per-seed
+        store and reads back the blocks the two corpora share."""
         tiny.measured("haswell")
-        shard_dir = tmp_path / "measured_v3_main_haswell_9"
-        before = set(os.listdir(shard_dir))
+        store = tmp_path / "results_9"
+        before = _records(store, "haswell")
         other = Experiment(scale=0.0004, seed=9)
         other.measured("haswell")
-        after = set(os.listdir(shard_dir))
-        assert after - before  # new content -> new shard entries
+        after = _records(store, "haswell")
+        texts = {r.block.text() for r in other.corpus}
+        assert before < after
+        assert len(after) == len(
+            texts | {r.block.text() for r in tiny.corpus})
 
     def test_grown_corpus_reprofiles_only_new_shards(self, tiny,
                                                      tmp_path):
-        """Incremental invalidation: appending shard-aligned blocks
-        leaves existing shard entries valid, so a re-run only
-        profiles the tail."""
+        """Incremental invalidation: appending blocks leaves the
+        existing records valid, so a re-run only profiles the tail."""
         from repro.corpus.dataset import Corpus, build_application
 
         records = build_application("llvm", count=40, seed=9).records
         base = Corpus(records[:30])
         grown = Corpus(records)  # base + one more 10-block shard
 
-        first = Experiment(scale=0.0003, seed=9, shard_size=10)
+        first = Experiment(scale=0.0003, seed=9, shard_size=10,
+                           uarches=("haswell",))
         measured_base = first.measured("haswell", corpus=base)
-        shard_dir = tmp_path / "measured_v3_main_haswell_9"
-        before = {name for name in os.listdir(shard_dir)
-                  if name.startswith("shard_")}
-        assert len(before) == 3
-        # The always-on run journal lives next to the shard files.
-        assert "journal.ndjson" in os.listdir(shard_dir)
+        store = tmp_path / "results_9"
+        before = _records(store, "haswell")
+        assert len(before) == 30
 
-        second = Experiment(scale=0.0003, seed=9, shard_size=10)
+        second = Experiment(scale=0.0003, seed=9, shard_size=10,
+                            uarches=("haswell",))
         measured_grown = second.measured("haswell", corpus=grown)
-        after = {name for name in os.listdir(shard_dir)
-                 if name.startswith("shard_")}
-        # Every pre-existing shard entry was reused verbatim; only
-        # the appended shard produced a new entry.
+        after = _records(store, "haswell")
+        # Every pre-existing record was reused verbatim; only the
+        # appended shard's blocks produced new ones.
         assert before <= after
-        assert len(after - before) == 1
+        assert len(after - before) == 10
         for block_id, value in measured_base.items():
             assert measured_grown[block_id] == value
 
@@ -87,7 +90,7 @@ class TestMeasurementCache:
                                                      tmp_path):
         serial = tiny.measured("haswell")
         import shutil
-        shutil.rmtree(tmp_path / "measured_v3_main_haswell_9")
+        shutil.rmtree(tmp_path / "results_9")
         fresh = Experiment(scale=0.0003, seed=9)
         parallel = fresh.measured("haswell", jobs=2)
         assert parallel == serial

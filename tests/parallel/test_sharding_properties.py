@@ -164,12 +164,13 @@ else:  # pragma: no cover - seeded fallback
 _DIGEST_SCRIPT = """
 import sys
 from repro.corpus.dataset import build_application, Corpus
-from repro.eval.pipeline import _corpus_digest
 from repro.parallel import shard_corpus
+from repro.parallel.shard_cache import record_name
 
 corpus = build_application("llvm", count=24, seed=5)
 digests = [s.digest for s in shard_corpus(corpus, 7)]
-print(_corpus_digest(corpus), *digests)
+names = [record_name("haswell", r.block.text()) for r in corpus]
+print(*digests, *names)
 """
 
 
@@ -187,9 +188,9 @@ def _digests_under_hashseed(hashseed: str) -> str:
 
 
 def test_digests_stable_across_processes_and_hash_seeds():
-    """Shard digests and the corpus digest are pure CRC-32 functions
-    of content — a randomised ``hash()`` sneaking in would make cache
-    keys disagree between parent and workers, which this catches."""
+    """Shard digests and store record names are pure functions of
+    content — a randomised ``hash()`` sneaking in would make keys
+    disagree between parent and workers, which this catches."""
     a = _digests_under_hashseed("0")
     b = _digests_under_hashseed("4242")
     assert a == b

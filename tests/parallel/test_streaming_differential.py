@@ -7,13 +7,11 @@ both must serialise to exactly the bytes of the plain serial
 ``profile_corpus_detailed`` walk.  This suite proves that
 differentially (serial and pooled, all three microarchitectures,
 every prefetch depth and an epoch reset every few blocks), and checks
-the loop's contracts: index-ordered folding, honest stats,
-journal-identity discipline, and cache interoperability between list
-and generator runs.
+the loop's contracts: index-ordered folding, honest stats, and one
+result store shared by list and generator runs.
 """
 
 import json
-import os
 
 import pytest
 
@@ -21,7 +19,7 @@ from repro.corpus.dataset import build_application
 from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import (ShardCache, engine, profile_corpus_sharded,
                             profile_corpus_streamed, shard_corpus)
-from repro.resilience import JOURNAL_NAME, RunJournal, chaos
+from repro.resilience import chaos
 
 UARCHES = ("ivybridge", "haswell", "skylake")
 
@@ -36,8 +34,7 @@ def _records(app="openblas", count=26, seed=5):
 
 
 def _assert_conserved(stats, shards):
-    """Every shard is a cache hit, profiled or failed, and only a
-    cache hit can be resumed.
+    """Every shard is a store hit, profiled or failed.
 
     Holds under any chaos policy: injected cache truncation, garbage
     and write faults turn hits into re-profiles, never lose a shard.
@@ -45,7 +42,6 @@ def _assert_conserved(stats, shards):
     assert stats["shards"] == shards
     assert stats["cache_hits"] + stats["profiled"] + stats["failed"] \
         == shards
-    assert stats["resumed"] <= stats["cache_hits"]
 
 
 @pytest.mark.parametrize("uarch", UARCHES)
@@ -106,16 +102,6 @@ def test_empty_stream():
     assert profile.funnel["total"] == 0
 
 
-def test_journal_requires_identity(tmp_path):
-    """A streamed run cannot digest a corpus it hasn't generated yet,
-    so journalling demands an explicit identity."""
-    cache = ShardCache(str(tmp_path))
-    journal = RunJournal(os.path.join(str(tmp_path), JOURNAL_NAME))
-    with pytest.raises(ValueError):
-        profile_corpus_streamed(iter(_records(count=4)), "haswell",
-                                seed=5, cache=cache, journal=journal)
-
-
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_cache_interop_list_and_generator(tmp_path, jobs):
     """A list run warms the cache; the generator run over the same
@@ -141,22 +127,16 @@ def test_cache_interop_list_and_generator(tmp_path, jobs):
     assert _payload(streamed) == _payload(serial)
 
 
-def test_streamed_run_is_rerunnable_from_journal(tmp_path):
-    """Two streamed runs sharing a cache+journal: the second loads
-    every shard back (with no chaos armed) and reproduces the first's
-    bytes."""
+def test_streamed_run_is_rerunnable_from_the_store(tmp_path):
+    """Two streamed runs sharing a store: the second reads every block
+    back (with no chaos armed) and reproduces the first's bytes."""
     records = _records(count=16)
 
     def run():
-        cache = ShardCache(str(tmp_path))
-        journal = RunJournal(os.path.join(cache.directory,
-                                          JOURNAL_NAME))
         stats = {}
         profile = profile_corpus_streamed(
             iter(records), "haswell", seed=5, jobs=2, shard_size=4,
-            cache=cache, journal=journal,
-            journal_meta={"uarch": "haswell", "seed": 5,
-                          "stream": "test-rerun"}, stats=stats)
+            cache=ShardCache(str(tmp_path)), stats=stats)
         return _payload(profile), stats
 
     first, first_stats = run()
@@ -164,9 +144,9 @@ def test_streamed_run_is_rerunnable_from_journal(tmp_path):
     assert first == second
     _assert_conserved(first_stats, 4)
     _assert_conserved(second_stats, 4)
-    assert first_stats["resumed"] == 0
+    assert first_stats["hits"] == 0
     if chaos.active() is None:
-        assert second_stats["resumed"] == 4
+        assert second_stats["hits"] == 16
         assert second_stats["profiled"] == 0
 
 

@@ -5,6 +5,9 @@ import pytest
 from repro.profiler import (BasicBlockProfiler, FailureReason,
                             ProfilerConfig, profile_block)
 from repro.profiler.ablation import AblationStage, config_for_stage
+from repro.profiler.harness import (fold_entries,
+                                    profile_records_detailed,
+                                    result_entry)
 from repro.uarch import Machine
 
 
@@ -123,3 +126,38 @@ class TestConfigModes:
         assert results[0].ok
         assert not results[1].ok
         assert results[2].ok
+
+
+class TestEntries:
+    """What a corpus profile and the result store keep of a result."""
+
+    def test_accepted_block_keeps_its_throughput(self):
+        from repro.profiler.result import ProfileResult
+        result = ProfileResult("nop", "haswell", throughput=1.25,
+                               extra={"blockplan_compiled": 1.0,
+                                      "fastpath_extrapolated": 0.0})
+        assert result_entry(result) == {
+            "throughput": 1.25, "extra": ["blockplan_compiled"]}
+
+    def test_dropped_blocks_keep_their_reason(self):
+        from repro.profiler.result import ProfileResult
+        assert result_entry(ProfileResult("nop", "haswell",
+                                          throughput=0.0)) == \
+            {"reason": "zero_throughput"}
+        assert result_entry(ProfileResult(
+            "nop", "haswell", failure=FailureReason.SIGFPE)) == \
+            {"reason": "sigfpe"}
+
+    def test_fold_is_the_profile_of_the_records(self, small_corpus):
+        records = small_corpus.records[:40]
+        profiler = BasicBlockProfiler(Machine("haswell"))
+        entries = [result_entry(r) for r in
+                   profiler.profile_many([r.block for r in records])]
+        folded = fold_entries((r.block_id, e)
+                              for r, e in zip(records, entries))
+        whole = profile_records_detailed(
+            BasicBlockProfiler(Machine("haswell")), records)
+        assert (folded.throughputs, folded.funnel, folded.info) == \
+            (whole.throughputs, whole.funnel, whole.info)
+        assert whole.funnel["total"] == len(records)
+        assert len(whole.funnel["dropped"]) >= 1

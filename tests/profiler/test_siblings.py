@@ -1,12 +1,13 @@
 """Sibling profiling: one functional half per block, timed per uarch.
 
-A profiler given siblings and a table maps and prices each fresh block
-once, times it on every sibling that supports it and prices alike, and
-leaves those results in the table for the sibling's own profiler.
-Every result taken from the table must equal a standalone profile,
+A profiler given siblings maps and prices each fresh block once, times
+it on every sibling that supports it and prices alike, and hands those
+results to its owner, which stores them for the sibling's own row.
+Every result a row reads back must equal a standalone profile,
 whether a serial experiment or a pool worker timed it.
 """
 
+import os
 from dataclasses import astuple, replace
 
 import pytest
@@ -32,15 +33,21 @@ def _fields(result):
             result.subnormal_events, result.detail, result.extra)
 
 
-def _through_table(block, machines, config=None):
-    """Profile ``block`` on each machine in turn; each profiler times
-    it on the machines after it as well."""
-    table = {}
-    results = [BasicBlockProfiler(machine, config,
-                                  siblings=machines[i + 1:],
-                                  table=table).profile(block)
-               for i, machine in enumerate(machines)]
-    return results, table
+def _through_siblings(block, machines, config=None):
+    """Profile ``block`` on each machine in turn, as rows over a store
+    do: a machine takes the result an earlier profiler timed for it,
+    or profiles the block itself and times it on the machines after it
+    as well.  Returns the results and the sibling results left over."""
+    shared, results = {}, []
+    for i, machine in enumerate(machines):
+        result = shared.pop(machine.name, None)
+        if result is None:
+            profiler = BasicBlockProfiler(machine, config,
+                                          siblings=machines[i + 1:])
+            result = profiler.profile(block)
+            shared.update((r.uarch, r) for r in profiler.take_shared())
+        results.append(result)
+    return results, shared
 
 
 @pytest.fixture
@@ -65,13 +72,13 @@ class TestProfiler:
         block = tensorflow_ablation_block()
         machines = [Machine(u) for u in UARCHES]
         with simcore.forced(True):
-            shared, table = _through_table(block, machines, config)
+            shared, left = _through_siblings(block, machines, config)
             assert prices == ["ivybridge"]
             alone = [BasicBlockProfiler(Machine(u), config).profile(block)
                      for u in UARCHES]
         assert all(m.l1i_misses for m in shared[0].measurements)
         assert [_fields(r) for r in shared] == [_fields(r) for r in alone]
-        assert not table
+        assert not left
 
     def test_other_pricing_key_prices_for_itself(self):
         # One frame per page: the L1D misses, so the miss penalty (a
@@ -85,7 +92,7 @@ class TestProfiler:
             return machine
 
         with simcore.forced(True):
-            shared, table = _through_table(
+            shared, left = _through_siblings(
                 block, [Machine("haswell"), slow_l1("skylake")], config)
             alone = BasicBlockProfiler(slow_l1("skylake"),
                                        config).profile(block)
@@ -94,7 +101,7 @@ class TestProfiler:
         assert shared[1].measurements[0].l1d_read_misses
         assert _fields(shared[1]) == _fields(alone)
         assert shared[1].throughput != plain.throughput
-        assert not table
+        assert not left
 
     def test_run_reprices_a_pricing_with_another_key(self):
         config = relaxed(config_for_stage(AblationStage.PAGE_MAPPING))
@@ -126,12 +133,12 @@ class TestProfiler:
 
     def test_ivybridge_rejecting_a_block_times_no_sibling(self, prices):
         machines = [Machine(u) for u in UARCHES]
-        shared, table = _through_table("vpaddd %ymm0, %ymm1, %ymm2",
-                                       machines)
+        shared, left = _through_siblings("vpaddd %ymm0, %ymm1, %ymm2",
+                                         machines)
         assert not shared[0].ok
         assert "ivybridge" not in prices
         assert shared[1].ok and shared[2].ok
-        assert not table
+        assert not left
 
     def test_failing_sibling_gets_no_result(self, monkeypatch):
         machines = [Machine(u) for u in UARCHES]
@@ -143,18 +150,19 @@ class TestProfiler:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(Machine, "run", broken_on_skylake)
-        table = {}
         sink = MemorySink()
         telemetry.enable(sink)
         try:
             with simcore.forced(True):
-                result = BasicBlockProfiler(
-                    machines[0], siblings=machines[1:],
-                    table=table).profile("add %rbx, %rax")
+                profiler = BasicBlockProfiler(machines[0],
+                                              siblings=machines[1:])
+                result = profiler.profile("add %rbx, %rax")
         finally:
             telemetry.reset()
         assert result.ok
-        assert list(table) == [("haswell", "add %rbx, %rax")]
+        assert [(r.uarch, r.block_text) for r in profiler.take_shared()] \
+            == [("haswell", "add %rbx, %rax")]
+        assert not profiler.take_shared()
         (failed,) = [r for r in sink.records
                      if r["name"] == "profiler.sibling_failed"]
         assert (failed["uarch"], failed["error"]) == \
@@ -168,9 +176,17 @@ def _measure_all(experiment, uarches=UARCHES):
 
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
+    """Points ``REPRO_CACHE`` at a fresh root; returns its seed-9
+    store directory."""
     def use(name):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / name))
+        return tmp_path / name / "results_9"
     return use
+
+
+def _records(store):
+    return sorted(name for name in os.listdir(store)
+                  if name.endswith(".json"))
 
 
 class TestExperiment:
@@ -184,27 +200,26 @@ class TestExperiment:
                                 uarches=(uarch,))
             alone[uarch] = (single.measured(uarch), single.funnel(uarch),
                             single.info(uarch))
-        cache("suite")
+        store = cache("suite")
         suite = Experiment(scale=self.SCALE, seed=9, jobs=1)
         assert _measure_all(suite) == alone
-        assert not suite._sibling_table
+        assert len(_records(store)) == len(UARCHES) * len(suite.corpus)
 
     def test_filled_store_leaves_no_sibling_behind(self, cache):
         # Forced on throughout: the store keeps the fast path's info
-        # tallies, and the siblings exist only on the fast path.
+        # tallies, and the siblings exist only on the fast path.  The
+        # suite over a store skylake's own run filled reads the same
+        # and ends with the same records as one over an empty store.
         with simcore.forced(True):
-            cache("suite")
+            filled = cache("suite")
             Experiment(scale=self.SCALE, seed=9, jobs=1,
                        uarches=("skylake",)).measured("skylake")
-            suite = Experiment(scale=self.SCALE, seed=9, jobs=1)
-            suite.measured("ivybridge")
-            suite.measured("haswell")
-            assert {u for u, _ in suite._sibling_table} == {"skylake"}
-            first = _measure_all(suite)
-            assert not suite._sibling_table
-            cache("fresh")
+            first = _measure_all(Experiment(scale=self.SCALE, seed=9,
+                                            jobs=1))
+            fresh = cache("fresh")
             assert _measure_all(Experiment(scale=self.SCALE, seed=9,
                                            jobs=1)) == first
+        assert _records(filled) == _records(fresh)
 
     def test_single_uarch_experiment_times_only_its_uarch(
             self, cache, monkeypatch):
@@ -235,13 +250,15 @@ class TestExperiment:
         spans = [r for r in sink.records
                  if r["name"] == "experiment.measure"]
         runs = [span["sibling_runs"] for span in spans]
-        hits = [span["sibling_hits"] for span in spans]
+        hits = [span["store_hits"] for span in spans]
+        # Each result timed for a sibling is stored once and read back
+        # once, by that sibling's own row.
         assert runs[0] > 0 and runs[2] == 0 and hits[0] == 0
         assert sum(runs) == sum(hits) == counters["profiler.sibling_runs"]
-        assert counters["profiler.sibling_hits"] == sum(hits)
+        assert counters["cache.shard.hits"] == sum(hits)
 
 
-SIBLING_COUNTERS = ("profiler.sibling_runs", "profiler.sibling_hits")
+SIBLING_COUNTERS = ("profiler.sibling_runs", "cache.shard.hits")
 
 
 def _counted(run):
@@ -279,38 +296,35 @@ def standalone(tmp_path_factory):
 
 
 class TestPooledExperiment:
-    """Pool workers time siblings too: each pooled shard ships with the
-    results waiting for its blocks and brings its sibling results back
-    into the experiment's table."""
+    """Pool workers time siblings too: each pooled shard's worker
+    sends its sibling results back with the shard, and the parent
+    stores them for the siblings' own rows."""
 
     SCALE = TestExperiment.SCALE
 
     def test_suite_equals_one_serial_experiment_per_uarch(
             self, cache, standalone):
-        cache("pooled")
+        store = cache("pooled")
         suite = Experiment(scale=self.SCALE, seed=9, jobs=2)
         measured, counters = _counted(lambda: _measure_all(suite))
         assert measured == standalone(9)
-        assert not suite._sibling_table
         assert counters.get("profiler.sibling_runs", 0) > 0
+        assert len(_records(store)) == len(UARCHES) * len(suite.corpus)
 
     def test_filled_store_leaves_no_sibling_behind(self, cache,
                                                    standalone):
-        cache("pooled")
+        store = cache("pooled")
 
         def suite_over_a_filled_store():
             Experiment(scale=self.SCALE, seed=9, jobs=2,
                        uarches=("skylake",)).measured("skylake")
             suite = Experiment(scale=self.SCALE, seed=9, jobs=2)
-            suite.measured("ivybridge")
-            suite.measured("haswell")
-            assert {u for u, _ in suite._sibling_table} == {"skylake"}
             return suite, _measure_all(suite)
 
         (suite, measured), counters = _counted(suite_over_a_filled_store)
         assert measured == standalone(9)
-        assert not suite._sibling_table
         assert counters.get("profiler.sibling_runs", 0) > 0
+        assert len(_records(store)) == len(UARCHES) * len(suite.corpus)
 
     def test_rescued_shards_reprofile_in_their_own_rows(self, cache,
                                                         standalone):
@@ -324,7 +338,6 @@ class TestPooledExperiment:
             measured, counters = _counted(lambda: _measure_all(suite))
         assert counters.get("parallel.worker_retries", 0) > 0
         assert measured == standalone(1)
-        assert not suite._sibling_table
         assert counters.get("profiler.sibling_runs", 0) > 0
 
     @pytest.mark.parametrize("traced", [True, False],
@@ -344,7 +357,7 @@ class TestPooledExperiment:
                 counters = telemetry.registry().snapshot()["counters"]
             finally:
                 telemetry.reset()
-            spans = [(r["sibling_runs"], r["sibling_hits"])
+            spans = [(r["sibling_runs"], r["store_hits"])
                      for r in (sink.records if traced else ())
                      if r["name"] == "experiment.measure"]
             seen[jobs] = ([counters.get(name, 0)

@@ -2,14 +2,14 @@
 
 Run as a script (``python tests/resilience/_resume_driver.py
 <cache_dir> <out_json> <uarch> <jobs>``): profiles a fixed small
-corpus through the sharded engine with the always-on run journal,
-then writes the merged profile as JSON.
+corpus through the sharded engine against the result store in
+``cache_dir``, then writes the merged profile as JSON.
 
-The parent test launches this twice against the same cache directory:
-once to be SIGKILLed mid-run (``RESUME_DRIVER_SLEEP`` stretches each
-shard store so the kill reliably lands mid-flight), once to resume.
-The resumed run's output must be byte-identical to an uninterrupted
-run — that comparison happens in the test, on the files this writes.
+The parent test launches this twice against the same store: once to
+be SIGKILLed mid-run (``RESUME_DRIVER_SLEEP`` stretches each record
+write so the kill reliably lands mid-flight), once to resume.  The
+resumed run's output must be byte-identical to an uninterrupted run —
+that comparison happens in the test, on the files this writes.
 """
 
 import json
@@ -25,39 +25,30 @@ def main(argv):
 
     from repro.corpus.dataset import build_application
     from repro.parallel import (ShardCache, profile_corpus_sharded,
-                                shard_corpus)
-    from repro.resilience import JOURNAL_NAME, RunJournal
+                                profile_corpus_streamed)
 
     corpus = build_application("llvm", count=16, seed=3)
-    shards = shard_corpus(corpus, 2)
 
     class SlowStoreCache(ShardCache):
         """Stretch the completion timeline so a kill lands mid-run."""
 
-        def store(self, shard, profile):
+        def store(self, uarch, text, entry):
             if store_sleep:
                 time.sleep(store_sleep)
-            return super().store(shard, profile)
+            return super().store(uarch, text, entry)
 
     cache = SlowStoreCache(cache_dir)
-    journal = RunJournal(os.path.join(cache_dir, JOURNAL_NAME))
     stats = {}
     if os.environ.get("RESUME_DRIVER_STREAM") == "1":
         # The streamed leg: same records, but fed as a generator the
-        # engine has never seen in full — journal identity is pinned
-        # to a fixed spec tag instead of a corpus digest.
-        from repro.parallel import profile_corpus_streamed
+        # engine has never seen in full.
         profile = profile_corpus_streamed(
             iter(corpus.records), uarch, seed=0, jobs=jobs,
-            shard_size=2, cache=cache, journal=journal,
-            journal_meta={"uarch": uarch, "seed": 0,
-                          "stream": "kill-resume-driver"},
-            stats=stats)
+            shard_size=2, cache=cache, stats=stats)
     else:
         profile = profile_corpus_sharded(corpus, uarch, seed=0,
-                                         jobs=jobs, shards=shards,
-                                         cache=cache, journal=journal,
-                                         stats=stats)
+                                         jobs=jobs, shard_size=2,
+                                         cache=cache, stats=stats)
     payload = {"throughputs": profile.throughputs,
                "funnel": profile.funnel,
                "info": profile.info}

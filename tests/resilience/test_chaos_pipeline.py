@@ -21,10 +21,11 @@ import pytest
 
 from repro import telemetry
 from repro.corpus.dataset import build_application
-from repro.eval.validation import CorpusProfile, profile_corpus_detailed
+from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import (ShardCache, profile_corpus_sharded,
                             shard_corpus)
 from repro.parallel import engine
+from repro.parallel.shard_cache import record_name
 from repro.profiler.result import FailureReason
 from repro.resilience import chaos
 from repro.resilience.chaos import PIPELINE_FAULT_POINTS, ChaosPolicy
@@ -70,25 +71,26 @@ def _bytes(profile):
 def _fault_plan(policy, shards, corpus):
     """Recompute the exact expected injection counts from the policy.
 
-    Mirrors the engine's semantics: crash beats hang per shard;
-    ``write_oserror`` raises before the ``disk_full`` check on attempt
-    0, so a shard with both counts only the former; post-write
-    corruption needs a successful write (no ``disk_full``), truncate
-    beats garbage.
+    Mirrors the engine's semantics: crash beats hang per shard (keyed
+    by shard digest); the write points are keyed by record name, one
+    record per block; ``write_oserror`` raises before the
+    ``disk_full`` check on attempt 0, so a record with both counts
+    only the former; post-write corruption needs a successful write
+    (no ``disk_full``), truncate beats garbage.
     """
     digests = [s.digest for s in shards]
     crash = {d for d in digests if policy.should_fire("worker_crash", d)}
     hang = {d for d in digests
             if policy.should_fire("worker_hang", d) and d not in crash}
-    oserr = {d for d in digests
-             if policy.should_fire("write_oserror", d)}
-    disk = {d for d in digests if policy.should_fire("disk_full", d)}
-    trunc = {d for d in digests
-             if policy.should_fire("cache_truncate", d)
-             and d not in disk}
-    garb = {d for d in digests
-            if policy.should_fire("cache_garbage", d)
-            and d not in trunc and d not in disk}
+    names = [record_name("haswell", r.block.text()) for r in corpus]
+    oserr = {n for n in names if policy.should_fire("write_oserror", n)}
+    disk = {n for n in names if policy.should_fire("disk_full", n)}
+    trunc = {n for n in names
+             if policy.should_fire("cache_truncate", n)
+             and n not in disk}
+    garb = {n for n in names
+            if policy.should_fire("cache_garbage", n)
+            and n not in trunc and n not in disk}
     poison = [r for r in corpus
               if policy.should_fire("block_poison", r.block.text())]
     plan = {"worker_crash": len(crash), "worker_hang": len(hang),
@@ -151,7 +153,7 @@ class TestAllFaultsAcceptance:
             sum(healed.funnel["dropped"].values()) == len(corpus)
         assert len(cache.quarantined_files()) == \
             plan["cache_truncate"] + plan["cache_garbage"]
-        assert all(shard in cache for shard in shards)
+        assert all(("haswell", r.block.text()) in cache for r in corpus)
 
 
 class TestTransparentChaos:
@@ -179,19 +181,11 @@ class TestTransparentChaos:
 # Pool teardown (KeyboardInterrupt must reap every worker)
 # ---------------------------------------------------------------------------
 
-def _stub_profile(records) -> CorpusProfile:
-    return CorpusProfile(
-        throughputs={},
-        funnel={"total": len(records), "accepted": 0,
-                "dropped": {"worker_failure": len(records)}})
-
-
-def worker_fast_then_hang(descriptor, config, index, records, siblings,
-                          waiting):
+def worker_fast_then_hang(descriptor, config, index, records, siblings):
     """Picklable stub: first shard returns, the rest hang."""
     if index > 0:
         time.sleep(120)
-    return index, _stub_profile(records), {}, []
+    return index, [{"reason": "worker_failure"}] * len(records), []
 
 
 class TestPoolTeardown:
@@ -228,7 +222,6 @@ class TestResilienceReporting:
         telemetry.count("resilience.quarantined.blocks", 3)
         telemetry.count("resilience.quarantined.cache_files", 2)
         telemetry.count("resilience.stale_temps_swept")
-        telemetry.count("resilience.resumed_shards", 4)
         report = telemetry.build_run_report(telemetry.registry(),
                                             name="resilience_report")
         resilience = report["resilience"]
@@ -237,7 +230,6 @@ class TestResilienceReporting:
         assert resilience["quarantined_blocks"] == 3
         assert resilience["quarantined_cache_files"] == 2
         assert resilience["stale_temps_swept"] == 1
-        assert resilience["resumed_shards"] == 4
 
     def test_fault_counters_are_namespaced(self):
         telemetry.enable()

@@ -1,119 +1,34 @@
-"""RunJournal: durability, torn lines, and identity pinning."""
+"""Self-checked lines: torn, flipped and garbage lines read as None.
 
-import json
+Every result-store record and serve journal line is one
+:func:`journal_line`; these pin the self-check they all rely on.
+"""
 
-from repro.resilience.journal import (JOURNAL_NAME, RunJournal,
-                                      journal_line)
+from repro.resilience.journal import journal_line, parse_journal_line
 
-META = {"uarch": "haswell", "seed": 0, "shards": 3,
-        "corpus": "deadbeef"}
-
-
-def _journal(tmp_path):
-    return RunJournal(str(tmp_path / JOURNAL_NAME))
+RECORD = {"version": 1, "uarch": "haswell", "text": "nop",
+          "entry": {"throughput": 0.25}}
 
 
-class TestRoundTrip:
-    def test_fresh_journal_has_no_completions(self, tmp_path):
-        journal = _journal(tmp_path)
-        assert journal.open(META) == {}
-        assert not journal.resumed
-        journal.close()
-
-    def test_completions_survive_reopen(self, tmp_path):
-        with _journal(tmp_path) as journal:
-            journal.open(META)
-            journal.record_shard("aaa-0", 0, 111)
-            journal.record_shard("bbb-1", 1, 222)
-
-        resumed = _journal(tmp_path)
-        assert resumed.open(META) == {"aaa-0": 111, "bbb-1": 222}
-        assert resumed.resumed
-        resumed.close()
-
-    def test_latest_record_for_a_digest_wins(self, tmp_path):
-        with _journal(tmp_path) as journal:
-            journal.open(META)
-            journal.record_shard("aaa-0", 0, 111)
-            journal.record_shard("aaa-0", 0, 999)
-        resumed = _journal(tmp_path)
-        assert resumed.open(META) == {"aaa-0": 999}
-        resumed.close()
+def test_round_trip():
+    assert parse_journal_line(journal_line(RECORD)) == RECORD
 
 
 class TestTornLines:
-    def test_torn_final_line_is_dropped(self, tmp_path):
-        with _journal(tmp_path) as journal:
-            journal.open(META)
-            journal.record_shard("aaa-0", 0, 111)
-            journal.record_shard("bbb-1", 1, 222)
-        path = tmp_path / JOURNAL_NAME
-        data = path.read_text()
-        path.write_text(data[:-15])  # SIGKILL mid-write
+    def test_torn_final_line_is_dropped(self):
+        line = journal_line(RECORD)
+        for cut in range(len(line)):
+            assert parse_journal_line(line[:cut]) is None
 
-        resumed = _journal(tmp_path)
-        assert resumed.open(META) == {"aaa-0": 111}
-        assert resumed.torn_records == 1
-        assert resumed.resumed
-        resumed.close()
+    def test_bit_flip_fails_the_self_check(self):
+        line = journal_line(RECORD)
+        flipped = line.replace('"throughput": 0.25',
+                               '"throughput": 0.26')
+        assert flipped != line
+        assert parse_journal_line(flipped) is None
 
-    def test_bit_flip_fails_the_self_check(self, tmp_path):
-        with _journal(tmp_path) as journal:
-            journal.open(META)
-            journal.record_shard("aaa-0", 0, 111)
-        path = tmp_path / JOURNAL_NAME
-        lines = path.read_text().splitlines()
-        lines[-1] = lines[-1].replace('"checksum": 111',
-                                     '"checksum": 112')
-        path.write_text("\n".join(lines) + "\n")
-
-        resumed = _journal(tmp_path)
-        assert resumed.open(META) == {}
-        assert resumed.torn_records == 1
-        resumed.close()
-
-    def test_garbage_journal_starts_fresh(self, tmp_path):
-        path = tmp_path / JOURNAL_NAME
-        path.write_text("\x00 not json at all {{{\n")
-        journal = _journal(tmp_path)
-        assert journal.open(META) == {}
-        assert not journal.resumed
-        journal.close()
-
-
-class TestIdentityPinning:
-    def test_different_meta_rotates_the_journal(self, tmp_path):
-        with _journal(tmp_path) as journal:
-            journal.open(META)
-            journal.record_shard("aaa-0", 0, 111)
-
-        other = dict(META, corpus="cafef00d")
-        fresh = _journal(tmp_path)
-        assert fresh.open(other) == {}
-        assert not fresh.resumed
-        fresh.close()
-        # The old run's completions are gone for good.
-        again = _journal(tmp_path)
-        assert again.open(META) == {}
-        again.close()
-
-    def test_wrong_version_rotates(self, tmp_path):
-        path = tmp_path / JOURNAL_NAME
-        begin = journal_line({"kind": "begin", "version": 999,
-                           "meta": META})
-        shard = journal_line({"kind": "shard", "digest": "aaa-0",
-                           "index": 0, "checksum": 111})
-        path.write_text(begin + "\n" + shard + "\n")
-        journal = _journal(tmp_path)
-        assert journal.open(META) == {}
-        journal.close()
-
-    def test_resume_appends_a_resume_record(self, tmp_path):
-        with _journal(tmp_path) as journal:
-            journal.open(META)
-            journal.record_shard("aaa-0", 0, 111)
-        with _journal(tmp_path) as journal:
-            journal.open(META)
-        lines = (tmp_path / JOURNAL_NAME).read_text().splitlines()
-        kinds = [json.loads(line)["rec"]["kind"] for line in lines]
-        assert kinds == ["begin", "shard", "resume"]
+    def test_garbage_journal_starts_fresh(self):
+        for garbage in ("\x00 not json at all {{{", "[]", "{}", "7",
+                        '{"crc": "x", "rec": {}}',
+                        '{"crc": 0, "rec": [1]}'):
+            assert parse_journal_line(garbage) is None

@@ -2,13 +2,16 @@
 
 Everything here runs in-process — the service deliberately owns the
 whole robustness surface without an event loop, so these tests are
-plain function calls against real shard caches in a tmpdir.
+plain function calls against real result stores in a tmpdir.
 """
 
 import json
+import os
 
 import pytest
 
+from repro.resilience import chaos
+from repro.resilience.chaos import ChaosPolicy
 from repro.serve.config import ServeConfig
 from repro.serve.core import (MAX_BLOCKS_PER_REQUEST, ProfilingService,
                               RequestError, canonical_results_bytes,
@@ -39,7 +42,7 @@ def _service(config, **kw):
 
 # --- picklable failing worker (pool imports this module by reference)
 
-def worker_raises(descriptor, config, index, records, siblings, waiting):
+def worker_raises(descriptor, config, index, records, siblings):
     raise RuntimeError("injected worker exception")
 
 
@@ -112,6 +115,54 @@ class TestExecute:
         assert stats["cache_hits"] == 2  # both blocks already cached
         assert r2 == [r1[1], r1[0]]
         service.close()
+
+    def test_colliding_texts_keep_their_own_results(self, tmp_path):
+        """Two blocks whose one-block shard digests collide: each is
+        answered with its own throughput, in either order."""
+        first = ("addq $2060508356, %r8\naddq $897546329, %rsi\n"
+                 "addq $1684414767, %r8")
+        second = ("xorq %rdi, %rcx\naddq $704860517, %rdi\n"
+                  "imulq %rdx, %rbx\naddq $343455681, %rsi\n"
+                  "leaq 251237(%rcx,%rdx,4), %rbx")
+        service = _service(_config(tmp_path))
+        answers = [service.execute([_request(service.config, [text])])
+                   [0][0][0] for text in (first, second)]
+        service.close()
+        assert answers == [{"status": "ok", "throughput": 2.0},
+                           {"status": "ok", "throughput": 2.0625}]
+        alone = _service(_config(tmp_path, "alone"))
+        (only,), _ = alone.execute([_request(alone.config, [second])])
+        alone.close()
+        assert only == [answers[1]]
+
+    def test_failed_store_write_keeps_the_drop_reason(self, tmp_path):
+        blocks = ["rdtsc", ADD]
+        service = _service(_config(tmp_path))
+        with chaos.forced(ChaosPolicy.parse("3:disk_full=1.0")):
+            (results,), stats = service.execute(
+                [_request(service.config, blocks)])
+        assert stats["written"] == 0
+        service.close()
+        clean = _service(_config(tmp_path, "clean"))
+        (expected,), _ = clean.execute([_request(clean.config, blocks)])
+        clean.close()
+        assert results[0] == {"status": "dropped",
+                              "reason": "unsupported_instruction"}
+        assert results == expected
+
+    def test_one_store_per_seed_shared_by_uarches(self, tmp_path):
+        service = _service(_config(tmp_path))
+        for seed in (0, 1):
+            service.execute([_request(service.config, [ADD, MUL],
+                                      uarch="skylake", seed=seed)])
+        service.execute([_request(service.config, [ADD])])
+        service.close()
+        state = tmp_path / "state"
+        assert sorted(p.name for p in state.iterdir() if p.is_dir()) \
+            == ["results_0", "results_1"]
+        assert sorted(name.split("-")[0] for name
+                      in os.listdir(state / "results_0")) \
+            == ["haswell", "skylake", "skylake"]
 
     def test_reexecution_is_byte_identical_across_services(self,
                                                            tmp_path):

@@ -8,10 +8,9 @@ test here is a way one of them *could* serve a wrong answer if its key
 were sloppier, pinned so it never does.
 """
 
-import json
-
 from repro.isa.parser import parse_instruction
 from repro.profiler.harness import BasicBlockProfiler
+from repro.runtime import blockplan
 from repro.simcore import config as simcore
 from repro.uarch.machine import Machine
 from repro.uarch.uops import Decomposer
@@ -106,29 +105,24 @@ def test_cached_instruction_hash_is_stable():
 
 
 def test_shard_cache_round_trips_info(tmp_path):
-    """The informational tally survives the v3 shard cache."""
+    """The informational tally survives the result store: a run served
+    from records folds the same ``info`` as the run that wrote them."""
     from repro.corpus.dataset import build_application
-    from repro.eval.validation import CorpusProfile
-    from repro.parallel import ShardCache, shard_corpus
+    from repro.parallel import ShardCache, profile_corpus_sharded
 
     corpus = build_application("llvm", count=4, seed=1)
-    shard = shard_corpus(corpus, shard_size=4)[0]
-    profile = CorpusProfile(
-        throughputs={r.block_id: 1.0 for r in shard.records},
-        funnel={"total": 4, "accepted": 4, "dropped": {}},
-        info={"fastpath_extrapolated": 3})
     cache = ShardCache(str(tmp_path))
-    cache.store(shard, profile)
-    loaded = cache.load(shard)
-    assert loaded.info == {"fastpath_extrapolated": 3}
-    assert loaded.funnel == profile.funnel
-    # Old-format entries (no "info" key) load as empty info, not None.
-    path = cache.path_for(shard)
-    doc = json.load(open(path))
-    del doc["info"]
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    assert cache.load(shard).info == {}
+    with simcore.forced(True), blockplan.forced(True):
+        fresh = profile_corpus_sharded(corpus, "haswell", jobs=1,
+                                       cache=cache)
+    assert fresh.info
+    stats = {}
+    with simcore.forced(False), blockplan.forced(False):
+        stored = profile_corpus_sharded(corpus, "haswell", jobs=1,
+                                        cache=cache, stats=stats)
+    assert stats["hits"] == len(corpus)
+    assert stored.info == fresh.info
+    assert stored.funnel == fresh.funnel
 
 
 def test_run_report_funnel_info_is_informational_only():

@@ -7,6 +7,7 @@ size — the paper's "no user intervention" claim, made checkable.
 
 import json
 import os
+import zlib
 
 import pytest
 
@@ -67,90 +68,50 @@ class TestExperimentCache:
     def test_miss_then_hit_with_funnel_round_trip(self):
         from repro.parallel import shard_corpus
         telemetry.enable()
-        first = Experiment(scale=SMALL_SCALE, seed=7)
+        first = Experiment(scale=SMALL_SCALE, seed=7,
+                           uarches=("haswell",))
         measured = first.measured("haswell")
         shards = len(shard_corpus(first.corpus, first.shard_size))
         counters = telemetry.registry().snapshot()["counters"]
         assert counters["cache.misses"] == 1
-        assert counters["cache.writes"] == shards  # one per shard
+        # One record per block (the corpus has no repeated text).
+        assert counters["cache.writes"] == len(first.corpus)
         assert counters.get("cache.hits", 0) == 0
         funnel = first.funnel("haswell")
         assert funnel["total"] == len(first.corpus)
         assert funnel["accepted"] == len(measured)
 
         # A fresh Experiment re-reads from disk: hit, same data,
-        # same funnel (the breakdown survives the cache).
+        # same funnel (the breakdown survives the store).
         second = Experiment(scale=SMALL_SCALE, seed=7)
         assert second.measured("haswell") == measured
         assert second.funnel("haswell") == funnel
         counters = telemetry.registry().snapshot()["counters"]
         assert counters["cache.hits"] == 1
         assert counters["parallel.shard_cache_hits"] == shards
+        assert counters["cache.shard.hits"] == len(first.corpus)
 
     def test_cache_files_are_versioned_and_atomic(self):
-        experiment = Experiment(scale=SMALL_SCALE, seed=7)
+        experiment = Experiment(scale=SMALL_SCALE, seed=7,
+                                uarches=("haswell",))
         experiment.measured("haswell")
         (name,) = os.listdir(self.cache)
-        assert name == "measured_v3_main_haswell_7"
-        entries = os.listdir(self.cache / name)
-        # The run journal (crash-safe resume) is co-located with the
-        # shard files.
-        assert "journal.ndjson" in entries
-        shard_files = [f for f in entries if f.startswith("shard_")]
-        assert shard_files
-        assert not any(f.endswith(".tmp") for f in entries)
-        total = 0
-        for shard_file in shard_files:
-            with open(self.cache / name / shard_file) as fh:
+        assert name == "results_7"
+        records = os.listdir(self.cache / name)
+        assert len(records) == len(experiment.corpus)
+        assert not any(f.endswith(".tmp") for f in records)
+        texts = set()
+        for record in records:
+            with open(self.cache / name / record) as fh:
                 doc = json.load(fh)
-            assert doc["version"] == 3
-            assert doc["digest"] in shard_file
-            total += doc["funnel"]["total"]
-        assert total == len(experiment.corpus)
-
-    def _rewrite_as_legacy(self, version: int):
-        """Replace the v3 shard dir with a legacy monolithic file."""
-        import shutil
-        from repro.eval.pipeline import (_corpus_digest,
-                                         _legacy_cache_path,
-                                         _store_cache)
-        from repro.eval.validation import CorpusProfile
-        experiment = Experiment(scale=SMALL_SCALE, seed=7)
-        measured = experiment.measured("haswell")
-        funnel = experiment.funnel("haswell")
-        shutil.rmtree(self.cache / "measured_v3_main_haswell_7")
-        path = _legacy_cache_path("main", "haswell", 7,
-                                  _corpus_digest(experiment.corpus))
-        if version == 2:
-            _store_cache(path, CorpusProfile(measured, funnel))
-        else:
-            with open(path, "w") as fh:
-                json.dump({str(k): v for k, v in measured.items()}, fh)
-        return measured, funnel
-
-    def test_legacy_v2_cache_migrates_with_exact_funnel(self):
-        measured, funnel = self._rewrite_as_legacy(version=2)
-        fresh = Experiment(scale=SMALL_SCALE, seed=7)
-        assert fresh.measured("haswell") == measured
-        # Merge-on-load: the per-reason breakdown survives migration
-        # in aggregate (the Table-I view is exact).
-        assert fresh.funnel("haswell") == funnel
-        assert os.path.isdir(self.cache / "measured_v3_main_haswell_7")
-
-    def test_legacy_v1_cache_still_loads(self):
-        measured, _ = self._rewrite_as_legacy(version=1)
-        fresh = Experiment(scale=SMALL_SCALE, seed=7)
-        assert fresh.measured("haswell") == measured
-        # The per-reason breakdown is gone, but coverage still
-        # accounts for every block.
-        funnel = fresh.funnel("haswell")
-        assert funnel["total"] == len(fresh.corpus)
-        assert funnel["accepted"] == len(measured)
-        dropped = funnel["dropped"]
-        assert sum(dropped.values()) == funnel["total"] - \
-            funnel["accepted"]
-        if dropped:
-            assert set(dropped) == {"unknown_pre_telemetry_cache"}
+            rec = doc["rec"]
+            assert rec["version"] == 1
+            assert rec["uarch"] == "haswell"
+            assert record.startswith("haswell-")
+            assert doc["crc"] == zlib.crc32(
+                json.dumps(rec, sort_keys=True).encode())
+            texts.add(rec["text"])
+        assert texts == {r.block.text() for r in experiment.corpus}
 
 
 class TestRunReport:

@@ -2,18 +2,21 @@
 
 import json
 import os
+import tempfile
 from dataclasses import astuple
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro import simcore
-from repro.corpus import BlockSynthesizer, get_spec
+from repro.corpus import BlockRecord, BlockSynthesizer, get_spec
 from repro.errors import ModelError, UnsupportedInstructionError
 from repro.isa.parser import parse_block
 from repro.models import IacaModel, LlvmMcaModel, OsacaModel
 from repro.models.portsim import PortSimulatorModel
+from repro.parallel import ShardCache, profile_corpus_sharded
 from repro.profiler import BasicBlockProfiler
+from repro.profiler.harness import result_entry
 from repro.runtime import blockplan
 from repro.uarch import Machine
 from repro.uarch.scheduler import DataflowScheduler, InstrAnnotation
@@ -265,20 +268,44 @@ def test_every_tier_measures_generated_blocks_identically(block, uarch):
 @given(block=corpus_blocks(), order=st.permutations(UARCHES))
 @settings(max_examples=40, deadline=None)
 def test_sibling_results_equal_standalone_profiles(block, order):
-    """Each uarch's profiler times the block on the uarches after it
-    too; what each later profiler takes from the table is exactly a
-    standalone profile, on every tier."""
+    """Each uarch that has no result yet profiles the block and times
+    it on the uarches after it too; every result, timed as a sibling
+    or not, is exactly a standalone profile, on every tier."""
     for tier in TIERS:
         with simcore.forced(tier[0]), blockplan.forced(tier[1]):
-            table = {}
-            shared = [BasicBlockProfiler(
-                Machine(uarch),
-                siblings=[Machine(u) for u in order[i + 1:]],
-                table=table).profile(block)
-                for i, uarch in enumerate(order)]
+            shared, got = {}, []
+            for i, uarch in enumerate(order):
+                result = shared.pop(uarch, None)
+                if result is None:
+                    profiler = BasicBlockProfiler(
+                        Machine(uarch),
+                        siblings=[Machine(u) for u in order[i + 1:]])
+                    result = profiler.profile(block)
+                    shared.update((r.uarch, r)
+                                  for r in profiler.take_shared())
+                got.append(result)
             alone = [BasicBlockProfiler(Machine(uarch)).profile(block)
                      for uarch in order]
-        assert not table, tier
-        for uarch, got, want in zip(order, shared, alone):
-            assert (got.uarch, measured(got), got.extra) == \
+        assert not shared, tier
+        for uarch, mine, want in zip(order, got, alone):
+            assert (mine.uarch, measured(mine), mine.extra) == \
                 (uarch, measured(want), want.extra), (tier, uarch)
+
+
+@given(block=corpus_blocks())
+@settings(max_examples=30, deadline=None)
+def test_stored_entries_equal_standalone_profiles(block):
+    """A block run through the engine on each uarch in turn, with the
+    later uarches as siblings, leaves one record per uarch in the
+    store; each reads back as the entry of a standalone profile."""
+    record = BlockRecord(block=block, application="prop", frequency=1,
+                         block_id=0)
+    with tempfile.TemporaryDirectory() as directory:
+        store = ShardCache(directory)
+        for i, uarch in enumerate(UARCHES):
+            profile_corpus_sharded([record], uarch, jobs=1, cache=store,
+                                   siblings=UARCHES[i + 1:])
+        stored = [store.load(uarch, block.text()) for uarch in UARCHES]
+    alone = [result_entry(BasicBlockProfiler(Machine(uarch))
+                          .profile(block)) for uarch in UARCHES]
+    assert stored == alone
