@@ -51,8 +51,9 @@ REGISTRY: List[EnvVar] = [
            "worker (the result store is keyed by block, not shard)",
            "pipeline"),
     EnvVar("REPRO_CACHE", "`.cache/`",
-           "root of the result stores: one record per (uarch, block "
-           "text) under `results_<seed>/`", "pipeline"),
+           "root of the result stores: one append-only log per uarch, "
+           "`results_<seed>/<uarch>.log`, one line per (uarch, block "
+           "text)", "pipeline"),
     EnvVar("REPRO_REPORT_DIR", "`reports/`",
            "where benches and telemetry write reports", "pipeline"),
     EnvVar("REPRO_SAMPLE", "unset",

@@ -35,10 +35,10 @@ On ``KeyboardInterrupt`` or any other fatal error the pool is
 hard-stopped and its workers reaped, so no orphan processes or
 half-written records outlive the run.
 
-Crash-safe resume needs nothing more: every record is written
-atomically and self-checked on load, so a run killed at any point
-resumes from the records it wrote, as store hits, to byte-identical
-output.
+Crash-safe resume needs nothing more: every record is one appended
+line, self-checked on load, and a torn last line is never served, so a
+run killed at any point resumes from the records it wrote, as store
+hits, to byte-identical output.
 
 Chaos: the ``worker_crash`` / ``worker_hang`` fault points
 (:mod:`repro.resilience.chaos`) fire here, in pool workers only —
@@ -455,8 +455,8 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
     ``jobs=1`` (or a corpus that fits the first prefetch window with a
     single pending shard) profiles in-process with no pool at all.
     ``cache`` is the result store: blocks it holds on ``uarch`` are
-    read instead of profiled, and fresh entries are written back
-    atomically, so a killed run resumes from what it wrote.
+    read instead of profiled, and fresh entries are appended to it,
+    so a killed run resumes from what it wrote.
     ``stats``, if given, is filled with run accounting (shard counts,
     store hits, retries, failures).  ``siblings`` and ``on_shard``
     are passed through (see :func:`profile_corpus_streamed`).
@@ -648,7 +648,8 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                 _store(cache, uarch, record.block.text(), entry,
                        run_stats)
             for name, text, entry in shared:
-                _store(cache, name, text, entry, run_stats)
+                if (name, text) not in cache:  # else stored by its own run
+                    _store(cache, name, text, entry, run_stats)
         run_stats["sibling_runs"] += len(shared)
         fresh_iter = iter(fresh)
         return fold_entries(

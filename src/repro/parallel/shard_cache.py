@@ -1,4 +1,4 @@
-"""The result store: one self-checked record per (uarch, block text).
+"""The result store: one append-only log of self-checked records per uarch.
 
 A measurement is a pure function of (block text, uarch, seed) — even
 the simulated noise is seeded from a CRC of the text — so the store
@@ -8,8 +8,8 @@ pipeline's rows, ``repro validate --resume``, ``repro corpus --resume``
 ``.cache/``, or the daemon's state directory)::
 
     results_<seed>/
-        <uarch>-<blake2b-128 of the text>.json   # one record
-        quarantine/                              # records that failed
+        <uarch>.log        # one record per line, append-only
+        quarantine/        # a copy of each line that failed a check
 
 A record is one :func:`repro.resilience.journal.journal_line`::
 
@@ -19,20 +19,28 @@ A record is one :func:`repro.resilience.journal.journal_line`::
 where ``entry`` is :func:`repro.profiler.harness.result_entry`: the
 throughput of an accepted block or the reason it was dropped, plus
 its truthy ``extra`` keys — everything the accept/drop fold reads.
-Record names hash the whole text, and a load checks the text itself,
-so two blocks can never share a record.
 
-Every write is atomic (temp file + ``os.replace``), so a run killed
-mid-write leaves at worst an orphaned ``*.tmp`` the loader ignores;
-it can never leave a half-written record visible.  Orphaned temps
-from crashed runs are swept when the store is opened (a live
-writer's temp — its pid is embedded in the name — is left alone).
-Loads are defensive: a record that fails its CRC, or whose version,
-uarch or text does not match, reads as a miss — and the file is moved
-to ``quarantine/`` (rather than left to fail again every run) unless
-strict mode promotes the corruption into a
-:class:`repro.errors.StrictModeViolation`.  A killed run therefore
-resumes from the records it wrote: each is a store hit.
+**Writes.**  :meth:`ShardCache.store` appends one whole line with one
+``write()`` on an ``O_APPEND`` descriptor, under an exclusive
+``flock``, and closes the descriptor before it returns.  Nothing
+rewrites a complete line.  A writer killed mid-``write`` leaves an
+unterminated tail: it is neither a hit nor quarantined, and the next
+writer cuts it off under the lock before it appends
+(:func:`repro.resilience.journal.truncate_torn_tail`).
+
+**Reads.**  Each uarch's log is read once, sequentially, on first use
+into an in-memory index: blake2b-128 of the text → offset and length
+of the last good line; the store's own appends join it.
+:meth:`ShardCache.load` re-reads that one line and checks it again —
+CRC, version, uarch, text, entry shape — so two blocks can never share
+a record, and a line damaged after the index was built is caught.  A
+complete line that fails a check (at the scan or at a load) is copied
+once into ``quarantine/`` and counted, unless strict mode promotes the
+corruption into a :class:`repro.errors.StrictModeViolation`; later
+scans find its copy and skip it.  A record another process appended
+after this store built its index is a miss here: the block is
+re-profiled and its record appended again.  Duplicates hold equal
+bytes, and the last good line wins.
 
 Writes run under the resilience retry policy: a transient ``OSError``
 (including the injected ``write_oserror`` chaos point) is retried with
@@ -43,13 +51,16 @@ degrades to "not stored" instead of failing the run.
 from __future__ import annotations
 
 import errno
+import fcntl
 import hashlib
 import os
-from typing import Dict, List, Optional
+import zlib
+from typing import Dict, List, Optional, Tuple
 
 from repro.resilience import chaos
 from repro.resilience import policy as resilience
-from repro.resilience.journal import journal_line, parse_journal_line
+from repro.resilience.journal import (journal_line, parse_journal_line,
+                                      truncate_torn_tail)
 from repro.telemetry import cachestats
 from repro.telemetry import core as telemetry
 
@@ -57,8 +68,11 @@ from repro.telemetry import core as telemetry
 #: quarantined and its block re-profiled.
 RECORD_VERSION = 1
 
-#: Subdirectory corrupt records are moved to instead of raising.
+#: Subdirectory corrupt lines are copied to instead of raising.
 QUARANTINE_DIR = "quarantine"
+
+#: What the ``cache_garbage`` chaos point writes over a record.
+_GARBAGE = b"\x00garbage\x7f not json {{{"
 
 # Default provider so the unified ``caches`` section always carries a
 # ``shard`` row (pure counter read); opening a store replaces it with
@@ -72,32 +86,40 @@ def store_directory(root: str, seed: int) -> str:
     return os.path.join(root, f"results_{seed}")
 
 
-def record_name(uarch: str, text: str) -> str:
-    """File name of the (uarch, text) record."""
-    digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-    return f"{uarch}-{digest}.json"
+def _digest(text: str) -> bytes:
+    return hashlib.blake2b(text.encode(), digest_size=16).digest()
 
 
-def _pid_alive(pid: int) -> bool:
-    """Is a process with this pid currently running?"""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        pass  # e.g. EPERM: exists but not ours
-    return True
+def record_key(uarch: str, text: str) -> str:
+    """Name of the (uarch, text) record in events and chaos decisions."""
+    return f"{uarch}-{_digest(text).hex()}"
+
+
+def _entry(record: Optional[Dict], uarch: str, text) -> Optional[Dict]:
+    """The entry of a checked record of (``uarch``, ``text``), or
+    ``None`` when ``record`` is not one."""
+    if record is None:
+        return None
+    entry = record.get("entry")
+    if record.get("version") != RECORD_VERSION \
+            or record.get("uarch") != uarch \
+            or record.get("text") != text \
+            or not isinstance(entry, dict) \
+            or ("throughput" in entry) == ("reason" in entry):
+        return None
+    return entry
 
 
 class ShardCache:
-    """The block-keyed result store for one seed, with atomic writes."""
+    """The block-keyed result store for one seed: a log per uarch."""
 
     def __init__(self, directory: str,
                  retry: Optional[resilience.RetryPolicy] = None):
         self.directory = directory
         self.retry = retry or resilience.default_retry_policy()
         os.makedirs(directory, exist_ok=True)
-        self._sweep_stale_temps()
+        #: uarch -> text digest -> (offset, length) of its last good line.
+        self._indexes: Dict[str, Dict[bytes, Tuple[int, int]]] = {}
         # The unified ``caches`` section tracks the most recently
         # opened store (runs open one per seed); hit/miss counts come
         # from the engine's ``cache.shard.*`` counters.
@@ -106,22 +128,25 @@ class ShardCache:
     def _cache_stats(self) -> cachestats.CacheStats:
         stats = cachestats.registry_stats("shard")
         try:
-            stats.size = len(self.record_files())
+            stats.size = len(self)
         except OSError:
             pass
         return stats
 
     # ------------------------------------------------------------------
 
-    def path_for(self, uarch: str, text: str) -> str:
-        return os.path.join(self.directory, record_name(uarch, text))
+    def log_path(self, uarch: str) -> str:
+        return os.path.join(self.directory, f"{uarch}.log")
 
     def __contains__(self, key) -> bool:
-        return os.path.exists(self.path_for(*key))
+        uarch, text = key
+        return _digest(text) in self._index(uarch)
 
-    def record_files(self) -> List[str]:
-        return sorted(name for name in os.listdir(self.directory)
-                      if name.endswith(".json"))
+    def __len__(self) -> int:
+        """Distinct records across every uarch's log."""
+        return sum(len(self._index(name[:-len(".log")]))
+                   for name in os.listdir(self.directory)
+                   if name.endswith(".log"))
 
     @property
     def quarantine_dir(self) -> str:
@@ -135,115 +160,120 @@ class ShardCache:
 
     # ------------------------------------------------------------------
 
-    def _sweep_stale_temps(self) -> None:
-        """Remove ``*.tmp`` orphans left by prior crashed runs.
+    def _index(self, uarch: str) -> Dict[bytes, Tuple[int, int]]:
+        index = self._indexes.get(uarch)
+        if index is None:
+            index = self._indexes[uarch] = self._scan(uarch)
+        return index
 
-        Temp names embed the writing pid (``<record>.<pid>.tmp``); a
-        temp whose writer is dead — or whose name does not parse — is
-        an orphan from a crash and is deleted, as is one carrying our
-        own pid (a previous incarnation's: we have not written yet).
-        A live writer's temp (another process racing this one) is
-        left for it to finish.
-        """
-        swept = 0
+    def _scan(self, uarch: str) -> Dict[bytes, Tuple[int, int]]:
+        """One sequential read of the log: the last good line per text."""
+        index: Dict[bytes, Tuple[int, int]] = {}
         try:
-            names = os.listdir(self.directory)
+            fh = open(self.log_path(uarch), "rb")
         except OSError:
+            return index  # no log yet: every block misses
+        with fh:
+            # Shared: no writer is mid-append or cutting a torn tail.
+            fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
+            offset = 0
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break  # torn tail: the next store cuts it off
+                record = parse_journal_line(line)
+                text = record.get("text") if record else None
+                if isinstance(text, str) \
+                        and _entry(record, uarch, text) is not None:
+                    index[_digest(text)] = (offset, len(line))
+                else:
+                    self._quarantine(uarch, offset, line, record)
+                offset += len(line)
+        return index
+
+    def _quarantine(self, uarch: str, offset: int, line: bytes,
+                    record: Optional[Dict]) -> None:
+        """Copy a bad line to ``quarantine/`` once (or raise in strict
+        mode); a line an earlier scan copied is skipped."""
+        name = f"{uarch}-{offset}-{zlib.crc32(line):08x}.line"
+        dest = os.path.join(self.quarantine_dir, name)
+        if os.path.exists(dest):
             return
-        for name in names:
-            if not name.endswith(".tmp"):
-                continue
-            try:
-                pid = int(name.split(".")[-2])
-            except (IndexError, ValueError):
-                pid = None
-            if pid is not None and pid != os.getpid() \
-                    and _pid_alive(pid):
-                continue
-            try:
-                os.unlink(os.path.join(self.directory, name))
-                swept += 1
-            except OSError:
-                pass
-        if swept:
-            telemetry.count("resilience.stale_temps_swept", swept)
-            telemetry.event("resilience.stale_temps_swept",
-                            directory=self.directory, count=swept)
-
-    def _quarantine(self, path: str, reason: str) -> None:
-        """Move a corrupt record to ``quarantine/`` (or raise in strict)."""
+        reason = "failed its self-check" if record is None \
+            else "wrong version, uarch, text or entry"
         resilience.quarantine_or_raise(
-            f"corrupt store record {os.path.basename(path)}", reason)
-        os.makedirs(self.quarantine_dir, exist_ok=True)
-        dest = os.path.join(self.quarantine_dir,
-                            os.path.basename(path))
+            f"corrupt store record {uarch}.log@{offset}", reason)
         try:
-            os.replace(path, dest)
+            os.makedirs(self.quarantine_dir, exist_ok=True)
+            with open(dest, "xb") as fh:
+                fh.write(line)
         except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                return
+            return  # copied by a racing reader, or no room
         telemetry.count("resilience.quarantined.cache_files")
         telemetry.count("cache.shard.evictions")
         telemetry.event("resilience.cache_file_quarantined",
-                        file=os.path.basename(path), reason=reason)
+                        file=name, reason=reason)
 
     # ------------------------------------------------------------------
 
     def load(self, uarch: str, text: str) -> Optional[Dict]:
         """The stored entry for ``text`` on ``uarch``, or ``None``.
 
-        A record that exists but fails its check — torn, garbage, a
-        CRC mismatch, another version, uarch or text — is quarantined
-        so it cannot fail again on every future run.
+        The indexed line is re-read and checked again; one that fails
+        is quarantined and reads as a miss.
         """
-        path = self.path_for(uarch, text)
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError:
+        key = _digest(text)
+        index = self._index(uarch)
+        at = index.get(key)
+        if at is None:
             return None  # plain miss
-        record = parse_journal_line(data)
-        if record is None:
-            self._quarantine(path, "failed its self-check")
+        offset, length = at
+        try:
+            fd = os.open(self.log_path(uarch), os.O_RDONLY)
+            try:
+                line = os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
+        except OSError:
             return None
-        entry = record.get("entry")
-        if record.get("version") != RECORD_VERSION \
-                or record.get("uarch") != uarch \
-                or record.get("text") != text \
-                or not isinstance(entry, dict) \
-                or ("throughput" in entry) == ("reason" in entry):
-            self._quarantine(path, "wrong version, uarch, text or entry")
+        record = parse_journal_line(line)
+        entry = _entry(record, uarch, text)
+        if entry is None:
+            self._quarantine(uarch, offset, line, record)
+            del index[key]
             return None
         return entry
 
     def store(self, uarch: str, text: str, entry: Dict) -> bool:
-        """Atomically persist one entry; ``False`` when the write
-        ultimately failed and the run degraded to "not stored" (salvage
-        mode; strict mode raises)."""
-        data = journal_line({"version": RECORD_VERSION, "uarch": uarch,
-                             "text": text, "entry": entry})
-        path = self.path_for(uarch, text)
-        name = os.path.basename(path)
-        tmp = f"{path}.{os.getpid()}.tmp"
+        """Append one entry to the uarch's log; ``False`` when the
+        write ultimately failed and the run degraded to "not stored"
+        (salvage mode; strict mode raises)."""
+        line = (journal_line({"version": RECORD_VERSION, "uarch": uarch,
+                              "text": text, "entry": entry})
+                + "\n").encode()
+        key, name = _digest(text), record_key(uarch, text)
+        path = self.log_path(uarch)
+        index = self._index(uarch)
 
-        def attempt_write(attempt: int) -> None:
+        def attempt_write(attempt: int) -> int:
             if attempt == 0 and chaos.fire("write_oserror", name):
                 raise OSError(errno.EIO,
                               "chaos: transient write error")
             if chaos.fire("disk_full", name, count=attempt == 0):
                 raise OSError(errno.ENOSPC, "chaos: disk full")
+            fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT,
+                         0o644)
             try:
-                with open(tmp, "w") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                offset = truncate_torn_tail(fd)
+                if os.write(fd, line) != len(line):
+                    # The torn part is cut off by the next attempt.
+                    raise OSError(errno.ENOSPC, "short write")
+                return offset
             finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+                os.close(fd)  # releases the lock
 
         try:
-            self.retry.run(attempt_write, key=name)
+            offset = self.retry.run(attempt_write, key=name)
         except OSError as exc:
             telemetry.count("resilience.cache_write_failures")
             telemetry.event("resilience.cache_write_failure",
@@ -251,17 +281,27 @@ class ShardCache:
             resilience.quarantine_or_raise(
                 f"store write failed for record {name}", str(exc))
             return False
-        self._maybe_corrupt_after_write(name, path)
+        index[key] = (offset, len(line))
+        self._maybe_corrupt_after_write(name, path, offset, line)
         return True
 
     @staticmethod
-    def _maybe_corrupt_after_write(name: str, path: str) -> None:
+    def _maybe_corrupt_after_write(name: str, path: str, offset: int,
+                                   line: bytes) -> None:
         """Chaos points simulating a write that *looked* durable but
-        left a truncated or garbage record for the next reader."""
+        left a truncated or garbage record for the next reader: the
+        bad bytes replace the line in place, newline kept.  An
+        ``O_APPEND`` descriptor cannot write at an offset, so this
+        opens a second one."""
         if chaos.fire("cache_truncate", name):
-            size = os.path.getsize(path)
-            with open(path, "r+") as fh:
-                fh.truncate(max(1, size // 2))
+            bad = line[:max(1, len(line) // 2)]
         elif chaos.fire("cache_garbage", name):
-            with open(path, "w") as fh:
-                fh.write("\x00garbage\x7f not json {{{")
+            bad = _GARBAGE
+        else:
+            return
+        width = len(line) - 1
+        fd = os.open(path, os.O_WRONLY)
+        try:
+            os.pwrite(fd, bad[:width].ljust(width) + b"\n", offset)
+        finally:
+            os.close(fd)

@@ -2,8 +2,8 @@
 
 Every hostile scenario the pipeline must survive — a worker process
 dying, a worker hanging past its deadline, a result-store record
-arriving truncated or as garbage, a transient ``OSError`` on an
-atomic write, a full disk, a block whose simulation raises out of
+arriving truncated or as garbage, a transient ``OSError`` on a
+record write, a full disk, a block whose simulation raises out of
 nowhere — is woven
 through the stack as a *named fault point*.  A seeded
 :class:`ChaosPolicy` (``--chaos SPEC`` on the CLI, ``$REPRO_CHAOS`` in
@@ -53,8 +53,8 @@ PIPELINE_FAULT_POINTS: Tuple[str, ...] = (
     "worker_hang",     # worker sleeps past the shard deadline
     "cache_truncate",  # store record write leaves truncated JSON
     "cache_garbage",   # store record write leaves non-JSON garbage
-    "write_oserror",   # transient OSError on the atomic write (1st try)
-    "disk_full",       # persistent ENOSPC on the atomic write
+    "write_oserror",   # transient OSError on the record write (1st try)
+    "disk_full",       # persistent ENOSPC on the record write
     "block_poison",    # RuntimeError surfaces mid-simulation
 )
 

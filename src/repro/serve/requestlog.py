@@ -5,7 +5,9 @@ Admitted profiling requests are durably appended (``req`` record)
 *before* the response goes out.  Lines reuse the CRC-self-checked
 format of :func:`repro.resilience.journal.journal_line`, so a daemon
 killed mid-write leaves at worst one torn final line that fails its
-self-check and is dropped on load — never a parse error.
+self-check and is dropped on load — never a parse error.  Reopening
+cuts that line off before the first append, so it cannot glue onto
+(and take down) the next record.
 
 On startup :meth:`RequestJournal.open` returns the requests that have
 a ``req`` record but no matching ``done``: the service re-executes
@@ -31,7 +33,8 @@ import os
 import threading
 from typing import Dict, List, Optional, TextIO, Tuple
 
-from repro.resilience.journal import journal_line, parse_journal_line
+from repro.resilience.journal import (journal_line, parse_journal_line,
+                                      truncate_torn_tail)
 
 LOG_VERSION = 1
 
@@ -68,7 +71,9 @@ class RequestJournal:
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        self._fh = open(self.path, "a")
+        self._fh = open(self.path, "a+")
+        with self._lock:  # the daemon is the journal's only writer
+            truncate_torn_tail(self._fh.fileno())
         if not os.path.getsize(self.path):
             self._append({"kind": "begin", "version": LOG_VERSION})
         return dict(self.pending)

@@ -4,7 +4,7 @@ The repo has five caches, each of which used to report ad hoc or
 not at all:
 
 * the **result store** (``parallel/shard_cache.py``, reported as
-  ``shard``) — on-disk, one record per (uarch, block text);
+  ``shard``) — on-disk, one log line per (uarch, block text);
 * the **block-plan cache** (``runtime/plan.py``) — compiled symbolic
   plans plus per-executor bound plans;
 * the **decode intern table** (``isa/parser.py``) — the simcore

@@ -118,8 +118,8 @@ def _resilience_section(counters: Dict[str, int],
             counters.get("resilience.quarantined.cache_files", 0),
         "cache_write_failures":
             counters.get("resilience.cache_write_failures", 0),
-        "stale_temps_swept":
-            counters.get("resilience.stale_temps_swept", 0),
+        "torn_tails_truncated":
+            counters.get("resilience.torn_tails_truncated", 0),
         "faults_injected": faults,
     }
 
@@ -321,13 +321,13 @@ def render_summary(report: Dict) -> str:
     resilience = report.get("resilience") or {}
     if any(resilience.get(k) for k in
            ("retries", "quarantined_blocks", "quarantined_cache_files",
-            "cache_write_failures", "stale_temps_swept",
+            "cache_write_failures", "torn_tails_truncated",
             "faults_injected")):
         lines += ["", "resilience"]
         rows = [(k, resilience.get(k, 0)) for k in
                 ("retries", "backoff_ms", "quarantined_blocks",
                  "quarantined_cache_files", "cache_write_failures",
-                 "stale_temps_swept")
+                 "torn_tails_truncated")
                 if resilience.get(k)]
         rows += [(f"fault injected: {point}", n) for point, n in
                  sorted((resilience.get("faults_injected")

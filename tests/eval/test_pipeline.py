@@ -1,5 +1,6 @@
 """The cached experiment pipeline."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,8 +29,9 @@ class TestLaziness:
 
 
 def _records(directory, uarch):
-    return {name for name in os.listdir(directory)
-            if name.startswith(f"{uarch}-")}
+    """Texts of the records in the uarch's log."""
+    with open(os.path.join(directory, f"{uarch}.log")) as fh:
+        return {json.loads(line)["rec"]["text"] for line in fh}
 
 
 class TestMeasurementCache:

@@ -122,7 +122,7 @@ class TestCacheIntegrityUnderFailure:
                                shard_size=8, cache=cache,
                                worker_fn=worker_raises,
                                serial_fn=serial_retry_fails)
-        assert cache.record_files() == []
+        assert len(cache) == 0
         assert not any(n.endswith(".tmp") for n in os.listdir(tmp_path))
 
     def test_rescued_shards_are_cached_correctly(self, corpus, serial,
@@ -132,7 +132,7 @@ class TestCacheIntegrityUnderFailure:
                                shard_size=8, cache=cache,
                                worker_fn=worker_dies)
         if chaos.active() is None:
-            assert len(cache.record_files()) == len(corpus)
+            assert len(cache) == len(corpus)
         # Stored records replay the serial result exactly (blocks an
         # injected write fault left out are rescued again).
         replay = profile_corpus_sharded(corpus, "haswell", seed=0,
@@ -151,29 +151,29 @@ class TestCacheIntegrityUnderFailure:
 
     def test_kill_mid_write_leaves_no_visible_entry(self, tmp_path,
                                                     monkeypatch):
-        """Atomicity: dying between the temp write and ``os.replace``
-        (or mid temp write) must not surface a record."""
+        """Dying mid-append must not surface a record."""
         cache = ShardCache(str(tmp_path))
         entry = {"throughput": 1.0}
 
-        # Kill #1: process dies before the rename — only the temp
-        # file exists on disk.
-        def exploding_replace(src, dst):
+        # Kill #1: process dies after half the line reached the log.
+        real_write = os.write
+
+        def dying_write(fd, data):
+            real_write(fd, data[:len(data) // 2])
             raise KeyboardInterrupt("kill -9 arrives here")
-        monkeypatch.setattr(os, "replace", exploding_replace)
+        monkeypatch.setattr(os, "write", dying_write)
         with pytest.raises(KeyboardInterrupt):
             cache.store("haswell", "nop", entry)
         monkeypatch.undo()
         assert cache.load("haswell", "nop") is None
-        assert cache.record_files() == []
+        assert len(cache) == 0
 
-        # Kill #2: a truncated temp file left behind by a dead pid is
-        # ignored by the loader and never shadows the real record.
-        orphan = cache.path_for("haswell", "nop") + ".9999.tmp"
-        with open(orphan, "w") as fh:
-            fh.write('{"crc": 1, "rec": {"trunc')
+        # Kill #2: the torn tail that death left is ignored by a fresh
+        # loader and never shadows the real record.
+        cache = ShardCache(str(tmp_path))
         assert cache.load("haswell", "nop") is None
 
-        # A later clean write goes through untouched.
+        # A later clean write cuts the tail off and goes through.
         assert cache.store("haswell", "nop", entry)
         assert cache.load("haswell", "nop") == entry
+        assert ShardCache(str(tmp_path)).load("haswell", "nop") == entry

@@ -1,13 +1,18 @@
 """The result store: record format, block keying, defensive loads.
 
-One self-checked record per (uarch, block text): what a lookup
-returns is exactly the entry the profiler's fold reads, for that text
-and no other, and a store one run filled serves every other caller
-with the same seed without profiling a block.
+One self-checked record per (uarch, block text), a line in that
+uarch's append-only log: what a lookup returns is exactly the entry
+the profiler's fold reads, for that text and no other, and a store
+one run filled serves every other caller with the same seed without
+profiling a block.  Torn tails, concurrent writers and lines damaged
+after the index was built are covered at the end.
 """
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +26,8 @@ from repro.parallel import ShardCache, profile_corpus_sharded
 from repro.parallel.sharding import shard_digest
 from repro.profiler.harness import BasicBlockProfiler
 from repro.profiler.result import FailureReason
-from repro.resilience import chaos, journal_line, policy
+from repro.resilience import (chaos, journal_line, parse_journal_line,
+                              policy)
 
 #: Two blocks whose one-block shard digests collide (``946955f8-1``):
 #: a store keyed by that digest answered the second with the first's
@@ -58,16 +64,31 @@ def _payload(profile):
 
 
 def _rewrite(store, uarch, text, record):
-    """Replace a record with ``record``, self-check intact."""
-    with open(store.path_for(uarch, text), "w") as fh:
-        fh.write(journal_line(record))
+    """Append ``record`` as the (uarch, text) line, self-check intact."""
+    with open(store.log_path(uarch), "a") as fh:
+        fh.write(journal_line(record) + "\n")
 
 
-def _flip_byte(path, needle):
-    """Flip the low bit of the first byte of ``needle`` in the file."""
+def _replace_line(store, uarch, text, new):
+    """Put the bytes ``new`` in place of the (uarch, text) line."""
+    path = store.log_path(uarch)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    (at,) = [i for i, line in enumerate(lines)
+             if (parse_journal_line(line) or {}).get("text") == text]
+    lines[at] = new + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines))
+
+
+def _flip_byte(path, needle, nth=0):
+    """Flip the low bit of the first byte of the ``nth`` ``needle``
+    in the file, in place."""
     with open(path, "rb") as fh:
         data = bytearray(fh.read())
-    at = data.index(needle.encode())
+    at = -1
+    for _ in range(nth + 1):
+        at = data.index(needle.encode(), at + 1)
     data[at] ^= 0x01
     with open(path, "wb") as fh:
         fh.write(bytes(data))
@@ -81,7 +102,7 @@ class TestRoundTrip:
         for i, entry in enumerate(ENTRIES):
             for uarch in UARCHES:
                 assert store.load(uarch, f"block {i}") == entry
-        assert len(store.record_files()) == len(ENTRIES) * len(UARCHES)
+        assert len(store) == len(ENTRIES) * len(UARCHES)
 
     def test_text_keying_survives_id_shifts(self, corpus, store):
         """Same blocks under other ids (and other shard cuts): every
@@ -119,11 +140,11 @@ class TestDefensiveLoads:
 
     def test_truncated_json_is_a_miss(self, store):
         store.store("haswell", "nop", {"throughput": 0.25})
-        path = store.path_for("haswell", "nop")
-        with open(path, "r+") as fh:
-            fh.truncate(20)
+        with open(store.log_path("haswell"), "rb") as fh:
+            line = fh.read()
+        _replace_line(store, "haswell", "nop", line[:20])
         assert store.load("haswell", "nop") is None
-        assert store.quarantined_files() == [os.path.basename(path)]
+        assert len(store.quarantined_files()) == 1
 
     def test_wrong_version_is_a_miss(self, store):
         _rewrite(store, "haswell", "nop",
@@ -166,7 +187,7 @@ class TestRecordFormat:
 
     def test_flipped_byte_is_quarantined_and_counted(self, store):
         store.store("haswell", "nop", {"throughput": 0.25})
-        path = store.path_for("haswell", "nop")
+        path = store.log_path("haswell")
         _flip_byte(path, "0.25")
         telemetry.enable()
         try:
@@ -176,17 +197,17 @@ class TestRecordFormat:
             telemetry.reset()
         assert counters["resilience.quarantined.cache_files"] == 1
         assert counters["cache.shard.evictions"] == 1
-        assert not os.path.exists(path)
-        assert store.quarantined_files() == [os.path.basename(path)]
+        assert ("haswell", "nop") not in store
+        assert len(store.quarantined_files()) == 1
 
     def test_strict_mode_raises_on_a_flipped_byte(self, store):
         store.store("haswell", "nop", {"throughput": 0.25})
-        path = store.path_for("haswell", "nop")
-        _flip_byte(path, "0.25")
+        _flip_byte(store.log_path("haswell"), "0.25")
         with policy.forced_strict(True):
             with pytest.raises(StrictModeViolation):
                 store.load("haswell", "nop")
-        assert os.path.exists(path)  # strict mode does not move it
+        # Strict mode quarantines nothing.
+        assert store.quarantined_files() == []
 
     def test_flipped_byte_reprofiles_to_the_same_bytes(self, corpus,
                                                        store):
@@ -194,10 +215,12 @@ class TestRecordFormat:
                                        jobs=1, shard_size=4,
                                        cache=store)
         text = corpus.records[5].block.text()
-        path = store.path_for("skylake", text)
+        path = store.log_path("skylake")
         with open(path, "rb") as fh:
-            written = fh.read()
-        _flip_byte(path, 'entry')
+            lines = fh.read().splitlines(keepends=True)
+        (written,) = [line for line in lines
+                      if parse_journal_line(line)["text"] == text]
+        _flip_byte(path, 'entry', nth=lines.index(written))
         stats = {}
         healed = profile_corpus_sharded(corpus.records, "skylake",
                                         jobs=1, shard_size=4,
@@ -207,7 +230,7 @@ class TestRecordFormat:
         if chaos.active() is None:
             assert stats["hits"] == len(corpus) - 1
             with open(path, "rb") as fh:
-                assert fh.read() == written
+                assert fh.read().endswith(written)
 
     def test_colliding_texts_keep_their_own_records(self, store):
         texts = [parse_block(t).text() for t in COLLIDING]
@@ -220,10 +243,14 @@ class TestRecordFormat:
         store.store("haswell", texts[1], {"throughput": 2.0625})
         assert store.load("haswell", texts[0]) == {"throughput": 2.0}
         assert store.load("haswell", texts[1]) == {"throughput": 2.0625}
-        # One text's record under the other's name is caught by the
-        # text check, not served.
-        os.replace(store.path_for("haswell", texts[0]),
-                   store.path_for("haswell", texts[1]))
+        # One text's record where the index puts the other's is caught
+        # by the text check, not served (the shorter line is re-read
+        # whole).
+        with open(store.log_path("haswell"), "rb") as fh:
+            first, second = fh.read().splitlines(keepends=True)
+        assert len(first) < len(second)
+        with open(store.log_path("haswell"), "wb") as fh:
+            fh.write(first + first)
         assert store.load("haswell", texts[1]) is None
         assert len(store.quarantined_files()) == 1
 
@@ -260,8 +287,8 @@ class TestEngineLookups:
             profile_corpus_sharded(corpus.records, "ivybridge", jobs=1,
                                    siblings=("haswell",), stats=bare)
         assert stats["sibling_runs"] > 0
-        assert sum(name.startswith("haswell-")
-                   for name in store.record_files()) \
+        assert sum(("haswell", record.block.text()) in store
+                   for record in corpus.records) \
             == stats["sibling_runs"]
         assert bare["sibling_runs"] == 0
 
@@ -277,7 +304,7 @@ class TestEngineLookups:
                       if stats.name == "shard"]
         finally:
             telemetry.reset()
-        assert row.size == len(store.record_files()) == len(corpus)
+        assert row.size == len(store) == len(corpus)
         if chaos.active() is None:
             assert (row.hits, row.misses) == (len(corpus), len(corpus))
 
@@ -308,3 +335,114 @@ class TestSharedStore:
         with open(out) as fh:
             rows = fh.read().splitlines()
         assert len(rows) == len(expected["haswell"][0])
+
+
+_WRITER = """
+import os, sys, time
+from repro.parallel import ShardCache
+store_dir, signal_dir, name = sys.argv[1:4]
+store = ShardCache(store_dir)
+open(os.path.join(signal_dir, name + ".ready"), "w").close()
+while not os.path.exists(os.path.join(signal_dir, "go")):
+    time.sleep(0.001)
+for i in range(int(sys.argv[4])):
+    assert store.store("haswell", f"{name} {i}", {"throughput": i + 0.5})
+"""
+
+
+class TestAppendOnlyLog:
+    def test_torn_tail_is_no_hit_and_is_cut_by_the_next_store(
+            self, tmp_path):
+        first = ShardCache(str(tmp_path))
+        for i in range(5):
+            first.store("haswell", f"block {i}", {"throughput": i + 0.5})
+        torn = journal_line({"version": 1, "uarch": "haswell",
+                             "text": "block 5",
+                             "entry": {"throughput": 5.5}})
+        with open(first.log_path("haswell"), "a") as fh:
+            fh.write(torn[:len(torn) // 2])  # a writer killed mid-write
+        telemetry.enable()
+        try:
+            reopened = ShardCache(str(tmp_path))
+            assert reopened.load("haswell", "block 5") is None
+            assert [reopened.load("haswell", f"block {i}")
+                    for i in range(5)] == \
+                [{"throughput": i + 0.5} for i in range(5)]
+            assert reopened.quarantined_files() == []
+            assert reopened.store("haswell", "block 5",
+                                  {"throughput": 5.5})
+            counters = telemetry.registry().snapshot()["counters"]
+        finally:
+            telemetry.reset()
+        assert counters["resilience.torn_tails_truncated"] == 1
+        assert "resilience.quarantined.cache_files" not in counters
+        with open(first.log_path("haswell"), "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        assert len(lines) == 6
+        assert all(parse_journal_line(line) is not None
+                   for line in lines)
+        last = ShardCache(str(tmp_path))
+        assert [last.load("haswell", f"block {i}") for i in range(6)] \
+            == [{"throughput": i + 0.5} for i in range(6)]
+        assert last.quarantined_files() == []
+
+    def test_writers_in_several_processes_share_one_log(self, tmp_path):
+        # More writers than a 2-core host has cores.
+        names, store_dir, count = ("left", "middle", "right"), \
+            tmp_path / "store", 300
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "..", "src"),
+             env.get("PYTHONPATH", "")])
+        env.pop("REPRO_CHAOS", None)
+        writers = [subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(store_dir),
+             str(tmp_path), name, str(count)], env=env)
+            for name in names]
+        try:
+            deadline = time.monotonic() + 60
+            while not all((tmp_path / f"{name}.ready").exists()
+                          for name in names):
+                assert all(w.poll() is None for w in writers)
+                assert time.monotonic() < deadline, "writers never ready"
+                time.sleep(0.01)
+            (tmp_path / "go").touch()
+            assert [w.wait(timeout=120) for w in writers] == \
+                [0] * len(names)
+        finally:
+            for writer in writers:
+                if writer.poll() is None:
+                    writer.kill()
+                    writer.wait()
+        store = ShardCache(str(store_dir))
+        with open(store.log_path("haswell"), "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        assert len(lines) == len(names) * count
+        assert all(line.endswith(b"\n")
+                   and parse_journal_line(line) is not None
+                   for line in lines)
+        for name in names:
+            assert [store.load("haswell", f"{name} {i}")
+                    for i in range(count)] == \
+                [{"throughput": i + 0.5} for i in range(count)]
+        assert store.quarantined_files() == []
+        assert os.listdir(store_dir) == ["haswell.log"]
+
+    def test_line_damaged_after_the_scan_is_quarantined_by_its_load(
+            self, tmp_path):
+        ShardCache(str(tmp_path)).store("haswell", "nop",
+                                        {"throughput": 0.25})
+        store = ShardCache(str(tmp_path))
+        assert store.load("haswell", "nop") == {"throughput": 0.25}
+        _flip_byte(store.log_path("haswell"), "0.25")
+        telemetry.enable()
+        try:
+            assert store.load("haswell", "nop") is None
+            # A later scan finds the copy and skips the line.
+            assert ShardCache(str(tmp_path)).load("haswell",
+                                                  "nop") is None
+            counters = telemetry.registry().snapshot()["counters"]
+        finally:
+            telemetry.reset()
+        assert counters["resilience.quarantined.cache_files"] == 1
+        assert len(store.quarantined_files()) == 1

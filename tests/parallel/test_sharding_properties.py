@@ -165,11 +165,11 @@ _DIGEST_SCRIPT = """
 import sys
 from repro.corpus.dataset import build_application, Corpus
 from repro.parallel import shard_corpus
-from repro.parallel.shard_cache import record_name
+from repro.parallel.shard_cache import record_key
 
 corpus = build_application("llvm", count=24, seed=5)
 digests = [s.digest for s in shard_corpus(corpus, 7)]
-names = [record_name("haswell", r.block.text()) for r in corpus]
+names = [record_key("haswell", r.block.text()) for r in corpus]
 print(*digests, *names)
 """
 
@@ -188,7 +188,7 @@ def _digests_under_hashseed(hashseed: str) -> str:
 
 
 def test_digests_stable_across_processes_and_hash_seeds():
-    """Shard digests and store record names are pure functions of
+    """Shard digests and store record keys are pure functions of
     content — a randomised ``hash()`` sneaking in would make keys
     disagree between parent and workers, which this catches."""
     a = _digests_under_hashseed("0")

@@ -7,6 +7,7 @@ Every result a row reads back must equal a standalone profile,
 whether a serial experiment or a pool worker timed it.
 """
 
+import json
 import os
 from dataclasses import astuple, replace
 
@@ -185,8 +186,15 @@ def cache(tmp_path, monkeypatch):
 
 
 def _records(store):
-    return sorted(name for name in os.listdir(store)
-                  if name.endswith(".json"))
+    """(uarch, text) of every line in the store's logs."""
+    records = []
+    for name in os.listdir(store):
+        if name.endswith(".log"):
+            with open(store / name) as fh:
+                records += [(name[:-len(".log")],
+                             json.loads(line)["rec"]["text"])
+                            for line in fh]
+    return sorted(records)
 
 
 class TestExperiment:

@@ -1,17 +1,15 @@
 """Corrupt store records must quarantine, never crash.
 
-Property tests feed truncated, garbage, and wrong-schema payloads to
-the result store's loader (``ShardCache.load``) and assert one
-contract: the load reads as a miss, the offending record lands in
-``quarantine/`` (or raises under ``--strict``), and a subsequent run
-re-profiles to a funnel that reconciles exactly.
+Property tests put truncated, garbage, and wrong-schema lines in place
+of a record's line in the result store's log and assert one contract:
+the load reads as a miss, a copy of the offending line lands in
+``quarantine/`` (or the load raises under ``--strict``), and a
+subsequent run re-profiles to a funnel that reconciles exactly.
 """
 
 import json
 import os
 import shutil
-import subprocess
-import sys
 import tempfile
 
 import pytest
@@ -20,7 +18,7 @@ from repro import telemetry
 from repro.corpus.dataset import build_application
 from repro.errors import StrictModeViolation
 from repro.parallel import ShardCache, profile_corpus_sharded
-from repro.resilience import journal_line, policy
+from repro.resilience import journal_line, parse_journal_line, policy
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -67,15 +65,33 @@ def _fresh_cache(template: str) -> ShardCache:
     its own private directory."""
     directory = tempfile.mkdtemp(prefix="repro-corrupt-")
     for name in os.listdir(template):
-        if name.endswith(".json"):
+        if name.endswith(".log"):
             shutil.copy(os.path.join(template, name),
                         os.path.join(directory, name))
     return ShardCache(directory)
 
 
-def _assert_quarantined(cache: ShardCache, path: str) -> None:
-    assert not os.path.exists(path)
-    assert os.path.basename(path) in cache.quarantined_files()
+def _line(cache: ShardCache, text: str) -> bytes:
+    """The haswell line holding the record of ``text``."""
+    with open(cache.log_path("haswell"), "rb") as fh:
+        (line,) = [line for line in fh
+                   if (parse_journal_line(line) or {}).get("text")
+                   == text]
+    return line
+
+
+def _replace_line(cache: ShardCache, text: str, new: bytes) -> None:
+    """Put ``new`` in place of the haswell line of ``text``."""
+    old = _line(cache, text)
+    with open(cache.log_path("haswell"), "rb") as fh:
+        data = fh.read()
+    with open(cache.log_path("haswell"), "wb") as fh:
+        fh.write(data.replace(old, new + b"\n"))
+
+
+def _assert_quarantined(cache: ShardCache, text: str) -> None:
+    assert ("haswell", text) not in cache
+    assert cache.quarantined_files()
 
 
 # ---------------------------------------------------------------------------
@@ -89,27 +105,22 @@ class TestV3Corruption:
     def test_truncation_reads_as_quarantined_miss(self, seeded, texts,
                                                   cut):
         cache = _fresh_cache(seeded[0])
-        path = cache.path_for("haswell", texts[0])
-        with open(path, "rb") as fh:
-            data = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(data[:int(len(data) * cut)])
+        data = _line(cache, texts[0])[:-1]   # the record, no newline
+        _replace_line(cache, texts[0], data[:int(len(data) * cut)])
         assert cache.load("haswell", texts[0]) is None
-        _assert_quarantined(cache, path)
+        _assert_quarantined(cache, texts[0])
 
     @given(noise=st.binary(max_size=80))
     @settings(**CORRUPTION_SETTINGS)
     def test_garbage_reads_as_quarantined_miss(self, seeded, texts,
                                                noise):
         cache = _fresh_cache(seeded[0])
-        path = cache.path_for("haswell", texts[1])
-        with open(path, "wb") as fh:
-            fh.write(noise)
+        _replace_line(cache, texts[1], noise)
         assert cache.load("haswell", texts[1]) is None
-        _assert_quarantined(cache, path)
+        _assert_quarantined(cache, texts[1])
 
     @given(mutation=st.sampled_from([
-        "wrong_version", "wrong_uarch", "wrong_text", "not_a_dict",
+        "wrong_version", "wrong_uarch", "not_a_dict",
         "entry_missing", "entry_empty", "entry_both",
     ]))
     @settings(**CORRUPTION_SETTINGS)
@@ -118,15 +129,11 @@ class TestV3Corruption:
         """Well-formed, self-check intact, and still not this block's
         record: the loader's own checks catch what the CRC cannot."""
         cache = _fresh_cache(seeded[0])
-        path = cache.path_for("haswell", texts[0])
-        with open(path) as fh:
-            record = json.load(fh)["rec"]
+        record = parse_journal_line(_line(cache, texts[0]))
         if mutation == "wrong_version":
             record["version"] = 2
         elif mutation == "wrong_uarch":
             record["uarch"] = "skylake"
-        elif mutation == "wrong_text":
-            record["text"] = texts[1]
         elif mutation == "not_a_dict":
             record = [record]
         elif mutation == "entry_missing":
@@ -135,10 +142,33 @@ class TestV3Corruption:
             record["entry"] = {}
         elif mutation == "entry_both":
             record["entry"] = {"throughput": 1.0, "reason": "sigfpe"}
-        with open(path, "w") as fh:
-            fh.write(journal_line(record))
+        _replace_line(cache, texts[0], journal_line(record).encode())
         assert cache.load("haswell", texts[0]) is None
-        _assert_quarantined(cache, path)
+        _assert_quarantined(cache, texts[0])
+
+    def test_record_under_another_text_serves_only_that_text(
+            self, seeded, corpus, texts):
+        """A well-formed line keyed by another block's text is that
+        text's record: the original text misses and re-profiles."""
+        directory, clean = seeded
+        cache = _fresh_cache(directory)
+        own = parse_journal_line(_line(cache, texts[1]))["entry"]
+        record = parse_journal_line(_line(cache, texts[0]))
+        record["text"] = texts[1]
+        _replace_line(cache, texts[0], journal_line(record).encode())
+        assert cache.load("haswell", texts[0]) is None
+        # texts[1]'s own line comes later in the log, and the last good
+        # line wins.
+        assert cache.load("haswell", texts[1]) == own
+        assert cache.quarantined_files() == []
+        stats = {}
+        profile = profile_corpus_sharded(corpus, "haswell", seed=0,
+                                         jobs=1, shard_size=4,
+                                         cache=cache, stats=stats)
+        assert json.dumps(profile.throughputs) == \
+            json.dumps(clean.throughputs)
+        assert profile.funnel == clean.funnel
+        assert stats["hits"] == len(corpus) - 1
 
 
 class TestV3Recovery:
@@ -146,11 +176,8 @@ class TestV3Recovery:
                                                       corpus, texts):
         directory, clean = seeded
         cache = _fresh_cache(directory)
-        first = cache.path_for("haswell", texts[0])
-        with open(first, "r+") as fh:
-            fh.truncate(10)
-        with open(cache.path_for("haswell", texts[5]), "w") as fh:
-            fh.write("\x00 garbage {{{")
+        _replace_line(cache, texts[0], _line(cache, texts[0])[:10])
+        _replace_line(cache, texts[5], b"\x00 garbage {{{")
         profile = profile_corpus_sharded(corpus, "haswell", seed=0,
                                          jobs=1, shard_size=4,
                                          cache=cache)
@@ -167,60 +194,26 @@ class TestV3Recovery:
 
     def test_strict_mode_raises_instead(self, seeded, texts):
         cache = _fresh_cache(seeded[0])
-        path = cache.path_for("haswell", texts[0])
-        with open(path, "w") as fh:
-            fh.write("not json")
+        _replace_line(cache, texts[0], b"not json")
         with policy.forced_strict(True):
             with pytest.raises(StrictModeViolation):
                 cache.load("haswell", texts[0])
-        assert os.path.exists(path)  # strict mode does not move it
+        # Strict mode copies nothing, and the log keeps the line.
+        assert cache.quarantined_files() == []
+        with open(cache.log_path("haswell"), "rb") as fh:
+            assert b"not json\n" in fh.read()
 
     def test_record_crc_mismatch_quarantines(self, seeded, texts):
         cache = _fresh_cache(seeded[0])
-        path = cache.path_for("haswell", texts[0])
         assert cache.load("haswell", texts[0]) is not None
         # Corrupt the payload in a way that keeps the JSON
         # structurally valid — only the record's CRC can catch this.
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(_line(cache, texts[0]))
         doc["rec"]["entry"] = {"throughput": 1234.5}
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        _replace_line(cache, texts[0], json.dumps(doc).encode())
+        cache = ShardCache(cache.directory)  # the log has moved
         telemetry.enable()
         assert cache.load("haswell", texts[0]) is None
-        _assert_quarantined(cache, path)
+        _assert_quarantined(cache, texts[0])
         counters = telemetry.registry().snapshot()["counters"]
         assert counters["resilience.quarantined.cache_files"] == 1
-
-
-# ---------------------------------------------------------------------------
-# Stale temp sweep (crash debris)
-# ---------------------------------------------------------------------------
-
-class TestStaleTempSweep:
-    def test_dead_writers_are_swept_live_ones_kept(self, tmp_path):
-        telemetry.enable()
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        proc.wait()
-        dead_pid = proc.pid  # reaped: guaranteed-dead pid
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        (directory / f"haswell-abc.json.{dead_pid}.tmp").write_text("x")
-        (directory / "noise.tmp").write_text("x")  # unparsable name
-        live = (directory / f"haswell-def.json.{os.getppid()}.tmp")
-        live.write_text("x")
-        ShardCache(str(directory))
-        names = set(os.listdir(directory))
-        assert f"haswell-abc.json.{dead_pid}.tmp" not in names
-        assert "noise.tmp" not in names
-        assert live.name in names  # another live writer's temp
-        counters = telemetry.registry().snapshot()["counters"]
-        assert counters["resilience.stale_temps_swept"] == 2
-
-    def test_own_previous_incarnation_is_swept(self, tmp_path):
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        mine = directory / f"haswell-abc.json.{os.getpid()}.tmp"
-        mine.write_text("x")
-        ShardCache(str(directory))
-        assert not mine.exists()

@@ -25,7 +25,7 @@ from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import (ShardCache, profile_corpus_sharded,
                             shard_corpus)
 from repro.parallel import engine
-from repro.parallel.shard_cache import record_name
+from repro.parallel.shard_cache import record_key
 from repro.profiler.result import FailureReason
 from repro.resilience import chaos
 from repro.resilience.chaos import PIPELINE_FAULT_POINTS, ChaosPolicy
@@ -72,7 +72,7 @@ def _fault_plan(policy, shards, corpus):
     """Recompute the exact expected injection counts from the policy.
 
     Mirrors the engine's semantics: crash beats hang per shard (keyed
-    by shard digest); the write points are keyed by record name, one
+    by shard digest); the write points are keyed by record key, one
     record per block; ``write_oserror`` raises before the
     ``disk_full`` check on attempt 0, so a record with both counts
     only the former; post-write corruption needs a successful write
@@ -82,7 +82,7 @@ def _fault_plan(policy, shards, corpus):
     crash = {d for d in digests if policy.should_fire("worker_crash", d)}
     hang = {d for d in digests
             if policy.should_fire("worker_hang", d) and d not in crash}
-    names = [record_name("haswell", r.block.text()) for r in corpus]
+    names = [record_key("haswell", r.block.text()) for r in corpus]
     oserr = {n for n in names if policy.should_fire("write_oserror", n)}
     disk = {n for n in names if policy.should_fire("disk_full", n)}
     trunc = {n for n in names
@@ -221,7 +221,7 @@ class TestResilienceReporting:
             key="shard-x", sleep=lambda s: None)
         telemetry.count("resilience.quarantined.blocks", 3)
         telemetry.count("resilience.quarantined.cache_files", 2)
-        telemetry.count("resilience.stale_temps_swept")
+        telemetry.count("resilience.torn_tails_truncated")
         report = telemetry.build_run_report(telemetry.registry(),
                                             name="resilience_report")
         resilience = report["resilience"]
@@ -229,7 +229,7 @@ class TestResilienceReporting:
         assert resilience["backoff_ms"] > 0
         assert resilience["quarantined_blocks"] == 3
         assert resilience["quarantined_cache_files"] == 2
-        assert resilience["stale_temps_swept"] == 1
+        assert resilience["torn_tails_truncated"] == 1
 
     def test_fault_counters_are_namespaced(self):
         telemetry.enable()

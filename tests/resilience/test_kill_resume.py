@@ -18,6 +18,8 @@ import time
 
 import pytest
 
+from repro.resilience.journal import parse_journal_line
+
 
 ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -72,16 +74,22 @@ def _run(cache_dir, out, uarch, jobs, extra):
 
 
 def _records(cache_dir):
-    """Records in the result store.
+    """Records in the result store: the intact lines of its logs.
 
-    A record is written atomically, so every file counted here is
-    whole and the resumed run reads it as a hit.
+    A torn tail (a kill mid-append) is not counted: it is no hit for
+    the resumed run, which cuts it off before it appends.
     """
     try:
-        return sum(1 for name in os.listdir(cache_dir)
-                   if name.endswith(".json"))
+        names = [name for name in os.listdir(cache_dir)
+                 if name.endswith(".log")]
     except OSError:
         return 0
+    count = 0
+    for name in names:
+        with open(os.path.join(cache_dir, name), "rb") as fh:
+            count += sum(1 for line in fh if line.endswith(b"\n")
+                         and parse_journal_line(line) is not None)
+    return count
 
 
 def _kill_mid_run(cache_dir, out, uarch, jobs, extra):

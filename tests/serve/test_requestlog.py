@@ -81,6 +81,25 @@ class TestTornTail:
         assert pending == {}                      # d2's req was torn
         assert journal.completed == {"d1": RESULTS}
 
+    def test_record_after_a_torn_tail_survives_the_next_restart(
+            self, tmp_path):
+        """Reopening cuts a torn last line off before the first append,
+        so the next record is not glued onto it and lost."""
+        path = str(tmp_path / REQUEST_LOG_NAME)
+        with _journal(tmp_path) as journal:
+            journal.open()
+            journal.record_request("a", BODY)
+        torn = journal_line({"kind": "req", "id": "b", "body": BODY})
+        with open(path, "a") as fh:
+            fh.write(torn[:len(torn) // 2])  # SIGKILL mid-append
+        with _journal(tmp_path) as journal:
+            assert journal.open() == {"a": BODY}
+            assert journal.torn_records == 1
+            journal.record_request("c", BODY)
+        with _journal(tmp_path) as journal:
+            assert journal.open() == {"a": BODY, "c": BODY}
+            assert journal.torn_records == 0
+
     def test_garbage_line_is_dropped(self, tmp_path):
         path = str(tmp_path / REQUEST_LOG_NAME)
         with _journal(tmp_path) as journal:

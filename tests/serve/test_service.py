@@ -160,9 +160,11 @@ class TestExecute:
         state = tmp_path / "state"
         assert sorted(p.name for p in state.iterdir() if p.is_dir()) \
             == ["results_0", "results_1"]
-        assert sorted(name.split("-")[0] for name
-                      in os.listdir(state / "results_0")) \
-            == ["haswell", "skylake", "skylake"]
+        records = []
+        for name in os.listdir(state / "results_0"):
+            with open(state / "results_0" / name) as fh:
+                records += [name[:-len(".log")]] * len(fh.readlines())
+        assert sorted(records) == ["haswell", "skylake", "skylake"]
 
     def test_reexecution_is_byte_identical_across_services(self,
                                                            tmp_path):
