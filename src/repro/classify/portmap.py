@@ -31,6 +31,11 @@ class PortMapper:
         self._decomposer = Decomposer(desc, table, div)
         self._cache: Dict[Instruction, Tuple[str, ...]] = {}
 
+    def __getstate__(self) -> Dict:
+        # The memo refills on demand; pickled, it would be nearly all
+        # of a classifier sent back from a forked worker.
+        return {**self.__dict__, "_cache": {}}
+
     def instruction_combos(self, instr: Instruction) -> Tuple[str, ...]:
         """Port-combination label of every micro-op of ``instr``."""
         combos = self._cache.get(instr)

@@ -306,7 +306,7 @@ def cmd_validate(args) -> int:
                 jobs=jobs).throughputs
     with profiling.phase(f"validate:{args.uarch}"):
         result = validate(corpus, args.uarch, models, seed=args.seed,
-                          measured=measured)
+                          measured=measured, jobs=jobs)
     rows = [(m, round(result.overall_error(m), 4),
              round(result.weighted_overall_error(m), 4),
              round(result.kendall_tau(m), 4))

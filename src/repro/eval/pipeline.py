@@ -28,6 +28,7 @@ from repro.models.llvm_mca import LlvmMcaModel
 from repro.models.osaca import OsacaModel
 from repro.parallel import (DEFAULT_SHARD_SIZE, ShardCache,
                             profile_corpus_sharded)
+from repro.parallel.forked import Forked
 from repro.parallel.shard_cache import store_directory
 
 
@@ -81,6 +82,8 @@ class Experiment:
     _corpus: Optional[Corpus] = field(default=None, repr=False)
     _classification: Optional[ClassifierResult] = field(default=None,
                                                         repr=False)
+    #: LDA forked beside the first row's profiling, not yet collected.
+    _classifying: Optional[Forked] = field(default=None, repr=False)
     _measured: Dict[str, Dict[int, float]] = field(default_factory=dict,
                                                    repr=False)
     _funnels: Dict[str, Dict] = field(default_factory=dict, repr=False)
@@ -116,10 +119,15 @@ class Experiment:
 
     @property
     def classification(self) -> ClassifierResult:
+        """LDA categories of the corpus; collects a forked fit
+        (:meth:`validation`) if one is pending."""
         if self._classification is None:
             with profiling.phase("classify"), \
                     telemetry.span("experiment.classify") as sp:
-                self._classification = classify_blocks(self.corpus.blocks)
+                pending, self._classifying = self._classifying, None
+                self._classification = pending.result() \
+                    if pending is not None \
+                    else classify_blocks(self.corpus.blocks)
                 sp.annotate(blocks=len(self.corpus))
         return self._classification
 
@@ -213,10 +221,22 @@ class Experiment:
         run report (``reports/run_validation_<uarch>.{json,txt}``)
         covering stage timings, cache behaviour, and the coverage
         funnel.
+
+        With ``jobs > 1``, LDA (which needs only the corpus) runs in a
+        forked worker while the first row profiles, and the static
+        models predict in one while the parent trains Ithemal
+        (docs/parallel.md, "The model half in the pool").
         """
         if uarch not in self._validations:
             with profiling.phase(f"validate:{uarch}"), \
                     telemetry.span("experiment.validate", uarch=uarch):
+                if self.jobs > 1 and self._classification is None \
+                        and self._classifying is None \
+                        and f"main:{uarch}" not in self._measured:
+                    self._classifying = Forked(
+                        classify_blocks, self.corpus.blocks,
+                        jobs=self.jobs)
+                    self.measured(uarch)
                 categories = {
                     record.block_id: category
                     for record, category in
@@ -226,7 +246,7 @@ class Experiment:
                 self._validations[uarch] = validate(
                     self.corpus, uarch, self.models,
                     categories=categories, seed=self.seed,
-                    measured=self.measured(uarch))
+                    measured=self.measured(uarch), jobs=self.jobs)
             if telemetry.is_enabled():
                 self.write_run_report(uarch)
         return self._validations[uarch]
@@ -267,7 +287,7 @@ class Experiment:
         return validate(corpus, uarch, models, seed=self.seed,
                         measured=self.measured(uarch, corpus=corpus,
                                                tag=app),
-                        train_fraction=0.0)
+                        train_fraction=0.0, jobs=self.jobs)
 
 
 @lru_cache(maxsize=4)

@@ -4,17 +4,21 @@
 one machine, train the learned model on a held-out split of the
 measurements, run every predictor over the evaluation split, and
 aggregate relative errors overall / per application / per category.
+With ``jobs > 1`` the static models predict in forked workers while
+the parent trains and runs Ithemal (docs/parallel.md, "The model half
+in the pool").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.corpus.dataset import Corpus
 from repro.eval import metrics
 from repro.models.base import CostModel
 from repro.models.ithemal import IthemalModel
+from repro.parallel.forked import Forked
 from repro.profiler.harness import (BasicBlockProfiler, ProfilerConfig,
                                     profile_records_detailed)
 from repro.profiler.result import CorpusProfile
@@ -119,18 +123,41 @@ def profile_corpus(corpus: Corpus, uarch: str, seed: int = 0,
                                    config=config).throughputs
 
 
+def _throughputs(models: Sequence[CostModel], blocks: Sequence,
+                 uarch: str) -> List[Tuple[Optional[float], ...]]:
+    """Each model's predicted throughputs over ``blocks``, one tuple
+    per model, predicted block by block (a forked worker's task, so it
+    must stay picklable)."""
+    return list(zip(*([model.predict_safe(block, uarch).throughput
+                       for model in models] for block in blocks)))
+
+
+def _split(models: List[CostModel], jobs: int) -> List[List[CostModel]]:
+    """``models`` over the workers beside the parent: all in one at
+    ``jobs`` 1 or 2, else one each on at most ``jobs - 1`` workers."""
+    workers = max(1, min(jobs - 1, len(models)))
+    return [models[i::workers] for i in range(workers) if models[i::workers]]
+
+
 def validate(corpus: Corpus, uarch: str,
              models: Sequence[CostModel],
              categories: Optional[Dict[int, int]] = None,
              seed: int = 0,
              measured: Optional[Dict[int, float]] = None,
-             train_fraction: float = 0.5) -> ValidationResult:
+             train_fraction: float = 0.5,
+             jobs: int = 1) -> ValidationResult:
     """Run the full §V protocol on one microarchitecture.
 
     Learned models (those exposing ``fit``) are trained on a split of
     the measured blocks and everything is evaluated on the rest, so
     Ithemal never scores its own training data.  AVX2/FMA blocks are
     excluded on Ivy Bridge, as in the paper.
+
+    The static models need only the block, so with ``jobs > 1`` their
+    predictions run in forked workers
+    (:class:`repro.parallel.forked.Forked`) while the parent fits and
+    runs the learned ones.  Each prediction is a pure function of
+    (model, uarch, block), so the rows are the same at any ``jobs``.
     """
     machine = Machine(uarch, seed=seed)
     records = [r for r in corpus if machine.supports(r.block)]
@@ -149,26 +176,38 @@ def validate(corpus: Corpus, uarch: str,
         train = [r for i, r in enumerate(usable) if i % period != 0]
         evaluate = [r for i, r in enumerate(usable) if i % period == 0]
 
+    # The static models (those without ``fit``) need only the block.
+    blocks = [record.block for record in evaluate]
+    static = [model for model in models if not hasattr(model, "fit")]
+    groups = _split(static, jobs)
+    forked = [Forked(_throughputs, group, blocks, uarch, jobs=jobs)
+              for group in groups]
+
     for model in models:
         if isinstance(model, IthemalModel) and not model.is_trained(uarch):
             model.fit([r.block for r in train],
                       [measured[r.block_id] for r in train], uarch)
 
-    rows: List[ValidationRow] = []
     with telemetry.span("validation.predict", uarch=uarch,
                         models=len(models)) as sp:
-        for record in evaluate:
-            row = ValidationRow(
-                block_id=record.block_id,
-                application=record.application,
-                frequency=record.frequency,
-                category=(categories or {}).get(record.block_id),
-                measured=measured[record.block_id])
-            for model in models:
-                prediction = model.predict_safe(record.block, uarch)
-                row.predictions[model.name] = prediction.throughput
-                telemetry.count("validation.predictions")
-            rows.append(row)
+        here = [model for model in models if model not in static]
+        columns = dict(zip((model.name for model in here),
+                           _throughputs(here, blocks, uarch)))
+        for group, pending in zip(groups, forked):
+            columns.update(zip((model.name for model in group),
+                               pending.result()))
+        rows = [ValidationRow(
+                    block_id=record.block_id,
+                    application=record.application,
+                    frequency=record.frequency,
+                    category=(categories or {}).get(record.block_id),
+                    measured=measured[record.block_id],
+                    predictions={model.name: columns[model.name][i]
+                                 for model in models})
+                for i, record in enumerate(evaluate)]
+        if rows and models:
+            telemetry.count("validation.predictions",
+                            len(rows) * len(models))
         sp.annotate(blocks=len(rows))
 
     return ValidationResult(

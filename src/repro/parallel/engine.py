@@ -25,9 +25,11 @@ entries fold in record order through
 is the same whichever of its blocks the store already held.
 
 Robustness: a worker that dies (``BrokenProcessPool``) or exceeds the
-per-shard timeout does not poison the run.  The shard is retried
-serially in the parent under the bounded
-:class:`repro.resilience.RetryPolicy` (deterministic jittered
+per-shard timeout does not poison the run.  A dead worker breaks its
+whole pool, so every shard that was in flight there runs once more in
+a one-worker pool of its own; a shard whose own worker dies again, or
+raises, or times out, is retried serially in the parent under the
+bounded :class:`repro.resilience.RetryPolicy` (deterministic jittered
 backoff); if every attempt fails, its blocks are recorded under the
 ``worker_failure`` funnel bucket so coverage still accounts for every
 block.  Only successfully profiled blocks are written to the store.
@@ -64,6 +66,7 @@ import uuid
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                 wait as futures_wait)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from itertools import chain
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
@@ -292,7 +295,9 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     ``shutdown(wait=True)`` would block forever on a worker stuck in a
     pathological block, so terminate the processes first, then join
     each one (escalating to ``kill`` for anything that survives
-    SIGTERM) so no orphan or zombie processes outlive the run.
+    SIGTERM) so no orphan or zombie processes outlive the run.  The
+    pool's manager thread is joined last, so no thread of it is alive
+    when the next worker forks.
     """
     processes = list(getattr(pool, "_processes", {}).values())
     for process in processes:
@@ -303,6 +308,9 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         if process.is_alive():
             process.kill()
             process.join(timeout=5.0)
+    manager = getattr(pool, "_executor_manager_thread", None)
+    if manager is not None:
+        manager.join(timeout=5.0)
 
 
 def _replicate_profiler_counters(profile: CorpusProfile) -> None:
@@ -539,12 +547,15 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     misses until the first window fills or the source ends.  A source
     that ends inside that window with one pending shard profiles it
     in-process with no pool at all; with more, the pool forks no more
-    workers than there are pending shards.  A worker exception or
-    per-shard timeout escalates to a bounded serial rescue in the
+    workers than there are pending shards.  A worker that dies breaks
+    its pool: the pool is joined, a shard that finished before the
+    break lands as usual, and every other shard that was in flight
+    runs once more in a one-worker pool of its own, so the crash costs
+    only its own shard a rescue; the next submit starts a fresh pool.
+    A worker exception or per-shard timeout, or a second death in a
+    shard's own pool, escalates to a bounded serial rescue in the
     parent; a shard that still fails lands in the ``worker_failure``
-    bucket (or raises under strict mode), and a broken pool is rebuilt
-    once per submit so one crashed worker cannot sink the rest of the
-    stream.
+    bucket (or raises under strict mode).
 
     ``total_blocks``/``total_shards`` (when known) size the window
     aggregator and the ``run.start`` event; ``None`` means unknown —
@@ -605,9 +616,9 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     order: Deque[int] = deque()       # arrived, not yet folded
     held: List[Tuple] = []            # (shard, entries, work) for a pool
     inflight: Dict[int, Tuple] = {}   # index -> (future, shard, entries,
-                                      #           work, t0)
+                                      #           work, t0, pool)
     ready: Dict[int, Tuple] = {}      # index -> (shard, profile)
-    exhausted = hung = interrupted = False
+    exhausted = hung = interrupted = pooled = False
     pool: Optional[ProcessPoolExecutor] = None
     workers = jobs
     trace_dir: Optional[str] = None
@@ -689,21 +700,63 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
 
     def submit(shard: Shard, entries: List[Optional[Dict]],
                work: Shard) -> None:
-        nonlocal pool
         _account_planned_worker_faults(work)
         args = (descriptor, config, work.index, work.records, siblings)
         executor = ensure_pool()
         try:
             future = executor.submit(worker_fn, *args)
-        except Exception:
-            # The pool died between submits (e.g. a crashed worker
-            # broke it): rebuild once and retry; a second failure is
-            # fatal and propagates.
-            _terminate_pool(executor)
-            pool = None
-            future = ensure_pool().submit(worker_fn, *args)
+        except BrokenProcessPool:
+            # A worker died since the last wait: land the broken
+            # pool's shards, then retry once in a fresh pool; a second
+            # failure is fatal and propagates.
+            drain(executor)
+            executor = ensure_pool()
+            future = executor.submit(worker_fn, *args)
         inflight[shard.index] = (future, shard, entries, work,
-                                 time.monotonic())
+                                 time.monotonic(), executor)
+
+    def drain(executor: ProcessPoolExecutor) -> None:
+        # A dead worker broke ``executor``.  Once it is joined, each of
+        # its futures is done: a shard that finished before the break
+        # lands as usual, and every other one runs once more in a pool
+        # of its own, so only a shard whose own worker dies again is
+        # rescued.  Joining first keeps the pool's threads from living
+        # across the forks of those one-worker pools.
+        nonlocal pool
+        executor.shutdown(wait=True)
+        if executor is pool:
+            pool = None
+        for index in sorted(index for index, job in inflight.items()
+                            if job[-1] is executor):
+            future, shard, entries, work = inflight.pop(index)[:4]
+            if isinstance(future.exception(), BrokenProcessPool):
+                telemetry.event("parallel.shard_error",
+                                shard=shard.index,
+                                error="BrokenProcessPool")
+                ready[index] = (shard, isolate(shard, entries, work))
+            else:
+                ready[index] = (shard, land(future, shard, entries, work))
+
+    def isolate(shard: Shard, entries: List[Optional[Dict]],
+                work: Shard) -> CorpusProfile:
+        # The shard's planned chaos faults were accounted when it was
+        # first submitted: this run repeats the same decision.
+        own = ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
+                                  initargs=(trace_dir, trace_id))
+        try:
+            future = own.submit(worker_fn, descriptor, config, work.index,
+                                work.records, siblings)
+            done, _ = futures_wait([future], timeout=shard_timeout)
+        except BaseException:
+            _terminate_pool(own)
+            raise
+        if not done:
+            _terminate_pool(own)
+            telemetry.event("parallel.shard_error", shard=shard.index,
+                            error="TimeoutError")
+            return rescue(shard, entries, work)
+        own.shutdown(wait=True)
+        return land(future, shard, entries, work)
 
     def rescue(shard: Shard, entries: List[Optional[Dict]],
                work: Shard) -> CorpusProfile:
@@ -741,8 +794,8 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
              work: Shard) -> CorpusProfile:
         try:
             _, fresh, shared = future.result(timeout=0)
-        except Exception as exc:  # BrokenProcessPool, or whatever
-            # the worker raised — all rescued serially.
+        except Exception as exc:  # what the worker raised, or a death
+            # in the shard's own pool — rescued serially.
             telemetry.event("parallel.shard_error", shard=shard.index,
                             error=type(exc).__name__)
             return rescue(shard, entries, work)
@@ -782,7 +835,7 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                         if jobs <= 1:
                             ready[shard.index] = (
                                 shard, profile_here(shard, entries, work))
-                        elif pool is None:
+                        elif not pooled:
                             held.append((shard, entries, work))
                         else:
                             submit(shard, entries, work)
@@ -803,6 +856,7 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                     else:
                         if exhausted:
                             workers = min(jobs, len(held))
+                        pooled = True
                         for job in held:
                             submit(*job)
                     held = []
@@ -824,15 +878,22 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                 # Wait for a completion, bounded by the oldest
                 # in-flight shard's remaining timeout budget.
                 now = time.monotonic()
-                oldest = min(job[-1] for job in inflight.values())
+                oldest = min(job[4] for job in inflight.values())
                 futures_wait([job[0] for job in inflight.values()],
                              timeout=max(0.0,
                                          oldest + shard_timeout - now),
                              return_when=FIRST_COMPLETED)
                 now = time.monotonic()
                 for index in sorted(inflight):
-                    future, shard, entries, work, t0 = inflight[index]
+                    if index not in inflight:
+                        continue  # landed by a drain below
+                    future, shard, entries, work, t0, executor = \
+                        inflight[index]
                     if future.done():
+                        if isinstance(future.exception(),
+                                      BrokenProcessPool):
+                            drain(executor)
+                            continue
                         del inflight[index]
                         ready[index] = (shard, land(future, shard,
                                                     entries, work))

@@ -28,19 +28,22 @@ unterminated tail: it is neither a hit nor quarantined, and the next
 writer cuts it off under the lock before it appends
 (:func:`repro.resilience.journal.truncate_torn_tail`).
 
-**Reads.**  Each uarch's log is read once, sequentially, on first use
-into an in-memory index: blake2b-128 of the text → offset and length
-of the last good line; the store's own appends join it.
-:meth:`ShardCache.load` re-reads that one line and checks it again —
-CRC, version, uarch, text, entry shape — so two blocks can never share
-a record, and a line damaged after the index was built is caught.  A
-complete line that fails a check (at the scan or at a load) is copied
-once into ``quarantine/`` and counted, unless strict mode promotes the
-corruption into a :class:`repro.errors.StrictModeViolation`; later
-scans find its copy and skip it.  A record another process appended
-after this store built its index is a miss here: the block is
-re-profiled and its record appended again.  Duplicates hold equal
-bytes, and the last good line wins.
+**Reads.**  Each uarch's log is read sequentially, on first use, into
+an in-memory index: blake2b-128 of the text → offset and length of the
+last good line; the store's own appends join it.  A lookup that misses
+while the log has grown past the offset the index last scanned first
+scans just the new bytes, so a record another process appended since
+is a hit (an own append the scan meets again is indexed again, to the
+same place).  :meth:`ShardCache.load` re-reads the indexed line and
+checks it again — CRC, version, uarch, text, entry shape — so two
+blocks can never share a record, and a line damaged after the index
+was built is caught.  A complete line that fails a check (at a scan or
+at a load) is copied once into ``quarantine/`` and counted, unless
+strict mode promotes the corruption into a
+:class:`repro.errors.StrictModeViolation`; later scans find its copy
+and skip it.  Two processes that miss the same block at once both
+profile it and append it; duplicates hold equal bytes, and the last
+good line wins.
 
 Writes run under the resilience retry policy: a transient ``OSError``
 (including the injected ``write_oserror`` chaos point) is retried with
@@ -120,6 +123,8 @@ class ShardCache:
         os.makedirs(directory, exist_ok=True)
         #: uarch -> text digest -> (offset, length) of its last good line.
         self._indexes: Dict[str, Dict[bytes, Tuple[int, int]]] = {}
+        #: uarch -> end of the last complete line its index has scanned.
+        self._scanned: Dict[str, int] = {}
         # The unified ``caches`` section tracks the most recently
         # opened store (runs open one per seed); hit/miss counts come
         # from the engine's ``cache.shard.*`` counters.
@@ -140,7 +145,7 @@ class ShardCache:
 
     def __contains__(self, key) -> bool:
         uarch, text = key
-        return _digest(text) in self._index(uarch)
+        return self._find(uarch, _digest(text)) is not None
 
     def __len__(self) -> int:
         """Distinct records across every uarch's log."""
@@ -163,20 +168,41 @@ class ShardCache:
     def _index(self, uarch: str) -> Dict[bytes, Tuple[int, int]]:
         index = self._indexes.get(uarch)
         if index is None:
-            index = self._indexes[uarch] = self._scan(uarch)
+            index = self._indexes[uarch] = {}
+            self._scanned[uarch] = 0
+            self._scan(uarch)
         return index
 
-    def _scan(self, uarch: str) -> Dict[bytes, Tuple[int, int]]:
-        """One sequential read of the log: the last good line per text."""
-        index: Dict[bytes, Tuple[int, int]] = {}
+    def _find(self, uarch: str, key: bytes) -> Optional[Tuple[int, int]]:
+        """Where the last good line for ``key`` is, catching up with
+        whatever other processes appended before calling it a miss."""
+        index = self._index(uarch)
+        at = index.get(key)
+        if at is None and self._grown(uarch):
+            self._scan(uarch)
+            at = index.get(key)
+        return at
+
+    def _grown(self, uarch: str) -> bool:
+        try:
+            return os.stat(self.log_path(uarch)).st_size \
+                > self._scanned[uarch]
+        except OSError:
+            return False
+
+    def _scan(self, uarch: str) -> None:
+        """Index the log's complete lines past the scanned offset, one
+        sequential read: the last good line per text."""
+        index = self._indexes[uarch]
         try:
             fh = open(self.log_path(uarch), "rb")
         except OSError:
-            return index  # no log yet: every block misses
+            return  # no log yet: every block misses
         with fh:
             # Shared: no writer is mid-append or cutting a torn tail.
             fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-            offset = 0
+            offset = self._scanned[uarch]
+            fh.seek(offset)
             for line in fh:
                 if not line.endswith(b"\n"):
                     break  # torn tail: the next store cuts it off
@@ -188,7 +214,7 @@ class ShardCache:
                 else:
                     self._quarantine(uarch, offset, line, record)
                 offset += len(line)
-        return index
+        self._scanned[uarch] = offset
 
     def _quarantine(self, uarch: str, offset: int, line: bytes,
                     record: Optional[Dict]) -> None:
@@ -222,8 +248,7 @@ class ShardCache:
         is quarantined and reads as a miss.
         """
         key = _digest(text)
-        index = self._index(uarch)
-        at = index.get(key)
+        at = self._find(uarch, key)
         if at is None:
             return None  # plain miss
         offset, length = at
@@ -239,7 +264,7 @@ class ShardCache:
         entry = _entry(record, uarch, text)
         if entry is None:
             self._quarantine(uarch, offset, line, record)
-            del index[key]
+            del self._indexes[uarch][key]
             return None
         return entry
 
@@ -282,6 +307,10 @@ class ShardCache:
                 f"store write failed for record {name}", str(exc))
             return False
         index[key] = (offset, len(line))
+        if offset == self._scanned[uarch]:
+            # Nobody else appended since the last scan: no need to
+            # read this line back.
+            self._scanned[uarch] = offset + len(line)
         self._maybe_corrupt_after_write(name, path, offset, line)
         return True
 

@@ -4,7 +4,8 @@ The stubs below stand in for the real shard worker (they are
 module-level so the pool can pickle them by reference).  Three failure
 shapes are injected — a clean exception, a hard process death, and a
 hang past the shard timeout — and in every case the engine must (a)
-retry the shard serially in the parent, (b) fall back to the
+retry the shard serially in the parent (a death only after the shard
+died again in a pool of its own), (b) fall back to the
 ``worker_failure`` funnel bucket only if the retry fails too, and
 (c) leave the result store exactly as correct as before: the blocks
 of successful shards stored atomically, failed ones absent, never a
@@ -13,15 +14,19 @@ half-written record.
 
 import json
 import os
+import threading
 import time
 
 import pytest
 
-from repro.corpus.dataset import build_application
+from repro import telemetry
+from repro.corpus.dataset import build_application, build_corpus
 from repro.eval.validation import profile_corpus_detailed
-from repro.parallel import ShardCache, profile_corpus_sharded
+from repro.parallel import (DEFAULT_SHARD_SIZE, ShardCache,
+                            profile_corpus_sharded, shard_corpus)
 from repro.profiler.result import FailureReason
 from repro.resilience import chaos
+from repro.resilience.chaos import ChaosPolicy
 
 
 # --- picklable worker stubs -------------------------------------------------
@@ -67,6 +72,46 @@ def test_failed_worker_is_retried_serially(corpus, serial, stub):
                                      worker_fn=stub, stats=stats)
     assert _bytes(profile) == _bytes(serial)  # rescue is bit-exact
     assert stats["retried"] == stats["shards"] == 2
+    assert stats["failed"] == 0
+
+
+def test_a_crash_costs_only_its_own_shard():
+    """A dead worker breaks its whole pool, yet only its own shard is
+    rescued: every other shard in flight runs once more in a one-worker
+    pool of its own, where the planned crash repeats for that shard
+    alone."""
+    corpus = build_corpus(scale=0.0003, seed=9)
+    policy = ChaosPolicy.parse("3:worker_crash=0.5")
+    planned = [shard.index for shard in
+               shard_corpus(corpus, DEFAULT_SHARD_SIZE)
+               if policy.should_fire("worker_crash", shard.digest)]
+    assert planned == [1, 4]  # of 5 shards, two windows
+    stats, threads = {}, []
+    real_fork = os.fork
+
+    def fork():
+        threads.append(threading.active_count())
+        return real_fork()
+
+    before = threading.active_count()
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        with chaos.forced(policy), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "fork", fork)
+            profile = profile_corpus_sharded(corpus, "haswell", seed=9,
+                                             jobs=2, stats=stats)
+        counters = telemetry.registry().snapshot()["counters"]
+    finally:
+        telemetry.reset()
+    # The broken pools were joined before the one-worker pools forked.
+    assert len(threads) > 2 and set(threads) == {before}
+    assert _bytes(profile) == _bytes(
+        profile_corpus_detailed(corpus, "haswell", seed=9))
+    assert stats["retried"] == len(planned)
+    assert counters["parallel.worker_retries"] == len(planned)
+    assert counters["resilience.fault_injected.worker_crash"] \
+        == len(planned)
     assert stats["failed"] == 0
 
 

@@ -428,6 +428,26 @@ class TestAppendOnlyLog:
         assert store.quarantined_files() == []
         assert os.listdir(store_dir) == ["haswell.log"]
 
+    def test_records_another_store_appends_later_are_hits(self,
+                                                            tmp_path):
+        ours, theirs = ShardCache(str(tmp_path)), ShardCache(str(tmp_path))
+        ours.store("haswell", "own", {"throughput": 1.0})
+        assert ours.load("haswell", "their") is None  # index built
+        assert theirs.store("haswell", "their", {"throughput": 2.0})
+        assert ("haswell", "their") in ours
+        # An own append after theirs is read back by the next catch-up,
+        # harmlessly.
+        ours.store("haswell", "own 2", {"throughput": 3.0})
+        assert theirs.store("haswell", "their 2", {"throughput": 4.0})
+        assert [ours.load("haswell", text) for text in
+                ("own", "their", "own 2", "their 2")] == \
+            [{"throughput": value} for value in (1.0, 2.0, 3.0, 4.0)]
+        assert theirs.load("haswell", "own 2") == {"throughput": 3.0}
+        assert len(ours) == len(theirs) == 4
+        with open(ours.log_path("haswell"), "rb") as fh:
+            assert len(fh.read().splitlines()) == 4
+        assert ours.quarantined_files() == []
+
     def test_line_damaged_after_the_scan_is_quarantined_by_its_load(
             self, tmp_path):
         ShardCache(str(tmp_path)).store("haswell", "nop",

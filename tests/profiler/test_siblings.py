@@ -337,9 +337,9 @@ class TestPooledExperiment:
     def test_rescued_shards_reprofile_in_their_own_rows(self, cache,
                                                         standalone):
         # On corpus seed 1 this policy crashes a worker in the first
-        # window, so its shards are rescued with no siblings, while
-        # the last shard of each row lands from a rebuilt pool with
-        # its siblings.
+        # window, so its shard is rescued with no siblings, while the
+        # shards beside it run again in pools of their own and land,
+        # like the last shard of each row, with their siblings.
         cache("chaos")
         suite = Experiment(scale=self.SCALE, seed=1, jobs=2)
         with chaos.forced(ChaosPolicy.parse("3:worker_crash=0.5")):
