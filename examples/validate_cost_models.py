@@ -2,12 +2,17 @@
 """Validate four cost models against measured ground truth — a small
 live rendition of the paper's Table V pipeline.
 
+Measurements go through the result store under ``$REPRO_CACHE``
+(default: the checkout's ``.cache/``), so a second run profiles
+nothing.
+
 Run:  python examples/validate_cost_models.py [uarch] [n_blocks]
 """
 
 import sys
 
 from repro.corpus import build_corpus
+from repro.eval.pipeline import Experiment
 from repro.eval.reporting import format_table
 from repro.eval.validation import validate
 from repro.models import (IacaModel, IthemalModel, LlvmMcaModel,
@@ -26,7 +31,9 @@ def main() -> None:
     models = [IacaModel(), LlvmMcaModel(), IthemalModel(), OsacaModel()]
     print(f"profiling on simulated {uarch} and training the learned "
           f"model on half of the measurements ...")
-    result = validate(corpus, uarch, models, seed=0)
+    measured = Experiment(seed=0, uarches=(uarch,)).measured(
+        uarch, corpus=corpus)
+    result = validate(corpus, uarch, models, measured)
 
     print(f"  {result.profiled_fraction:.1%} of blocks profiled "
           f"successfully; {len(result.rows)} held-out blocks "

@@ -30,11 +30,14 @@ core, or ``REPRO_JOBS``); results are bit-identical to ``--jobs 1``
 validate / telemetry) wraps each pipeline phase in cProfile and
 reports the top cumulative hotspots.
 
-Resilience flags (docs/robustness.md): ``--chaos SPEC`` arms seeded
-deterministic fault injection; ``--strict`` / ``--salvage`` choose
-whether quarantines fail the run or degrade; ``--resume`` (corpus /
-validate) measures through the result store so a killed run continues
-from the blocks it stored.
+Every measuring command (``corpus --measure``, ``validate``,
+``telemetry``) measures through the engine and the result store under
+``$REPRO_CACHE`` (default: the checkout's ``.cache/``): a block a
+previous run with the same seed measured, finished or killed, is read
+instead of profiled, with byte-identical output.  Resilience flags
+(docs/robustness.md): ``--chaos SPEC`` arms seeded deterministic fault
+injection; ``--strict`` / ``--salvage`` choose whether quarantines fail
+the run or degrade.
 """
 
 from __future__ import annotations
@@ -60,19 +63,6 @@ def _resolve_jobs(args) -> int:
         return max(1, args.jobs)
     from repro.parallel import default_jobs
     return default_jobs()
-
-
-def _measured_resumable(args, corpus, jobs: int):
-    """Measure through the result store (``--resume``).
-
-    Routes measurement through :class:`repro.eval.pipeline.Experiment`,
-    whose store makes a killed run continue from the blocks it stored,
-    with byte-identical output.
-    """
-    from repro.eval.pipeline import Experiment
-    experiment = Experiment(scale=args.scale, seed=args.seed,
-                            jobs=jobs, uarches=(args.uarch,))
-    return experiment.measured(args.uarch, corpus=corpus)
 
 
 def _make_model(name: str):
@@ -166,28 +156,35 @@ def _sample_fraction(args) -> Optional[float]:
     return sampling.sample_fraction()
 
 
-def _stream_corpus_cmd(args) -> int:
-    """``repro corpus --stream``: generate -> shard -> profile -> write
-    without ever materialising the corpus.
+def cmd_corpus(args) -> int:
+    """Write the suite, measured or not, one shard of rows at a time.
 
-    Records flow straight from the lazy generators through the
-    streamed engine into an incremental writer; ``--sample`` threads
-    an order-blind stratified filter into the stream; ``--resume``
-    reads and fills the same result store as the list source.
+    ``--stream`` chooses only the record source: lazy generators
+    (``--sample`` thresholds each record as it passes), or a
+    materialised corpus (``--sample`` takes exact per-stratum quotas).
+    Either way the rows go through the same incremental writer, and
+    ``--measure`` profiles them in one engine call over the result
+    store.
     """
-    from repro.corpus import sampling, streaming
+    from repro.corpus import build_corpus, sampling, streaming
     from repro.corpus.io import StreamCsvWriter, StreamJsonWriter
     from repro.telemetry import profiling
 
     fraction = _sample_fraction(args)
-
-    def source():
-        records = streaming.iter_corpus(scale=args.scale,
-                                        seed=args.seed)
-        if fraction and fraction < 1.0:
+    sampled = fraction is not None and fraction < 1.0
+    if args.stream:
+        records = streaming.iter_corpus(scale=args.scale, seed=args.seed)
+        if sampled:
             records = sampling.sample_stream(records, fraction,
                                              seed=args.seed)
-        return records
+    else:
+        with profiling.phase("corpus_build"):
+            records = build_corpus(scale=args.scale, seed=args.seed)
+        if sampled:
+            records = sampling.sample_corpus(records, fraction,
+                                             seed=args.seed)
+            print(f"stratified sample: {len(records)} blocks "
+                  f"({fraction:.0%} per stratum)")
 
     if args.out.endswith(".json"):
         writer = StreamJsonWriter(args.out, args.scale)
@@ -195,80 +192,32 @@ def _stream_corpus_cmd(args) -> int:
         writer = StreamCsvWriter(args.out, measured=args.measure)
 
     if not args.measure:
-        blocks = 0
-        with profiling.phase("corpus_stream"), writer:
-            for record in source():
+        with profiling.phase("corpus_write"), writer:
+            for record in records:
                 writer.add(record)
-                blocks += 1
-        print(f"streamed {blocks} blocks")
-        print(f"wrote {writer.written} blocks to {args.out}")
-        if profiling.is_enabled():
-            _print_profile()
-        return 0
-
-    jobs = _resolve_jobs(args)
-    cache = None
-    if args.resume:
-        from repro.eval.pipeline import result_store
-        cache = result_store(args.seed)
-
-    totals = {"blocks": 0, "measured": 0}
-
-    def on_shard(shard, profile) -> None:
-        for record in shard.records:
-            throughput = profile.throughputs.get(record.block_id)
-            writer.add(record, throughput)
-            totals["blocks"] += 1
-            if throughput is not None:
-                totals["measured"] += 1
-
-    from repro.parallel import profile_corpus_streamed
-    with profiling.phase(f"measure:stream:{args.uarch}"), writer:
-        profile_corpus_streamed(
-            source(), args.uarch, seed=args.seed, jobs=jobs,
-            cache=cache, run_label=f"stream:{args.uarch}",
-            on_shard=on_shard)
-    print(f"measured {totals['measured']}/{totals['blocks']} blocks "
-          f"on {args.uarch} ({jobs} jobs, streamed)")
-    print(f"wrote {writer.written} blocks to {args.out}")
-    if profiling.is_enabled():
-        _print_profile()
-    return 0
-
-
-def cmd_corpus(args) -> int:
-    from repro.corpus import build_corpus, sampling
-    from repro.corpus.io import save_csv, save_json
-    from repro.telemetry import profiling
-    if args.stream:
-        return _stream_corpus_cmd(args)
-    with profiling.phase("corpus_build"):
-        corpus = build_corpus(scale=args.scale, seed=args.seed)
-    fraction = _sample_fraction(args)
-    if fraction and fraction < 1.0:
-        corpus = sampling.sample_corpus(corpus, fraction,
-                                        seed=args.seed)
-        print(f"stratified sample: {len(corpus)} blocks "
-              f"({fraction:.0%} per stratum)")
-    measured = None
-    if args.measure:
-        jobs = _resolve_jobs(args)
-        if args.resume:
-            measured = _measured_resumable(args, corpus, jobs)
-        else:
-            from repro.parallel import profile_corpus_sharded
-            with profiling.phase(f"measure:main:{args.uarch}"):
-                measured = profile_corpus_sharded(
-                    corpus, args.uarch, seed=args.seed,
-                    jobs=jobs).throughputs
-        print(f"measured {len(measured)}/{len(corpus)} blocks "
-              f"on {args.uarch} ({jobs} jobs)")
-    if args.out.endswith(".json"):
-        save_json(args.out, corpus, measured)
-        written = len(corpus)
+        if args.stream:
+            print(f"streamed {writer.written} blocks")
     else:
-        written = save_csv(args.out, corpus, measured)
-    print(f"wrote {written} blocks to {args.out}")
+        from repro.parallel import profile_corpus_streamed
+        from repro.parallel.shard_cache import result_store
+        jobs = _resolve_jobs(args)
+        source = "stream" if args.stream else "main"
+
+        def on_shard(shard, profile) -> None:
+            for record in shard.records:
+                writer.add(record, profile.throughputs.get(record.block_id))
+
+        with profiling.phase(f"measure:{source}:{args.uarch}"), writer:
+            profile = profile_corpus_streamed(
+                records, args.uarch, seed=args.seed, jobs=jobs,
+                cache=result_store(args.seed),
+                run_label=f"{source}:{args.uarch}",
+                total_blocks=None if args.stream else len(records),
+                on_shard=on_shard)
+        print(f"measured {len(profile.throughputs)}/"
+              f"{profile.funnel['total']} blocks on {args.uarch} "
+              f"({jobs} jobs{', streamed' if args.stream else ''})")
+    print(f"wrote {writer.written} blocks to {args.out}")
     if profiling.is_enabled():
         _print_profile()
     return 0
@@ -276,6 +225,7 @@ def cmd_corpus(args) -> int:
 
 def cmd_validate(args) -> int:
     from repro.corpus import build_corpus, sampling
+    from repro.eval.pipeline import Experiment
     from repro.eval.reporting import format_table
     from repro.eval.validation import validate
     from repro.models import (IacaModel, IthemalModel, LlvmMcaModel,
@@ -295,18 +245,11 @@ def cmd_validate(args) -> int:
                                             seed=args.seed)
     models = [IacaModel(), LlvmMcaModel(), IthemalModel(), OsacaModel()]
     jobs = _resolve_jobs(args)
-    measured = None
-    if args.resume:
-        measured = _measured_resumable(args, corpus, jobs)
-    elif jobs > 1:
-        from repro.parallel import profile_corpus_sharded
-        with profiling.phase(f"measure:main:{args.uarch}"):
-            measured = profile_corpus_sharded(
-                corpus, args.uarch, seed=args.seed,
-                jobs=jobs).throughputs
+    measured = Experiment(scale=args.scale, seed=args.seed, jobs=jobs,
+                          uarches=(args.uarch,)).measured(args.uarch,
+                                                          corpus=corpus)
     with profiling.phase(f"validate:{args.uarch}"):
-        result = validate(corpus, args.uarch, models, seed=args.seed,
-                          measured=measured, jobs=jobs)
+        result = validate(corpus, args.uarch, models, measured, jobs=jobs)
     rows = [(m, round(result.overall_error(m), 4),
              round(result.weighted_overall_error(m), 4),
              round(result.kendall_tau(m), 4))
@@ -480,12 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for profiling (default: "
                             "os.cpu_count(), or $REPRO_JOBS); results "
                             "are bit-identical to --jobs 1")
-        p.add_argument("--resume", action="store_true",
-                       help="measure through the result store: a "
-                            "previous run with the same seed, killed "
-                            "mid-flight or finished, leaves its blocks "
-                            "stored, and this run profiles only the "
-                            "rest, with byte-identical output")
         p.add_argument("--window", type=int, default=None, metavar="N",
                        help="blocks per live-telemetry window "
                             "(default: 64, or $REPRO_WINDOW); the "

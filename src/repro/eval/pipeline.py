@@ -26,10 +26,9 @@ from repro.models.iaca import IacaModel
 from repro.models.ithemal import IthemalModel
 from repro.models.llvm_mca import LlvmMcaModel
 from repro.models.osaca import OsacaModel
-from repro.parallel import (DEFAULT_SHARD_SIZE, ShardCache,
-                            profile_corpus_sharded)
+from repro.parallel import DEFAULT_SHARD_SIZE, profile_corpus_sharded
 from repro.parallel.forked import Forked
-from repro.parallel.shard_cache import store_directory
+from repro.parallel.shard_cache import result_store
 
 
 def _env(name: str, default: str) -> str:
@@ -48,20 +47,6 @@ DEFAULT_JOBS = max(1, int(_env("REPRO_JOBS", "1")))
 SHARD_SIZE = max(1, int(_env("REPRO_SHARD_SIZE", str(DEFAULT_SHARD_SIZE))))
 
 UARCHES = ("ivybridge", "haswell", "skylake")
-
-
-def _cache_dir() -> str:
-    root = os.environ.get("REPRO_CACHE",
-                          os.path.join(os.path.dirname(__file__),
-                                       "..", "..", "..", ".cache"))
-    path = os.path.abspath(root)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def result_store(seed: int) -> ShardCache:
-    """The result store every measurement with ``seed`` shares."""
-    return ShardCache(store_directory(_cache_dir(), seed))
 
 
 @dataclass
@@ -244,9 +229,8 @@ class Experiment:
                         self.classification.categories)
                 }
                 self._validations[uarch] = validate(
-                    self.corpus, uarch, self.models,
-                    categories=categories, seed=self.seed,
-                    measured=self.measured(uarch), jobs=self.jobs)
+                    self.corpus, uarch, self.models, self.measured(uarch),
+                    categories=categories, jobs=self.jobs)
             if telemetry.is_enabled():
                 self.write_run_report(uarch)
         return self._validations[uarch]
@@ -284,9 +268,8 @@ class Experiment:
         self.validation(uarch)  # ensures Ithemal is trained
         corpus = self.google_corpora[app]
         models = [m for m in self.models if m.name != "OSACA"]
-        return validate(corpus, uarch, models, seed=self.seed,
-                        measured=self.measured(uarch, corpus=corpus,
-                                               tag=app),
+        return validate(corpus, uarch, models,
+                        self.measured(uarch, corpus=corpus, tag=app),
                         train_fraction=0.0, jobs=self.jobs)
 
 

@@ -1,9 +1,13 @@
 """Model validation over a profiled corpus (§V).
 
-``validate`` is the paper's experimental core: profile every block on
-one machine, train the learned model on a held-out split of the
-measurements, run every predictor over the evaluation split, and
+``validate`` is the paper's experimental core: given every block's
+measurement on one machine, train the learned model on a held-out
+split of them, run every predictor over the evaluation split, and
 aggregate relative errors overall / per application / per category.
+The measurements come from the engine and the result store
+(:meth:`repro.eval.pipeline.Experiment.measured`); the serial
+:func:`profile_corpus` and :func:`profile_corpus_detailed` here are
+the oracle the determinism suite compares the engine against.
 With ``jobs > 1`` the static models predict in forked workers while
 the parent trains and runs Ithemal (docs/parallel.md, "The model half
 in the pool").
@@ -141,17 +145,18 @@ def _split(models: List[CostModel], jobs: int) -> List[List[CostModel]]:
 
 def validate(corpus: Corpus, uarch: str,
              models: Sequence[CostModel],
+             measured: Dict[int, float],
              categories: Optional[Dict[int, int]] = None,
-             seed: int = 0,
-             measured: Optional[Dict[int, float]] = None,
              train_fraction: float = 0.5,
              jobs: int = 1) -> ValidationResult:
     """Run the full §V protocol on one microarchitecture.
 
-    Learned models (those exposing ``fit``) are trained on a split of
-    the measured blocks and everything is evaluated on the rest, so
-    Ithemal never scores its own training data.  AVX2/FMA blocks are
-    excluded on Ivy Bridge, as in the paper.
+    ``measured`` maps block id to measured throughput; a block it
+    lacks was dropped by the profiler.  Learned models (those exposing
+    ``fit``) are trained on a split of the measured blocks and
+    everything is evaluated on the rest, so Ithemal never scores its
+    own training data.  AVX2/FMA blocks are excluded on Ivy Bridge, as
+    in the paper.
 
     The static models need only the block, so with ``jobs > 1`` their
     predictions run in forked workers
@@ -159,11 +164,8 @@ def validate(corpus: Corpus, uarch: str,
     runs the learned ones.  Each prediction is a pure function of
     (model, uarch, block), so the rows are the same at any ``jobs``.
     """
-    machine = Machine(uarch, seed=seed)
+    machine = Machine(uarch)
     records = [r for r in corpus if machine.supports(r.block)]
-    if measured is None:
-        measured = profile_corpus(Corpus(records), uarch, seed=seed)
-
     usable = [r for r in records if r.block_id in measured]
     # Interleaved split: the corpus is ordered by application, so a
     # prefix split would train and evaluate on different apps.

@@ -3,9 +3,11 @@
 A measurement is a pure function of (block text, uarch, seed) — even
 the simulated noise is seeded from a CRC of the text — so the store
 keys results by exactly that, and every caller shares it: the
-pipeline's rows, ``repro validate --resume``, ``repro corpus --resume``
-(list and ``--stream``) and ``repro serve``.  Layout (under
-``.cache/``, or the daemon's state directory)::
+pipeline's rows, every measuring command (``repro validate``, ``repro
+corpus --measure``, list or ``--stream``) and ``repro serve``.  This
+module alone decides where it lives: :func:`result_store` opens one
+seed's store under :func:`cache_root`, and the daemon keeps its own
+under ``<cache root>/serve`` unless told otherwise.  Layout::
 
     results_<seed>/
         <uarch>.log        # one record per line, append-only
@@ -84,9 +86,23 @@ cachestats.register_provider(
     "shard", lambda: cachestats.registry_stats("shard"))
 
 
+def cache_root() -> str:
+    """``$REPRO_CACHE``, or the checkout's ``.cache/`` when it is unset
+    or blank: the tree every store of the pipeline and the CLI lives
+    in."""
+    root = os.environ.get("REPRO_CACHE", "").strip() or os.path.join(
+        os.path.dirname(__file__), "..", "..", "..", ".cache")
+    return os.path.abspath(root)
+
+
 def store_directory(root: str, seed: int) -> str:
     """The store for one seed under ``root``."""
     return os.path.join(root, f"results_{seed}")
+
+
+def result_store(seed: int) -> "ShardCache":
+    """The result store every measurement with ``seed`` shares."""
+    return ShardCache(store_directory(cache_root(), seed))
 
 
 def _digest(text: str) -> bytes:

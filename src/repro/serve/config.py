@@ -17,6 +17,8 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.parallel.shard_cache import cache_root
+
 #: Env-var name -> (attribute, parser, default).  The single source the
 #: dataclass defaults and ``from_env`` both draw from.
 _ENV_FLOAT = float
@@ -55,14 +57,14 @@ def default_state_dir() -> str:
     """Where the daemon keeps its journal and per-seed result stores.
 
     ``$REPRO_SERVE_STATE`` wins; otherwise a ``serve/`` subdirectory of
-    the pipeline cache root (``$REPRO_CACHE`` or ``.cache``), so the
-    daemon and the batch CLI share one cache tree by default.
+    the cache root the pipeline and the batch CLI use
+    (:func:`repro.parallel.shard_cache.cache_root`), so all three share
+    one cache tree by default, whatever the working directory.
     """
     explicit = os.environ.get("REPRO_SERVE_STATE")
     if explicit:
         return explicit
-    root = os.environ.get("REPRO_CACHE") or ".cache"
-    return os.path.join(root, "serve")
+    return os.path.join(cache_root(), "serve")
 
 
 @dataclass(frozen=True)

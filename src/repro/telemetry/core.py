@@ -16,6 +16,11 @@ per-stage timings without replaying the event stream.
 This module imports only the standard library (plus its sibling
 ``metrics``) so any layer of the stack — ISA tables, the scheduler,
 the executor — can instrument itself without import cycles.
+
+Forks are safe beside threads that instrument: an ``os.fork`` hook
+holds the registry's and the sink's locks across every fork, with the
+sink's buffer flushed first, as the standard ``logging`` module guards
+its own (see :func:`_before_fork`).
 """
 
 from __future__ import annotations
@@ -368,6 +373,41 @@ def set_gauge(name: str, value: float) -> None:
 
 def registry() -> MetricsRegistry:
     return _TELEMETRY.registry
+
+
+#: The locks :func:`_before_fork` took, released on both sides.
+_HELD_AT_FORK: List[threading.Lock] = []
+
+
+def _before_fork() -> None:
+    """Hold the hub's locks across a fork, the sink's buffer flushed.
+
+    Otherwise a worker inherits a lock another thread (the heartbeat,
+    mid-emit) held at the fork, and its first :func:`reset` waits on it
+    for good; and a worker that closes the sink it inherited writes the
+    parent's unflushed records into the trace a second time.
+    """
+    sink = _TELEMETRY.sink
+    locks = [_TELEMETRY.registry._lock]
+    if isinstance(sink, NdjsonSink):
+        locks.append(sink._lock)
+    for lock in locks:
+        lock.acquire()  # then listed, so a concurrent fork waits here
+        _HELD_AT_FORK.append(lock)
+    if isinstance(sink, NdjsonSink):
+        try:
+            sink._fh.flush()
+        except (OSError, ValueError):
+            pass  # a closed sink or a full disk: fork all the same
+
+
+def _after_fork() -> None:
+    while _HELD_AT_FORK:
+        _HELD_AT_FORK.pop().release()
+
+
+os.register_at_fork(before=_before_fork, after_in_parent=_after_fork,
+                    after_in_child=_after_fork)
 
 
 def trace_id() -> Optional[str]:

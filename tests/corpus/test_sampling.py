@@ -168,17 +168,18 @@ class TestAcceptance:
     """A 25 % sample projects the full-corpus error within its CI."""
 
     def test_quarter_sample_covers_full_error(self):
-        from repro.eval.validation import validate
+        from repro.eval.validation import profile_corpus, validate
         from repro.models import IacaModel, LlvmMcaModel
 
         corpus = build_corpus(scale=0.004, seed=0)
         counts = sampling.stratum_counts(corpus)
         models = [IacaModel(), LlvmMcaModel()]
-        full = validate(corpus, "haswell", models, seed=0,
+        measured = profile_corpus(corpus, "haswell", seed=0)
+        full = validate(corpus, "haswell", models, measured,
                         train_fraction=0.0)
 
         sample = sampling.sample_corpus(corpus, 0.25, seed=0)
-        partial = validate(sample, "haswell", models, seed=0,
+        partial = validate(sample, "haswell", models, measured,
                            train_fraction=0.0)
         projection = sampling.project_validation(
             partial, sample.records, counts, seed=0)

@@ -14,9 +14,14 @@ def tiny_corpus():
 
 
 @pytest.fixture(scope="module")
-def result(tiny_corpus):
+def measured(tiny_corpus):
+    return profile_corpus(tiny_corpus, "haswell", seed=1)
+
+
+@pytest.fixture(scope="module")
+def result(tiny_corpus, measured):
     models = [IacaModel(), IthemalModel(), OsacaModel()]
-    return validate(tiny_corpus, "haswell", models, seed=1)
+    return validate(tiny_corpus, "haswell", models, measured)
 
 
 class TestValidate:
@@ -37,9 +42,9 @@ class TestValidate:
             error = result.overall_error(model)
             assert error is not None and error > 0
 
-    def test_train_eval_split_disjoint(self, tiny_corpus):
+    def test_train_eval_split_disjoint(self, tiny_corpus, measured):
         models = [IthemalModel()]
-        res = validate(tiny_corpus, "haswell", models, seed=1,
+        res = validate(tiny_corpus, "haswell", models, measured,
                        train_fraction=0.5)
         # Evaluation rows are roughly half of the usable blocks.
         assert len(res.rows) < len(tiny_corpus) * 0.7
@@ -48,11 +53,11 @@ class TestValidate:
         per_app = result.per_application_error("IACA")
         assert set(per_app) == {"llvm"}
 
-    def test_per_category_grouping(self, tiny_corpus):
+    def test_per_category_grouping(self, tiny_corpus, measured):
         categories = {r.block_id: (r.block_id % 6) + 1
                       for r in tiny_corpus}
-        res = validate(tiny_corpus, "haswell", [IacaModel()],
-                       categories=categories, seed=1)
+        res = validate(tiny_corpus, "haswell", [IacaModel()], measured,
+                       categories=categories)
         groups = res.per_category_error("IACA")
         assert set(groups) <= set(range(1, 7))
 

@@ -23,11 +23,13 @@ from repro.errors import StrictModeViolation
 from repro.eval.pipeline import UARCHES, Experiment
 from repro.isa.parser import parse_block
 from repro.parallel import ShardCache, profile_corpus_sharded
+from repro.parallel.shard_cache import cache_root, result_store
 from repro.parallel.sharding import shard_digest
 from repro.profiler.harness import BasicBlockProfiler
 from repro.profiler.result import FailureReason
 from repro.resilience import (chaos, journal_line, parse_journal_line,
                               policy)
+from repro.serve.config import default_state_dir
 
 #: Two blocks whose one-block shard digests collide (``946955f8-1``):
 #: a store keyed by that digest answered the second with the first's
@@ -329,12 +331,39 @@ class TestSharedStore:
                 for u in UARCHES} == expected
         out = tmp_path / "stream.csv"
         assert cli.main(["corpus", "--scale", "0.0002", "--seed", "0",
-                         "--measure", "--stream", "--resume", "--jobs",
-                         "1", "--uarch", "haswell", "--out",
-                         str(out)]) == 0
+                         "--measure", "--stream", "--jobs", "1",
+                         "--uarch", "haswell", "--out", str(out)]) == 0
         with open(out) as fh:
             rows = fh.read().splitlines()
         assert len(rows) == len(expected["haswell"][0])
+
+
+class TestCacheRoot:
+    def test_a_blank_repro_cache_is_the_default_root(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        default = cache_root()
+        assert os.path.isabs(default)
+        assert os.path.basename(default) == ".cache"
+        for blank in ("", "  "):
+            monkeypatch.setenv("REPRO_CACHE", blank)
+            assert cache_root() == default
+
+    def test_the_daemon_state_defaults_under_the_cache_root(
+            self, tmp_path, monkeypatch):
+        # From any working directory, not only the checkout's root.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_SERVE_STATE", raising=False)
+        for value in (None, "", str(tmp_path / "cache")):
+            if value is None:
+                monkeypatch.delenv("REPRO_CACHE", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_CACHE", value)
+            assert default_state_dir() == \
+                os.path.join(cache_root(), "serve")
+
+    def test_the_pipeline_opens_this_modules_store(self):
+        from repro.eval import pipeline
+        assert pipeline.result_store is result_store
 
 
 _WRITER = """

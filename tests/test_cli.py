@@ -58,7 +58,8 @@ def test_corpus_export(tmp_path, capsys):
     assert len(blocks) > 50
 
 
-def test_corpus_json_with_measurements(tmp_path):
+def test_corpus_json_with_measurements(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
     out_path = tmp_path / "suite.json"
     assert main(["corpus", "--scale", "0.0002", "--measure",
                  "--out", str(out_path)]) == 0
@@ -103,3 +104,64 @@ def test_telemetry_subcommand_writes_report(tmp_path, capsys,
     assert "stage timings" in out
     assert (tmp_path / "reports"
             / "run_validation_haswell.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# One measurement path: every measuring command reads and fills the
+# result store under $REPRO_CACHE.
+# ---------------------------------------------------------------------------
+
+VALIDATE = ["validate", "--scale", "0.0002", "--uarch", "haswell",
+            "--jobs", "1"]
+
+
+def _no_profiling(self, blocks):
+    raise AssertionError("the store should have held every block")
+
+
+@pytest.fixture()
+def store_root(tmp_path, monkeypatch):
+    """A fresh cache root; ``--strict``/``--salvage`` export
+    ``REPRO_STRICT``, so it is restored after the test."""
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_STRICT", "0")
+    return tmp_path / "cache"
+
+
+def test_validate_twice_profiles_nothing_the_second_time(
+        store_root, capsys, monkeypatch):
+    from repro.profiler.harness import BasicBlockProfiler
+    assert main(VALIDATE) == 0
+    first = capsys.readouterr().out
+    monkeypatch.setattr(BasicBlockProfiler, "profile_many",
+                        _no_profiling)
+    assert main(VALIDATE) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_validate_over_a_corrupt_store(store_root, capsys):
+    from repro.errors import StrictModeViolation
+    assert main(VALIDATE) == 0
+    clean = capsys.readouterr().out
+    store = store_root / "results_0"
+    log = store / "haswell.log"
+    log.write_bytes(b"garbage " + log.read_bytes())  # its first line
+    with pytest.raises(StrictModeViolation):
+        main(VALIDATE + ["--strict"])
+    assert not (store / "quarantine").exists()
+    capsys.readouterr()
+    assert main(VALIDATE + ["--salvage"]) == 0
+    assert capsys.readouterr().out == clean
+    assert len(list((store / "quarantine").iterdir())) == 1
+
+
+def test_corpus_list_and_stream_share_one_store(store_root, tmp_path,
+                                                monkeypatch):
+    from repro.profiler.harness import BasicBlockProfiler
+    listed, streamed = tmp_path / "list.csv", tmp_path / "stream.csv"
+    corpus = ["corpus", "--scale", "0.0002", "--measure", "--jobs", "1"]
+    assert main(corpus + ["--out", str(listed)]) == 0
+    monkeypatch.setattr(BasicBlockProfiler, "profile_many",
+                        _no_profiling)
+    assert main(corpus + ["--stream", "--out", str(streamed)]) == 0
+    assert streamed.read_bytes() == listed.read_bytes()

@@ -5,8 +5,9 @@ tau and the topic-to-label assignment are computed in the repo, so
 ``scipy.stats`` and ``scipy.optimize``, which would dominate start-up
 time and memory, stay unloaded.  The profiling path (``repro.parallel``
 and the profiler under it, which ``repro serve`` and ``repro corpus``
-run) needs no evaluation code, numpy or scipy at all.  No timing is
-asserted, only which modules a fresh interpreter ends up holding.
+run, result store included) needs no evaluation code, numpy or scipy
+at all.  No timing is asserted, only which modules a fresh interpreter
+ends up holding.
 """
 
 import json
@@ -37,6 +38,7 @@ def _loaded(script: str, modules, tmp_path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
+    env["REPRO_CACHE"] = str(tmp_path / "cache")
     report = ("\nimport json, sys\nprint(json.dumps({m: m in sys.modules "
               f"for m in {list(modules)!r}}}))\n")
     out = subprocess.run([sys.executable, "-c", script + report],
@@ -58,6 +60,26 @@ def test_profiling_path_loads_no_eval_numpy_or_scipy(tmp_path):
                      tmp_path)
     assert loaded == {"repro.parallel": True, "repro.eval": False,
                       "numpy": False, "scipy": False}
+
+
+def test_corpus_measure_loads_no_eval_or_scipy(tmp_path):
+    # The command measures through the result store, which must not
+    # live where the evaluation stack does.  (Corpus synthesis loads
+    # numpy, through ``repro.models``.)
+    script = ("from repro import cli\n"
+              "assert cli.main(['corpus', '--scale', '0.0001', "
+              "'--measure', '--jobs', '1', '--out', 'suite.csv']) == 0\n")
+    loaded = _loaded(script, ("repro.parallel", "repro.eval", "scipy"),
+                     tmp_path)
+    assert loaded == {"repro.parallel": True, "repro.eval": False,
+                      "scipy": False}
+    assert os.listdir(tmp_path / "cache") == ["results_0"]
+
+
+def test_the_store_through_the_pipeline_loads_eval_and_scipy(tmp_path):
+    loaded = _loaded("from repro.eval.pipeline import result_store\n"
+                     "result_store(0)", ("repro.eval", "scipy"), tmp_path)
+    assert loaded == {"repro.eval": True, "scipy": True}
 
 
 @pytest.mark.parametrize("first, second", [
