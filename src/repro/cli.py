@@ -45,7 +45,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+import tempfile
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from repro.isa.parser import parse_block
 
@@ -156,6 +158,39 @@ def _sample_fraction(args) -> Optional[float]:
     return sampling.sample_fraction()
 
 
+@contextmanager
+def _replaced_on_success(path: str) -> Iterator[str]:
+    """The file to write ``path``'s new contents to.
+
+    A temporary file beside ``path`` (with the mode a plain ``open``
+    would give it) that replaces ``path`` only once the block
+    succeeds, so a run that fails leaves the old file byte for byte
+    and no temporary file behind.  A target that exists and is not a
+    regular file (``/dev/null``, a FIFO) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        yield path
+        return
+    target = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                               prefix=f".{os.path.basename(target)}.",
+                               suffix=".tmp")
+    os.close(fd)
+    try:
+        if os.path.exists(target):
+            mode = os.stat(target).st_mode & 0o7777
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
+        yield tmp
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def cmd_corpus(args) -> int:
     """Write the suite, measured or not, one shard of rows at a time.
 
@@ -164,7 +199,7 @@ def cmd_corpus(args) -> int:
     materialised corpus (``--sample`` takes exact per-stratum quotas).
     Either way the rows go through the same incremental writer, and
     ``--measure`` profiles them in one engine call over the result
-    store.
+    store.  ``--out`` is replaced only when the run succeeds.
     """
     from repro.corpus import build_corpus, sampling, streaming
     from repro.corpus.io import StreamCsvWriter, StreamJsonWriter
@@ -186,10 +221,21 @@ def cmd_corpus(args) -> int:
             print(f"stratified sample: {len(records)} blocks "
                   f"({fraction:.0%} per stratum)")
 
-    if args.out.endswith(".json"):
-        writer = StreamJsonWriter(args.out, args.scale)
-    else:
-        writer = StreamCsvWriter(args.out, measured=args.measure)
+    with _replaced_on_success(args.out) as out:
+        if args.out.endswith(".json"):
+            writer = StreamJsonWriter(out, args.scale)
+        else:
+            writer = StreamCsvWriter(out, measured=args.measure)
+        _write_corpus(args, records, writer)
+    print(f"wrote {writer.written} blocks to {args.out}")
+    if profiling.is_enabled():
+        _print_profile()
+    return 0
+
+
+def _write_corpus(args, records, writer) -> None:
+    """``cmd_corpus``'s rows, measured or not, through ``writer``."""
+    from repro.telemetry import profiling
 
     if not args.measure:
         with profiling.phase("corpus_write"), writer:
@@ -197,30 +243,26 @@ def cmd_corpus(args) -> int:
                 writer.add(record)
         if args.stream:
             print(f"streamed {writer.written} blocks")
-    else:
-        from repro.parallel import profile_corpus_streamed
-        from repro.parallel.shard_cache import result_store
-        jobs = _resolve_jobs(args)
-        source = "stream" if args.stream else "main"
+        return
+    from repro.parallel import profile_corpus_streamed
+    from repro.parallel.shard_cache import result_store
+    jobs = _resolve_jobs(args)
+    source = "stream" if args.stream else "main"
 
-        def on_shard(shard, profile) -> None:
-            for record in shard.records:
-                writer.add(record, profile.throughputs.get(record.block_id))
+    def on_shard(shard, profile) -> None:
+        for record in shard.records:
+            writer.add(record, profile.throughputs.get(record.block_id))
 
-        with profiling.phase(f"measure:{source}:{args.uarch}"), writer:
-            profile = profile_corpus_streamed(
-                records, args.uarch, seed=args.seed, jobs=jobs,
-                cache=result_store(args.seed),
-                run_label=f"{source}:{args.uarch}",
-                total_blocks=None if args.stream else len(records),
-                on_shard=on_shard)
-        print(f"measured {len(profile.throughputs)}/"
-              f"{profile.funnel['total']} blocks on {args.uarch} "
-              f"({jobs} jobs{', streamed' if args.stream else ''})")
-    print(f"wrote {writer.written} blocks to {args.out}")
-    if profiling.is_enabled():
-        _print_profile()
-    return 0
+    with profiling.phase(f"measure:{source}:{args.uarch}"), writer:
+        profile = profile_corpus_streamed(
+            records, args.uarch, seed=args.seed, jobs=jobs,
+            cache=result_store(args.seed),
+            run_label=f"{source}:{args.uarch}",
+            total_blocks=None if args.stream else len(records),
+            on_shard=on_shard)
+    print(f"measured {len(profile.throughputs)}/"
+          f"{profile.funnel['total']} blocks on {args.uarch} "
+          f"({jobs} jobs{', streamed' if args.stream else ''})")
 
 
 def cmd_validate(args) -> int:

@@ -1,8 +1,8 @@
 """The fast-path switchboard.
 
 One global predicate, :func:`enabled`, consulted by every fast-path
-layer (executor session, annotation early-exit, combined two-factor
-run, profile memo).  Disabled by ``REPRO_NO_FASTPATH=1`` in
+layer (executor session, pricing without the LRU, annotation
+early-exit, combined two-factor run, profile memo).  Disabled by ``REPRO_NO_FASTPATH=1`` in
 the environment (exported by the CLI's ``--no-fastpath`` before any
 worker forks, so pools inherit it) or programmatically via
 :func:`set_enabled` / :func:`forced` in tests.

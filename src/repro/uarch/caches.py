@@ -12,7 +12,24 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List
 
+from repro.runtime.memory import PAGE_SIZE
 from repro.uarch.descriptor import CacheGeometry
+
+
+def never_evicts(geometry: CacheGeometry, frames: int) -> bool:
+    """Can no set of ``geometry`` overflow while the accesses stay
+    inside ``frames`` distinct 4 KiB physical frames?
+
+    One frame spans ``PAGE_SIZE / line_size`` consecutive line
+    numbers, and consecutive lines fall into consecutive sets, so a
+    frame puts at most ``ceil(PAGE_SIZE / (sets * line_size))`` lines
+    into any one set (1 for a 32 KiB, 64 B, 8-way L1D, whose set index
+    is made of page-offset bits).  When ``frames`` times that is at
+    most ``ways``, every set holds all the lines it is ever asked for
+    and LRU never evicts.
+    """
+    per_frame = -(-PAGE_SIZE // (geometry.sets * geometry.line_size))
+    return frames * per_frame <= geometry.ways
 
 
 class CacheModel:

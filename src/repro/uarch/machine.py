@@ -24,11 +24,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.isa.encoder import instruction_length
 from repro.isa.instruction import BasicBlock
 from repro.telemetry import core as telemetry
-from repro.runtime.memory import VirtualMemory
-from repro.runtime.trace import ExecutionTrace
+from repro.runtime.memory import PAGE_SIZE, VirtualMemory
+from repro.runtime.trace import ExecutionTrace, InstrEvent
 from repro.simcore import config as simcore
 from repro.simcore.periodicity import detect_event_periodicity
-from repro.uarch.caches import CacheModel
+from repro.uarch.caches import CacheModel, never_evicts
 from repro.uarch.counters import CounterSample
 from repro.uarch.scheduler import (DataflowScheduler, InstrAnnotation,
                                    ScheduleResult)
@@ -70,6 +70,8 @@ class Pricing:
     key: tuple
     unroll: int
     fast: bool
+    #: A periodicity witness priced the trace (never when the L1D
+    #: cannot evict: that pricing needs none).
     periodic: bool
     annotations: List[InstrAnnotation]
     read_misses: int
@@ -313,6 +315,102 @@ class Machine:
         return (annotations, read_misses, write_misses,
                 unroll - simulated, warmup_fixed)
 
+    def _split_line_annotations(self, events: Sequence[InstrEvent],
+                                annotations: List[InstrAnnotation]
+                                ) -> Tuple[int, bool]:
+        """Annotate ``events`` for an L1D that never misses, appending
+        to ``annotations``: a read's only extra latency is the
+        split-line penalty.
+
+        Returns how many accesses span a line boundary (the
+        misaligned-reference count) and whether any spans a page
+        boundary.
+        """
+        line_size = self.desc.l1d.line_size
+        split_penalty = self.desc.split_line_penalty
+        page_mask = PAGE_SIZE - 1
+        misaligned = 0
+        crosses_page = False
+        append_ann = annotations.append
+        for event in events:
+            ann = InstrAnnotation(div_class=event.div_class,
+                                  subnormal=event.subnormal)
+            for access in event.accesses:
+                address = access.address
+                width = access.width
+                split = address % line_size + width > line_size
+                if split:
+                    misaligned += 1
+                    if (address & page_mask) + width > PAGE_SIZE:
+                        crosses_page = True
+                if access.is_write:
+                    ann.write_accesses.append((address, width))
+                else:
+                    ann.read_accesses.append(
+                        (address, width, split_penalty if split else 0))
+            append_ann(ann)
+        return misaligned, crosses_page
+
+    def _price_without_eviction(self, block: BasicBlock, unroll: int,
+                                trace: ExecutionTrace,
+                                memory: VirtualMemory,
+                                checkpoint_unroll: Optional[int]
+                                ) -> Optional[Pricing]:
+        """The pricing of a trace whose L1D can never evict, in one
+        pass and without the LRU; ``None`` when it could evict.
+
+        Exact, with no periodicity witness, because:
+
+        * the set index is made of page-offset bits, so one physical
+          frame puts at most ``ceil(4096 / (sets * line_size))`` lines
+          into any one set (:func:`~repro.uarch.caches.never_evicts`);
+          with the frames ``memory`` maps times that at most ``ways``,
+          nothing is ever evicted.  An access that spans a page
+          boundary is tagged from its first byte's frame, so its tail
+          line counts against the next frame number: a trace with one
+          is priced here only if those frames fit as well (always
+          with one frame, as in single-physical-page mode);
+        * every line the timed pass touches was loaded by the warm-up
+          pass, which walks the same events, so both miss counts are 0
+          at any unroll factor, and the annotations depend only on
+          the events: addresses, divider class and assist;
+        * the ``checkpoint_unroll`` trace is this trace's prefix (by
+          re-initialisation), and with no L1I stall here there is
+          none at the smaller factor either, so its annotations are
+          this pricing's prefix.  The scheduler is online, so its
+          checkpoint reading is the standalone makespan of that
+          prefix, and the checkpoint is certified from these facts
+          alone.
+        """
+        frames = {page.frame for page in memory.physical_pages}
+        geometry = self.desc.l1d
+        if not never_evicts(geometry, len(frames)):
+            return None
+        cut = unroll
+        if checkpoint_unroll and 0 < checkpoint_unroll < unroll:
+            cut = checkpoint_unroll
+        events = trace.events
+        boundary = cut * trace.block_len
+        annotations: List[InstrAnnotation] = []
+        head_misaligned, head_crosses = self._split_line_annotations(
+            events[:boundary], annotations)
+        tail_misaligned, tail_crosses = self._split_line_annotations(
+            events[boundary:], annotations)
+        if (head_crosses or tail_crosses) and not never_evicts(
+                geometry, len(frames | {frame + 1 for frame in frames})):
+            return None
+        l1i_misses = self._instruction_cache_annotations(
+            block, unroll, annotations)
+        checkpoint = cut if cut < unroll and not l1i_misses else None
+        return Pricing(
+            key=self.pricing_key, unroll=unroll, fast=True,
+            periodic=False, annotations=annotations,
+            read_misses=0, write_misses=0, l1i_misses=l1i_misses,
+            misaligned=head_misaligned + tail_misaligned,
+            replicated=0, checkpoint=checkpoint,
+            checkpoint_misaligned=0 if checkpoint is None
+            else head_misaligned)
+
     #: Fraction of capacity-exceeded code lines that still demand-miss
     #: past the L1I next-line prefetcher.  Straight-line benchmark code
     #: is the prefetcher's best case; most overflow lines arrive in
@@ -365,14 +463,27 @@ class Machine:
               checkpoint_unroll: Optional[int] = None) -> Pricing:
         """Price the trace against the caches (the first half of a run).
 
-        Covers the periodicity witness, the L1D warm-up and timed
-        passes, the L1I fetch-stall charges, the misaligned-reference
-        counts and the certification of ``checkpoint_unroll`` (see
-        :meth:`run`).  Nothing here reads the timing tables.
+        Covers the L1D warm-up and timed passes, the L1I fetch-stall
+        charges, the misaligned-reference counts and the certification
+        of ``checkpoint_unroll`` (see :meth:`run`).  Nothing here
+        reads the timing tables.
+
+        With the fast path on, a trace whose L1D can never evict (the
+        frames ``memory`` maps fit every set, as in the default
+        single-physical-page mode) is priced in one pass with no LRU,
+        no physical-address translation and no periodicity witness
+        (:meth:`_price_without_eviction`).  Every other trace goes
+        through both LRU passes, which stop early only on a witness;
+        with the fast path off or ``keep_records``, always in full.
         """
         if len(trace) != unroll * len(block):
             raise ValueError("trace does not match block × unroll")
         fast = simcore.enabled() and not keep_records
+        if fast:
+            pricing = self._price_without_eviction(
+                block, unroll, trace, memory, checkpoint_unroll)
+            if pricing is not None:
+                return pricing
         steady = detect_event_periodicity(trace) if fast else None
         (annotations, read_misses, write_misses, replicated,
          warmup_fixed) = self._data_cache_annotations(
@@ -410,8 +521,10 @@ class Machine:
         ``unroll`` copies of ``block`` under ``memory``'s final mapping.
 
         The scheduler always simulates all ``unroll`` iterations.  With
-        the fast path on, only the L1D annotation pass may stop early
-        and replicate its tail (see :meth:`_data_cache_annotations`).
+        the fast path on, only the pricing is cut short: a trace whose
+        L1D cannot evict skips the LRU (:meth:`price`), and otherwise
+        the L1D annotation pass may stop early and replicate its tail
+        (see :meth:`_data_cache_annotations`).
 
         ``pricing`` is the :meth:`price` of this very trace (the
         ``pricing`` of an earlier run on it), made by a machine with an
@@ -422,7 +535,12 @@ class Machine:
         ``checkpoint_unroll`` (fast path only) asks for a second,
         synthesized result at a smaller unroll factor, derived from
         the same simulation pass — the combined two-factor run.  It is
-        honoured (``RunResult.checkpoint``) only when provably exact:
+        honoured (``RunResult.checkpoint``) only when provably exact,
+        in one of two cases.  Either the L1D cannot evict (the mapped
+        frames fit every set, see :meth:`_price_without_eviction`) and
+        the unrolled footprint fits L1I: both miss counts are then 0
+        at either factor, and the checkpoint trace's annotations are a
+        prefix of this trace's.  Or, on a trace that could evict:
 
         * the trace is event-periodic with period ``q`` and the L1D
           warm-up pass reached its all-hit fixed point within the
@@ -465,10 +583,11 @@ class Machine:
             misaligned_mem_refs=pricing.misaligned,
         )
         fastpath: Dict[str, int] = {}
+        periodic = 1 if pricing.periodic else 0
         if fast:
             fastpath = {
                 "attempted": 1,
-                "trace_periodic": 1 if pricing.periodic else 0,
+                "trace_periodic": periodic,
                 "ann_replicated": replicated,
                 "extrapolated": 1 if replicated else 0,
             }
@@ -491,7 +610,7 @@ class Machine:
                 samples=cp_samples,
                 schedule=ScheduleResult(cycles=cp_cycles, records=[]),
                 base_cycles=cp_cycles,
-                fastpath={"attempted": 1, "trace_periodic": 1,
+                fastpath={"attempted": 1, "trace_periodic": periodic,
                           "ann_replicated": cp_replicated,
                           "checkpointed": 1, "extrapolated": 1})
         rng = self._rng(block, unroll)

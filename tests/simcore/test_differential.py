@@ -83,10 +83,13 @@ def test_vector_corpus_identical(uarch):
 def test_paper_unroll_factors_identical_per_measurement():
     """At the paper's unroll 100/200 every per-unroll counter agrees.
 
-    This exercises the layers the small-unroll tests barely touch:
-    annotation early-exit with remainder replay, scheduler fixed-point
-    extrapolation, and the combined two-factor run with its u1
-    checkpoint certification.
+    This exercises scheduler fixed-point extrapolation and the
+    combined two-factor run with its u1 checkpoint at long unrolls.
+    Every page sits on one physical frame here, so the L1D cannot
+    evict and each checkpoint is certified without the LRU; the
+    annotation early exit with remainder replay runs only on traces
+    that can evict, and
+    ``test_no_eviction.py::TestWitnessPathAfterBailOut`` covers it.
     """
     import os
     path = os.path.join(os.path.dirname(__file__), "..", "data",

@@ -165,3 +165,55 @@ def test_corpus_list_and_stream_share_one_store(store_root, tmp_path,
                         _no_profiling)
     assert main(corpus + ["--stream", "--out", str(streamed)]) == 0
     assert streamed.read_bytes() == listed.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# ``repro corpus --out`` is replaced only by a run that succeeds.
+# ---------------------------------------------------------------------------
+
+MEASURE_CORPUS = ["corpus", "--scale", "0.0002", "--measure", "--jobs", "1",
+                  "--uarch", "haswell"]
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["list", "stream"])
+@pytest.mark.parametrize("name", ["suite.csv", "suite.json"])
+def test_failed_corpus_run_keeps_the_old_out_file(store_root, tmp_path,
+                                                  name, stream):
+    import os
+
+    from repro.errors import StrictModeViolation
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    out = outdir / name
+    command = MEASURE_CORPUS + ["--out", str(out)] \
+        + (["--stream"] if stream else [])
+    assert main(command) == 0
+    before = out.read_bytes()
+    assert before.count(b"\n") > 100
+    log = store_root / "results_0" / "haswell.log"
+    log.write_bytes(b"garbage " + log.read_bytes())  # its first line
+    with pytest.raises(StrictModeViolation):
+        main(command + ["--strict"])
+    assert out.read_bytes() == before
+    assert os.listdir(outdir) == [name]
+
+
+def test_successful_corpus_run_replaces_the_out_file(store_root, tmp_path):
+    import os
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    out, fresh = outdir / "suite.csv", outdir / "fresh.csv"
+    out.write_text("stale\n")
+    out.chmod(0o640)
+    assert main(MEASURE_CORPUS + ["--out", str(out)]) == 0
+    assert main(MEASURE_CORPUS + ["--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(outdir)) == ["fresh.csv", "suite.csv"]
+
+
+def test_corpus_writes_devnull_in_place(store_root, capsys):
+    import os
+    assert main(MEASURE_CORPUS + ["--out", os.devnull]) == 0
+    assert f"to {os.devnull}" in capsys.readouterr().out
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)

@@ -16,7 +16,8 @@ from repro.models import IacaModel, LlvmMcaModel, OsacaModel
 from repro.models.portsim import PortSimulatorModel
 from repro.parallel import ShardCache, profile_corpus_sharded
 from repro.profiler import BasicBlockProfiler
-from repro.profiler.harness import result_entry
+from repro.profiler.environment import EnvironmentConfig
+from repro.profiler.harness import ProfilerConfig, result_entry
 from repro.runtime import blockplan
 from repro.uarch import Machine
 from repro.uarch.scheduler import DataflowScheduler, InstrAnnotation
@@ -251,15 +252,21 @@ def measured(result):
 TIERS = ((False, False), (False, True), (True, False), (True, True))
 
 
-@given(block=corpus_blocks(), uarch=st.sampled_from(UARCHES))
+@given(block=corpus_blocks(), uarch=st.sampled_from(UARCHES),
+       single_page=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_every_tier_measures_generated_blocks_identically(block, uarch):
+def test_every_tier_measures_generated_blocks_identically(block, uarch,
+                                                          single_page):
     """Fast path and block plans agree with the interpreter on
-    generated blocks, not only on the golden corpus."""
+    generated blocks, not only on the golden corpus, with every page
+    on one physical frame (the L1D never evicts) or each on its own."""
+    config = ProfilerConfig(environment=EnvironmentConfig(
+        single_physical_page=single_page))
     results = []
     for fast, plans in TIERS:
         with simcore.forced(fast), blockplan.forced(plans):
-            result = BasicBlockProfiler(Machine(uarch)).profile(block)
+            result = BasicBlockProfiler(Machine(uarch),
+                                        config).profile(block)
         results.append(measured(result))
     for tier, result in zip(TIERS[1:], results[1:]):
         assert result == results[0], tier
