@@ -51,6 +51,14 @@ Writes run under the resilience retry policy: a transient ``OSError``
 (including the injected ``write_oserror`` chaos point) is retried with
 deterministic jittered backoff; persistent failure (e.g. disk full)
 degrades to "not stored" instead of failing the run.
+
+**Threads.**  One instance may serve several threads at once (``repro
+serve`` answers stored requests on one while a batch profiles on
+another).  One lock guards the in-process index: it covers index work
+(the first scan, a catch-up scan, a lookup), the line read in
+:meth:`ShardCache.load`, and the append and index update in
+:meth:`ShardCache.store` — each attempt's, so a retry backs off
+without it.  The ``flock`` still guards the file across processes.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ import errno
 import fcntl
 import hashlib
 import os
+import threading
 import zlib
 from typing import Dict, List, Optional, Tuple
 
@@ -141,6 +150,8 @@ class ShardCache:
         self._indexes: Dict[str, Dict[bytes, Tuple[int, int]]] = {}
         #: uarch -> end of the last complete line its index has scanned.
         self._scanned: Dict[str, int] = {}
+        #: Guards ``_indexes`` and ``_scanned`` (see the module notes).
+        self._lock = threading.Lock()
         # The unified ``caches`` section tracks the most recently
         # opened store (runs open one per seed); hit/miss counts come
         # from the engine's ``cache.shard.*`` counters.
@@ -161,13 +172,15 @@ class ShardCache:
 
     def __contains__(self, key) -> bool:
         uarch, text = key
-        return self._find(uarch, _digest(text)) is not None
+        with self._lock:
+            return self._find(uarch, _digest(text)) is not None
 
     def __len__(self) -> int:
         """Distinct records across every uarch's log."""
-        return sum(len(self._index(name[:-len(".log")]))
-                   for name in os.listdir(self.directory)
-                   if name.endswith(".log"))
+        with self._lock:
+            return sum(len(self._index(name[:-len(".log")]))
+                       for name in os.listdir(self.directory)
+                       if name.endswith(".log"))
 
     @property
     def quarantine_dir(self) -> str:
@@ -264,25 +277,26 @@ class ShardCache:
         is quarantined and reads as a miss.
         """
         key = _digest(text)
-        at = self._find(uarch, key)
-        if at is None:
-            return None  # plain miss
-        offset, length = at
-        try:
-            fd = os.open(self.log_path(uarch), os.O_RDONLY)
+        with self._lock:
+            at = self._find(uarch, key)
+            if at is None:
+                return None  # plain miss
+            offset, length = at
             try:
-                line = os.pread(fd, length, offset)
-            finally:
-                os.close(fd)
-        except OSError:
-            return None
-        record = parse_journal_line(line)
-        entry = _entry(record, uarch, text)
-        if entry is None:
-            self._quarantine(uarch, offset, line, record)
-            del self._indexes[uarch][key]
-            return None
-        return entry
+                fd = os.open(self.log_path(uarch), os.O_RDONLY)
+                try:
+                    line = os.pread(fd, length, offset)
+                finally:
+                    os.close(fd)
+            except OSError:
+                return None
+            record = parse_journal_line(line)
+            entry = _entry(record, uarch, text)
+            if entry is None:
+                self._quarantine(uarch, offset, line, record)
+                del self._indexes[uarch][key]
+                return None
+            return entry
 
     def store(self, uarch: str, text: str, entry: Dict) -> bool:
         """Append one entry to the uarch's log; ``False`` when the
@@ -293,7 +307,6 @@ class ShardCache:
                 + "\n").encode()
         key, name = _digest(text), record_key(uarch, text)
         path = self.log_path(uarch)
-        index = self._index(uarch)
 
         def attempt_write(attempt: int) -> int:
             if attempt == 0 and chaos.fire("write_oserror", name):
@@ -301,17 +314,18 @@ class ShardCache:
                               "chaos: transient write error")
             if chaos.fire("disk_full", name, count=attempt == 0):
                 raise OSError(errno.ENOSPC, "chaos: disk full")
-            fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT,
-                         0o644)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                offset = truncate_torn_tail(fd)
-                if os.write(fd, line) != len(line):
-                    # The torn part is cut off by the next attempt.
-                    raise OSError(errno.ENOSPC, "short write")
-                return offset
-            finally:
-                os.close(fd)  # releases the lock
+            with self._lock:
+                fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT,
+                             0o644)
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX)
+                    offset = truncate_torn_tail(fd)
+                    if os.write(fd, line) != len(line):
+                        # The torn part is cut off by the next attempt.
+                        raise OSError(errno.ENOSPC, "short write")
+                    return offset
+                finally:
+                    os.close(fd)  # releases the flock
 
         try:
             offset = self.retry.run(attempt_write, key=name)
@@ -322,11 +336,12 @@ class ShardCache:
             resilience.quarantine_or_raise(
                 f"store write failed for record {name}", str(exc))
             return False
-        index[key] = (offset, len(line))
-        if offset == self._scanned[uarch]:
-            # Nobody else appended since the last scan: no need to
-            # read this line back.
-            self._scanned[uarch] = offset + len(line)
+        with self._lock:
+            self._index(uarch)[key] = (offset, len(line))
+            if offset == self._scanned[uarch]:
+                # Nobody else appended since the last scan: no need to
+                # read this line back.
+                self._scanned[uarch] = offset + len(line)
         self._maybe_corrupt_after_write(name, path, offset, line)
         return True
 

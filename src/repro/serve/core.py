@@ -19,6 +19,14 @@ restarts, replays, and serial/pooled backends alike.  Each block's
 answer comes from its shard's folded profile as the engine hands it
 over, never from a re-read of the store, so a failed store write
 cannot lose a drop reason.
+
+A request every block of which the store already holds (or cannot
+parse) needs no batch: :meth:`ProfilingService.answer_from_store`
+reads those entries and journals the answer, and the daemon calls it
+before admission, so such a request never waits behind a batch that
+is profiling.  Both paths build each block's answer from its entry
+through one :meth:`ProfilingService._assemble`, so they cannot
+diverge.
 """
 
 from __future__ import annotations
@@ -28,10 +36,11 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.corpus.dataset import BlockRecord, Corpus
 from repro.errors import ReproError
+from repro.isa.instruction import BasicBlock
 from repro.isa.parser import parse_block
 from repro.parallel.engine import profile_corpus_sharded
 from repro.parallel.shard_cache import ShardCache, store_directory
@@ -139,6 +148,26 @@ def parse_profile_request(payload: Dict,
         digest=request_digest(uarch, seed, blocks))
 
 
+def _parse_distinct(requests: List[ProfileRequest],
+                    parse_errors: Dict[str, str]
+                    ) -> Iterator[Tuple[str, BasicBlock]]:
+    """Each distinct block text of ``requests``, in order, with its
+    parsed block; a text that does not parse goes into
+    ``parse_errors`` with its message instead."""
+    seen: Set[str] = set()
+    for request in requests:
+        for text in request.blocks:
+            if text in seen:
+                continue
+            seen.add(text)
+            try:
+                block = parse_block(text, source="serve")
+            except ReproError as exc:
+                parse_errors[text] = str(exc)
+                continue
+            yield text, block
+
+
 class ProfilingService:
     """Validation, journaling, dedup, and batch execution — no I/O loop."""
 
@@ -203,11 +232,13 @@ class ProfilingService:
     # stores
 
     def store_for(self, seed: int) -> ShardCache:
-        """The result store of ``seed`` under the state directory."""
-        if seed not in self._stores:
-            self._stores[seed] = ShardCache(
-                store_directory(self.config.state_dir, seed))
-        return self._stores[seed]
+        """The result store of ``seed`` under the state directory: one
+        instance, shared by the batch thread and the store lane."""
+        store = self._stores.get(seed)
+        if store is None:
+            store = self._stores.setdefault(seed, ShardCache(
+                store_directory(self.config.state_dir, seed)))
+        return store
 
     # ------------------------------------------------------------------
     # execution
@@ -220,6 +251,41 @@ class ProfilingService:
             return results
         metrics.count_replay_miss()
         return None
+
+    def answer_from_store(self, request: ProfileRequest
+                          ) -> Optional[List]:
+        """The request's results from the result store alone, or
+        ``None`` when a block it can parse is not stored.
+
+        Answers what :meth:`execute` would for the same blocks, built
+        by the same :meth:`_assemble`, and counts what it counts
+        (``cache.shard.hits``, ``serve.parse_errors``) plus
+        ``serve.store_answers``; the ``done`` record is written before
+        the results return.  A miss stops the lookup, and the lane
+        then counts and writes nothing, so the request's queued run
+        counts its blocks once.
+        Never profiles, never writes the store, never touches the
+        pool or the breaker.
+        """
+        store = self.store_for(request.seed)
+        by_text: Dict[str, int] = {}
+        entries: Dict[int, Dict] = {}
+        parse_errors: Dict[str, str] = {}
+        for text, block in _parse_distinct([request], parse_errors):
+            entry = store.load(request.uarch, block.text())
+            if entry is None:
+                return None
+            by_text[text] = block_id = len(entries)
+            entries[block_id] = entry
+        if entries:
+            telemetry.count("cache.shard.hits", len(entries))
+        if parse_errors:
+            telemetry.count("serve.parse_errors", len(parse_errors))
+        results = self._assemble(request, by_text, entries,
+                                 parse_errors)
+        self.journal.record_done(request.digest, results)
+        telemetry.count("serve.store_answers")
+        return results
 
     def execute(self, requests: List[ProfileRequest],
                 journal: bool = True) -> Tuple[List[List], Dict]:
@@ -246,32 +312,27 @@ class ProfilingService:
         shards: List[Shard] = []
         by_text: Dict[str, int] = {}       # text -> block_id
         parse_errors: Dict[str, str] = {}  # text -> message
-        for request in requests:
-            for text in request.blocks:
-                if text in by_text or text in parse_errors:
-                    continue
-                try:
-                    block = parse_block(text, source="serve")
-                except ReproError as exc:
-                    parse_errors[text] = str(exc)
-                    telemetry.count("serve.parse_errors")
-                    continue
-                block_id = len(shards)
-                record = BlockRecord(block=block, application="serve",
-                                     frequency=1, block_id=block_id)
-                shards.append(Shard(index=block_id, records=(record,),
-                                    digest=shard_digest((record,))))
-                by_text[text] = block_id
+        for text, block in _parse_distinct(requests, parse_errors):
+            block_id = len(shards)
+            record = BlockRecord(block=block, application="serve",
+                                 frequency=1, block_id=block_id)
+            shards.append(Shard(index=block_id, records=(record,),
+                                digest=shard_digest((record,))))
+            by_text[text] = block_id
+        if parse_errors:
+            telemetry.count("serve.parse_errors", len(parse_errors))
 
         stats: Dict = {}
-        throughputs: Dict[int, float] = {}
-        reasons: Dict[int, str] = {}
+        entries: Dict[int, Dict] = {}  # block_id -> its store entry
 
-        def note_reason(shard: Shard, profile) -> None:
-            # A one-block shard drops its block under at most one
-            # reason.
+        def note_entry(shard: Shard, profile) -> None:
+            # A one-block shard's profile holds one entry: its block's
+            # throughput, or the one reason it was dropped under.
+            if shard.index in profile.throughputs:
+                entries[shard.index] = {
+                    "throughput": profile.throughputs[shard.index]}
             for reason in profile.funnel["dropped"]:
-                reasons[shard.index] = reason
+                entries[shard.index] = {"reason": reason}
 
         if shards:
             corpus = Corpus([s.records[0] for s in shards])
@@ -279,13 +340,12 @@ class ProfilingService:
             jobs = self.config.jobs if pool_granted else 1
             if jobs != self.config.jobs:
                 telemetry.count("serve.scalar_fallback_batches")
-            profile = profile_corpus_sharded(
+            profile_corpus_sharded(
                 corpus, uarch, seed=seed, jobs=jobs, shards=shards,
                 cache=self.store_for(seed), worker_fn=self.worker_fn,
                 serial_fn=self.serial_fn, stats=stats,
                 run_label=f"serve batch x{len(requests)}",
-                on_shard=note_reason)
-            throughputs = profile.throughputs
+                on_shard=note_entry)
             troubled = bool(stats.get("retried")
                             or stats.get("failed"))
             # Only pool-granted batches inform the breaker: a scalar
@@ -298,8 +358,8 @@ class ProfilingService:
                 else:
                     self.breaker.record_success()
 
-        results = [self._assemble(request, by_text, throughputs,
-                                  reasons, parse_errors)
+        results = [self._assemble(request, by_text, entries,
+                                  parse_errors)
                    for request in requests]
         if journal:
             for request, result in zip(requests, results):
@@ -308,24 +368,24 @@ class ProfilingService:
 
     @staticmethod
     def _assemble(request: ProfileRequest, by_text: Dict[str, int],
-                  throughputs: Dict[int, float],
-                  reasons: Dict[int, str],
+                  entries: Dict[int, Dict],
                   parse_errors: Dict[str, str]) -> List:
-        """One ordered result entry per block in the request."""
+        """One ordered result entry per block in the request, from
+        each parsed block's store entry (a block with none reads as
+        dropped for an ``unknown`` reason)."""
         results = []
         for text in request.blocks:
             if text in parse_errors:
                 results.append({"status": "parse_error",
                                 "detail": parse_errors[text]})
                 continue
-            block_id = by_text[text]
-            if block_id in throughputs:
+            entry = entries.get(by_text[text], {"reason": "unknown"})
+            if "throughput" in entry:
                 results.append({"status": "ok",
-                                "throughput": throughputs[block_id]})
+                                "throughput": entry["throughput"]})
             else:
                 results.append({"status": "dropped",
-                                "reason": reasons.get(block_id,
-                                                      "unknown")})
+                                "reason": entry["reason"]})
         return results
 
     # ------------------------------------------------------------------

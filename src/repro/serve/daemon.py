@@ -1,15 +1,16 @@
 """The asyncio daemon: transport, batching, deadlines, drain.
 
 One accept loop, one batcher task.  Connections are short-lived
-(one request, one JSON response, close); admitted profiling requests
-are queued and journaled durably, and the batcher runs none of them
-before its ``req`` record is written.  When it wakes, the batcher
-takes whatever is queued (up to ``batch_size`` requests) with no
-timed wait: requests that arrive while a batch runs form the next
-batch, so concurrent clients' blocks still merge into one
-content-addressed engine batch under load.  Batches execute off-loop
-in a thread (:meth:`ProfilingService.execute` blocks on the worker
-pool).
+(one request, one JSON response, close).  A profiling request every
+block of which the result store already holds is answered from the
+store at once; the others are queued and journaled durably, and the
+batcher runs none of them before its ``req`` record is written.  When
+it wakes, the batcher takes whatever is queued (up to ``batch_size``
+requests) with no timed wait: requests that arrive while a batch runs
+form the next batch, so concurrent clients' blocks still merge into
+one content-addressed engine batch under load.  Batches execute
+off-loop in a thread (:meth:`ProfilingService.execute` blocks on the
+worker pool), and so does each store lookup.
 
 The robustness ladder, in request order:
 
@@ -19,16 +20,21 @@ The robustness ladder, in request order:
 3. Rate limit: per-client token bucket → 429 + retry-after.
 4. Journal memo: an identical, already-answered request replays its
    recorded results with no queue and no engine work.
-5. Admission: bounded queue → 429 + retry-after when full (or when
+5. Result store: a request every block of which is stored (or
+   unparsable) is answered from the store in one thread hop, its
+   ``done`` record written first — no queue slot, no deadline, no
+   ``req`` record, never behind a running batch.  A miss, or a lookup
+   that raises, falls through to admission.
+6. Admission: bounded queue → 429 + retry-after when full (or when
    ``serve_queue_full`` chaos forces the branch), then the durable
    ``req`` record; a journal write that fails answers 500 and the
    request never runs.
-6. Deadline: work still queued when its deadline passes is cancelled
+7. Deadline: work still queued when its deadline passes is cancelled
    *before* it reaches a worker, counted as a per-window miss, and
    answered 504 — never silently dropped.
-7. Execution: circuit breaker picks pooled vs scalar; results are
+8. Execution: circuit breaker picks pooled vs scalar; results are
    journaled ``done`` before the response bytes go out.
-8. ``serve_slow_client`` chaos: the response write stalls
+9. ``serve_slow_client`` chaos: the response write stalls
    ``hang_s`` seconds — the daemon must stay live throughout.
 
 SIGTERM drains gracefully: stop admitting, let the batcher finish
@@ -83,6 +89,7 @@ class ServeDaemon:
         self._wake = asyncio.Event()
         self._shutdown = asyncio.Event()
         self._batch_in_flight = 0
+        self._lane_in_flight = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -134,7 +141,8 @@ class ServeDaemon:
         if self._server is not None:
             self._server.close()
         deadline = self.service.clock() + self.config.drain_s
-        while (len(self.queue) or self._batch_in_flight) \
+        while (len(self.queue) or self._batch_in_flight
+               or self._lane_in_flight) \
                 and self.service.clock() < deadline:
             self._wake.set()
             await asyncio.sleep(0.02)
@@ -251,8 +259,9 @@ class ServeDaemon:
 
     def _stats_body(self) -> Dict:
         registry = telemetry.registry()
+        # Copies: the batch and lane threads create counters meanwhile.
         counters = {name: counter.value
-                    for name, counter in registry.counters.items()
+                    for name, counter in list(registry.counters.items())
                     if name.startswith(("serve.", "cache."))}
         histograms = {name: histogram.summary()
                       for name, histogram in list(
@@ -305,6 +314,11 @@ class ServeDaemon:
             return 200, self._result_body(profile_request, memo,
                                           cached=True), None, digest
 
+        stored = await self._answer_from_store(profile_request)
+        if stored is not None:
+            return 200, self._result_body(profile_request, stored), \
+                None, digest
+
         profile_request.admitted_at = self.service.clock()
         future: "asyncio.Future" = \
             asyncio.get_running_loop().create_future()
@@ -337,6 +351,26 @@ class ServeDaemon:
         self._wake.set()
         status, body = await future
         return status, body, None, digest
+
+    async def _answer_from_store(self, request: ProfileRequest
+                                 ) -> Optional[List]:
+        """The store lane: results for a request the result store
+        already answers, its ``done`` record written, or ``None``."""
+        started = self.service.clock()
+        self._lane_in_flight += 1
+        try:
+            results = await asyncio.to_thread(
+                self.service.answer_from_store, request)
+        except Exception as exc:  # the queued path still answers
+            telemetry.event("serve.store_lane_error",
+                            error=type(exc).__name__)
+            return None
+        finally:
+            self._lane_in_flight -= 1
+        if results is not None:
+            self.service.windows.observe_completed(
+                1000.0 * (self.service.clock() - started))
+        return results
 
     @staticmethod
     def _retry_headers(retry_after_ms: float) -> Dict[str, str]:

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -23,6 +24,7 @@ from repro.errors import StrictModeViolation
 from repro.eval.pipeline import UARCHES, Experiment
 from repro.isa.parser import parse_block
 from repro.parallel import ShardCache, profile_corpus_sharded
+from repro.parallel import shard_cache
 from repro.parallel.shard_cache import cache_root, result_store
 from repro.parallel.sharding import shard_digest
 from repro.profiler.harness import BasicBlockProfiler
@@ -494,4 +496,116 @@ class TestAppendOnlyLog:
         finally:
             telemetry.reset()
         assert counters["resilience.quarantined.cache_files"] == 1
+        assert len(store.quarantined_files()) == 1
+
+
+class TestThreads:
+    """One instance shared by threads, as ``repro serve`` shares one
+    between its store lane and its batch thread."""
+
+    def test_readers_beside_writers_in_one_instance(self, tmp_path):
+        # More threads than a 2-core host has cores, switching often.
+        store, count = ShardCache(str(tmp_path)), 150
+        texts = {name: [f"{name} {i}" for i in range(count)]
+                 for name in ("left", "right")}
+        writing = [threading.Event() for _ in texts]
+        wrong, hits = [], set()
+
+        def write(name, done):
+            try:
+                for i, text in enumerate(texts[name]):
+                    store.store("haswell", text, {"throughput": i + 0.5})
+            finally:
+                done.set()
+
+        def read():
+            passes = 0
+            while passes < 2:
+                passes += all(done.is_set() for done in writing)
+                for name, names in texts.items():
+                    for i, text in enumerate(names):
+                        entry = store.load("haswell", text)
+                        if entry is None:
+                            continue
+                        hits.add(text)
+                        if entry != {"throughput": i + 0.5}:
+                            wrong.append((text, entry))
+
+        threads = [threading.Thread(target=write, args=(name, done),
+                                    daemon=True)
+                   for name, done in zip(texts, writing)]
+        threads += [threading.Thread(target=read, daemon=True)
+                    for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert hits == {text for names in texts.values()
+                        for text in names}
+        # No index update was lost: the shared index is what a fresh
+        # instance's scan of the log builds.
+        fresh = ShardCache(str(tmp_path))
+        assert store._index("haswell") == fresh._index("haswell")
+        assert len(fresh._index("haswell")) == 2 * count
+        assert store.quarantined_files() == []
+
+    def test_a_load_after_a_store_hits_without_a_rescan(self, tmp_path,
+                                                        monkeypatch):
+        store = ShardCache(str(tmp_path))
+        store.store("haswell", "first", {"throughput": 1.0})
+        scans = []
+        scan = store._scan
+        monkeypatch.setattr(store, "_scan",
+                            lambda uarch: (scans.append(uarch),
+                                           scan(uarch)))
+        assert store.store("haswell", "second", {"throughput": 2.0})
+        assert store.load("haswell", "second") == {"throughput": 2.0}
+        assert store.load("haswell", "first") == {"throughput": 1.0}
+        assert scans == []
+
+    def test_two_threads_loading_one_damaged_line_both_miss(
+            self, tmp_path, monkeypatch):
+        store = ShardCache(str(tmp_path))
+        store.store("haswell", "nop", {"throughput": 0.25})
+        _flip_byte(store.log_path("haswell"), "0.25")
+        # Each load that finds the line damaged waits for the other;
+        # under the store's lock the second never gets that far, and
+        # the first goes on once the wait times out.
+        meet = threading.Barrier(2)
+        parse = shard_cache.parse_journal_line
+
+        def parse_and_meet(line):
+            record = parse(line)
+            if record is None:
+                try:
+                    meet.wait(timeout=0.5)
+                except threading.BrokenBarrierError:
+                    pass
+            return record
+
+        monkeypatch.setattr(shard_cache, "parse_journal_line",
+                            parse_and_meet)
+        loads, errors = [], []
+
+        def load():
+            try:
+                loads.append(store.load("haswell", "nop"))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=load, daemon=True)
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert errors == []
+        assert loads == [None, None]
         assert len(store.quarantined_files()) == 1

@@ -26,11 +26,13 @@ from repro.serve import http
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.config import ServeConfig
 from repro.serve.core import (ProfilingService, canonical_results_bytes,
-                              request_digest)
+                              parse_profile_request, request_digest)
 from repro.serve.daemon import ServeDaemon
+from repro.serve.requestlog import read_done_records
 
 ADD = "addq %rax, %rbx"
 MUL = "imulq %rcx, %rdx\naddq %rax, %rbx"
+NOVEL = "addq $3, %rax\nimulq $2, %rcx"
 
 
 class DaemonHarness:
@@ -182,6 +184,28 @@ class TestRoutes:
             assert stats.body["counters"]["serve.requests"] >= 1
             assert stats.body["breaker"] == "closed"
             assert isinstance(stats.body["queue_depth"], int)
+
+    def test_stats_copies_counters_that_grow_while_it_reads(
+            self, serve_config):
+        # Another thread may create a counter while /v1/stats reads
+        # them; here reading one counter's value creates the next.
+        registry = telemetry.registry()
+
+        class Growing:
+            reads = 0
+
+            @property
+            def value(self):
+                Growing.reads += 1
+                registry.counter(f"serve.grown.{Growing.reads}")
+                return Growing.reads
+
+        registry.counters["serve.growing"] = Growing()
+        daemon = ServeDaemon(ProfilingService(serve_config),
+                             serve_config)
+        counters = daemon._stats_body()["counters"]
+        assert counters["serve.growing"] == 1
+        assert "serve.grown.1" in registry.counters
 
     def test_stats_exposes_latency_and_queue_wait_histograms(
             self, harness):
@@ -364,6 +388,107 @@ class TestBatcher:
             counters = client.stats().body["counters"]
             assert counters["serve.journal_errors"] == 1
         assert spy.calls == [[_digest([MUL])]]
+
+
+class TestStoreLane:
+    def test_stored_request_answers_while_a_batch_is_held(self,
+                                                          harness):
+        with harness as client:
+            singles = [client.profile([text]) for text in (ADD, MUL)]
+            assert [s.status for s in singles] == [200, 200]
+            spy = ExecuteSpy(harness.service, hold_first=True)
+            quick = ServeClient(socket_path=harness.config.socket,
+                                timeout=5.0)
+            with ThreadPoolExecutor(1) as pool:
+                novel = pool.submit(client.profile, [NOVEL])
+                try:
+                    assert _wait_until(lambda: spy.calls)
+                    # The novel batch is held inside execute: a
+                    # request for stored blocks must not wait on it.
+                    pair = quick.profile([ADD, MUL])
+                    memo = quick.profile([ADD])
+                    assert spy.calls == [[_digest([NOVEL])]]
+                finally:
+                    spy.release.set()
+                assert novel.result().status == 200
+            assert pair.status == 200
+            assert pair.body["cached"] is False
+            assert pair.body["results"] == \
+                singles[0].body["results"] + singles[1].body["results"]
+            assert memo.status == 200
+            assert memo.body["cached"] is True
+            again = client.profile([ADD, MUL])
+            assert again.body["cached"] is True
+            assert again.body["results"] == pair.body["results"]
+            counters = client.stats().body["counters"]
+        assert counters["serve.store_answers"] == 1
+        assert counters["serve.batches"] == 3  # the singles and NOVEL
+        assert spy.calls == [[_digest([NOVEL])]]
+
+    def test_stored_request_answers_under_a_full_queue(self, harness):
+        with harness as client:
+            for text in (ADD, MUL):
+                assert client.profile([text]).status == 200
+            policy = ChaosPolicy(seed=7,
+                                 rates={"serve_queue_full": 1.0})
+            with chaos.forced(policy):
+                stored = client.profile([ADD, MUL])
+                shed = client.profile([NOVEL])
+        assert stored.status == 200
+        assert stored.body["cached"] is False
+        assert shed.status == 429
+        assert shed.body["reason"] == "queue_full"
+
+    def test_drain_waits_for_a_store_answer_in_flight(self, harness):
+        with harness as client:
+            for text in (ADD, MUL):
+                assert client.profile([text]).status == 200
+            lane = harness.service.answer_from_store
+            entered, release = threading.Event(), threading.Event()
+
+            def held_lane(request):
+                entered.set()
+                release.wait(timeout=60.0)
+                return lane(request)
+
+            harness.service.answer_from_store = held_lane
+            with ThreadPoolExecutor(1) as pool:
+                pair = pool.submit(client.profile, [ADD, MUL])
+                try:
+                    assert entered.wait(timeout=30.0)
+                    harness.loop.call_soon_threadsafe(
+                        harness.daemon._begin_drain, "TEST")
+                    # A drain that ignored the lookup would close the
+                    # journal under it and stop the daemon now.
+                    assert not _wait_until(
+                        lambda: not harness._thread.is_alive(),
+                        timeout=0.5)
+                finally:
+                    release.set()
+                answer = pair.result()
+        assert answer.status == 200
+        assert answer.body["cached"] is False
+        done = dict(read_done_records(harness.service.journal.path))
+        assert done[_digest([ADD, MUL])] == answer.body["results"]
+
+    def test_draining_daemon_sheds_a_stored_request(self,
+                                                    serve_config):
+        service = ProfilingService(serve_config)
+        service.start()
+        add = service.execute([parse_profile_request(
+            {"blocks": [ADD]}, serve_config)])[0][0]
+        assert add[0]["status"] == "ok"
+        daemon = ServeDaemon(service, serve_config)
+        daemon.draining = True
+        request = http.HttpRequest(
+            "POST", "/v1/profile", {},
+            json.dumps({"blocks": [ADD, ADD]}).encode())
+        status, body, headers, _ = asyncio.run(daemon._route(request))
+        service.close()
+        assert status == 503
+        assert headers["Retry-After"] == "1"
+        assert _digest([ADD, ADD]) not in dict(read_done_records(
+            service.journal.path))
 
 
 class TestRateLimit:

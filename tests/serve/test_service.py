@@ -5,17 +5,21 @@ whole robustness surface without an event loop, so these tests are
 plain function calls against real result stores in a tmpdir.
 """
 
+import asyncio
 import json
 import os
 
 import pytest
 
-from repro.resilience import chaos
+from repro import telemetry
+from repro.resilience import chaos, parse_journal_line
 from repro.resilience.chaos import ChaosPolicy
+from repro.serve import core, http
 from repro.serve.config import ServeConfig
 from repro.serve.core import (MAX_BLOCKS_PER_REQUEST, ProfilingService,
                               RequestError, canonical_results_bytes,
                               parse_profile_request, request_digest)
+from repro.serve.daemon import ServeDaemon
 from repro.serve.requestlog import REQUEST_LOG_NAME, read_done_records
 
 ADD = "addq %rax, %rbx"
@@ -192,6 +196,158 @@ class TestExecute:
         fresh.close()
 
 
+def _journal_kinds(service, digest):
+    """The kinds of the journal records of ``digest``, in order."""
+    with open(service.journal.path, "rb") as fh:
+        records = [parse_journal_line(line) for line in fh]
+    return [r["kind"] for r in records if r and r.get("id") == digest]
+
+
+def _counters(*names):
+    counters = telemetry.registry().snapshot()["counters"]
+    return [counters.get(name, 0) for name in names]
+
+
+class TestStoreLane:
+    """``answer_from_store``: a stored request answered without a
+    batch, exactly as ``execute`` answers it."""
+
+    def test_answers_equal_execute_on_a_fresh_service(self, tmp_path):
+        blocks = [ADD, "rdtsc", BAD, ADD]
+        telemetry.enable()
+        warm = _service(_config(tmp_path))
+        warm.execute([_request(warm.config, [ADD, "rdtsc"])])
+        before = _counters("cache.shard.hits", "serve.parse_errors")
+        lane = warm.answer_from_store(_request(warm.config, blocks))
+        after = _counters("cache.shard.hits", "serve.parse_errors")
+        warm.close()
+        fresh = _service(_config(tmp_path, "fresh"))
+        (expected,), _ = fresh.execute([_request(fresh.config, blocks)])
+        fresh.close()
+        assert lane[1] == {"status": "dropped",
+                           "reason": "unsupported_instruction"}
+        assert canonical_results_bytes(lane) == \
+            canonical_results_bytes(expected)
+        # Counted as execute counts a warm batch of the same blocks.
+        assert [a - b for a, b in zip(after, before)] == [2, 1]
+        assert _counters("serve.store_answers") == [1]
+
+    def test_an_unstored_block_misses_and_profiles_nothing(
+            self, tmp_path, monkeypatch):
+        telemetry.enable()
+        service = _service(_config(tmp_path))
+        service.execute([_request(service.config, [ADD])])
+        log = os.path.join(service.store_for(0).directory,
+                           "haswell.log")
+        with open(log, "rb") as fh:
+            stored = fh.read()
+        before = _counters("cache.shard.hits", "cache.shard.misses",
+                           "serve.parse_errors")
+        profiled = []
+        monkeypatch.setattr(core, "profile_corpus_sharded",
+                            lambda *a, **kw: profiled.append(a))
+        request = _request(service.config, [ADD, BAD, MUL])
+        assert service.answer_from_store(request) is None
+        assert profiled == []
+        assert _journal_kinds(service, request.digest) == []
+        assert _counters("cache.shard.hits", "cache.shard.misses",
+                         "serve.parse_errors") == before
+        assert _counters("serve.store_answers") == [0]
+        with open(log, "rb") as fh:
+            assert fh.read() == stored
+        service.close()
+
+    def test_a_corrupt_line_misses_and_the_queued_path_reprofiles(
+            self, tmp_path):
+        telemetry.enable()
+        service = _service(_config(tmp_path))
+        (first,), _ = service.execute([_request(service.config, [ADD])])
+        store = service.store_for(0)
+        log = store.log_path("haswell")
+        with open(log, "rb") as fh:
+            data = bytearray(fh.read())
+        data[data.index(b"%rax")] ^= 0x01
+        with open(log, "wb") as fh:
+            fh.write(bytes(data))
+        request = _request(service.config, [ADD, ADD])
+        assert service.answer_from_store(request) is None
+        (again,), stats = service.execute([request])
+        assert stats["profiled"] == 1
+        assert again == [first[0], first[0]]
+        assert len(store.quarantined_files()) == 1
+        assert _counters("resilience.quarantined.cache_files") == [1]
+        # The re-profiled record is a hit again.
+        assert service.answer_from_store(
+            _request(service.config, [ADD, ADD, ADD])) == first * 3
+        assert len(store.quarantined_files()) == 1
+        service.close()
+
+    def test_an_answer_appends_done_and_no_req(self, tmp_path):
+        service = _service(_config(tmp_path))
+        service.execute([_request(service.config, [ADD, MUL])])
+        request = _request(service.config, [MUL, ADD])
+        results = service.answer_from_store(request)
+        assert _journal_kinds(service, request.digest) == ["done"]
+        assert service.lookup_memo(request) == results
+        service.close()
+
+    def test_done_twice_for_one_digest_reloads_as_one_memo_entry(
+            self, tmp_path):
+        # The lane answers a request while a batch holding the same
+        # request is finishing: both write ``done`` for its digest.
+        service = _service(_config(tmp_path))
+        service.execute([_request(service.config, [ADD])])
+        request = _request(service.config, [ADD, ADD])
+        lane = service.answer_from_store(request)
+        (batch,), _ = service.execute([request])
+        service.close()
+        assert batch == lane
+        assert _journal_kinds(service, request.digest) == \
+            ["done", "req", "done"]
+        reopened = _service(_config(tmp_path))
+        assert reopened.journal.pending == {}
+        assert reopened.journal.completed[request.digest] == lane
+        assert reopened.recover() == 0
+        reopened.close()
+
+    def test_a_lane_that_raises_falls_back_to_the_queued_path(
+            self, tmp_path):
+        config = _config(tmp_path)
+        service = _service(config)
+        service.execute([_request(config, [ADD])])
+        executed = []
+        execute = service.execute
+
+        def lane_raises(request):
+            raise OSError(5, "injected lookup failure")
+
+        def spy_execute(requests, journal=True):
+            executed.append([r.digest for r in requests])
+            return execute(requests, journal)
+
+        service.answer_from_store = lane_raises
+        service.execute = spy_execute
+        daemon = ServeDaemon(service, config)
+        payload = {"blocks": [ADD, ADD]}
+
+        async def route():
+            batcher = asyncio.create_task(daemon._batch_loop())
+            try:
+                return await daemon._route(http.HttpRequest(
+                    "POST", "/v1/profile", {},
+                    json.dumps(payload).encode()))
+            finally:
+                batcher.cancel()
+
+        status, body, _, digest = asyncio.run(route())
+        service.close()
+        assert status == 200
+        assert body["cached"] is False
+        assert body["results"][0] == body["results"][1]
+        assert executed == [[digest]]
+        assert _journal_kinds(service, digest) == ["req", "done"]
+
+
 class TestRecovery:
     def test_pending_requests_replay_byte_identically(self, tmp_path):
         blocks = [ADD, MUL]
@@ -283,7 +439,7 @@ class TestAssembly:
         request = _request(service.config, [ADD])
         block_id = 0
         results = service._assemble(
-            request, {ADD: block_id}, {}, {block_id: "step_budget"},
+            request, {ADD: block_id}, {block_id: {"reason": "step_budget"}},
             {})
         assert results == [{"status": "dropped",
                             "reason": "step_budget"}]
