@@ -545,13 +545,14 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     at once, and only the misses of the rest are profiled.  ``jobs=1``
     profiles them in-process as they arrive.  A pooled run holds its
     misses until the first window fills or the source ends.  A source
-    that ends inside that window with one pending shard profiles it
-    in-process with no pool at all; with more, the pool forks no more
-    workers than there are pending shards.  A worker that dies breaks
-    its pool: the pool is joined, a shard that finished before the
-    break lands as usual, and every other shard that was in flight
-    runs once more in a one-worker pool of its own, so the crash costs
-    only its own shard a rescue; the next submit starts a fresh pool.
+    that ends inside that window, or right at its edge, with one
+    pending shard profiles it in-process with no pool at all; with
+    more, the pool forks no more workers than there are pending
+    shards.  A worker that dies breaks its pool: the pool is joined, a
+    shard that finished before the break lands as usual, and every
+    other shard that was in flight runs once more in a one-worker pool
+    of its own, so the crash costs only its own shard a rescue; the
+    next submit starts a fresh pool.
     A worker exception or per-shard timeout, or a second death in a
     shard's own pool, escalates to a bounded serial rescue in the
     parent; a shard that still fails lands in the ``worker_failure``
@@ -846,9 +847,15 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                     telemetry.observe("stream.queue_depth", len(order))
                 # The first window is full or the source ended: start
                 # the pool, sized to the work when the source ended
-                # inside this window.  A lone pending shard never
-                # forks.
+                # inside this window or at its edge (a one-shard
+                # lookahead tells).  A lone pending shard never forks.
                 if held:
+                    if not exhausted:
+                        peeked = next(shard_iter, None)
+                        if peeked is None:
+                            exhausted = True
+                        else:
+                            shard_iter = chain([peeked], shard_iter)
                     if exhausted and len(held) == 1:
                         shard = held[0][0]
                         ready[shard.index] = (shard,

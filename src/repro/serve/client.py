@@ -3,16 +3,26 @@
 Used by the CI smoke test, the daemon lifecycle suite, and
 ``benchmarks/bench_serve.py``; also a reference implementation of the
 wire protocol for anyone pointing their own tooling at the daemon.
-One request per connection (the server closes after responding), so
-the read loop is simply "until EOF".
+
+Connections persist (HTTP/1.1 keep-alive): a request takes an idle
+connection or opens a new one, reads its response by
+``Content-Length`` (to EOF only when there is none), and hands the
+connection back unless the response said ``Connection: close``.
+Concurrent callers each get their own connection.  An idle connection
+the daemon has closed in the meantime fails before the first response
+byte; the request then goes once more over a fresh connection, which
+is safe because the GET routes only read and a repeated profile
+request gets the same results.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
-from typing import Dict, List, Optional
+import weakref
+from typing import Dict, List, Optional, Tuple
 
 
 class ServeClientError(RuntimeError):
@@ -41,8 +51,24 @@ class ServeResponse:
             return None
 
 
+class _Stale(Exception):
+    """A kept connection failed before the first response byte."""
+
+
+def _close_all(sockets: List[socket.socket],
+               lock: threading.Lock) -> None:
+    with lock:
+        while sockets:
+            sockets.pop().close()
+
+
 class ServeClient:
-    """Blocking HTTP client over a Unix socket or TCP."""
+    """Blocking HTTP client over a Unix socket or TCP.
+
+    Thread-safe; ``close()`` (or leaving a ``with`` block) closes the
+    idle connections, and so does garbage collection of a client that
+    was never closed.
+    """
 
     def __init__(self, socket_path: Optional[str] = None,
                  host: str = "127.0.0.1",
@@ -54,6 +80,21 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._idle: List[socket.socket] = []
+        self._lock = threading.Lock()
+        self._closer = weakref.finalize(self, _close_all, self._idle,
+                                        self._lock)
+
+    def close(self) -> None:
+        """Close every idle connection; a request still in flight
+        closes its own when it ends, and later requests keep none."""
+        self._closer()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
 
@@ -71,36 +112,107 @@ class ServeClient:
                 (self.host, self.port), timeout=self.timeout)
         return sock
 
+    def _release(self, sock: socket.socket) -> None:
+        with self._lock:
+            if self._closer.alive:
+                self._idle.append(sock)
+                return
+        sock.close()
+
     def request(self, method: str, path: str,
                 payload: Optional[Dict] = None) -> ServeResponse:
         body = b""
         if payload is not None:
             body = json.dumps(payload, sort_keys=True).encode()
-        head = (f"{method} {path} HTTP/1.1\r\n"
-                f"Host: repro-serve\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n")
+        message = (f"{method} {path} HTTP/1.1\r\n"
+                   f"Host: repro-serve\r\n"
+                   f"Content-Type: application/json\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n"
+                   ).encode("latin-1") + body
+        with self._lock:
+            sock = self._idle.pop() if self._idle else None
+        while True:
+            reused = sock is not None
+            try:
+                if sock is None:
+                    sock = self._connect()
+                response, keep = self._exchange(sock, message, reused)
+            except _Stale:
+                sock.close()
+                sock = None
+                continue  # once: the next connection is fresh
+            except OSError as exc:
+                if sock is not None:
+                    sock.close()
+                raise ServeClientError(f"{type(exc).__name__}: {exc}")
+            except BaseException:
+                if sock is not None:
+                    sock.close()
+                raise
+            if keep:
+                self._release(sock)
+            else:
+                sock.close()
+            return response
+
+    def _exchange(self, sock: socket.socket, message: bytes,
+                  reused: bool) -> Tuple[ServeResponse, bool]:
+        """Send one request and read its response; whether the
+        connection may carry the next one.  A kept connection that
+        fails before the first response byte raises :class:`_Stale`
+        (a timeout is no such failure: the daemon is slow, not gone)."""
         try:
-            with self._connect() as sock:
-                sock.sendall(head.encode("latin-1") + body)
-                raw = b""
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    raw += chunk
-        except OSError as exc:
-            raise ServeClientError(f"{type(exc).__name__}: {exc}")
-        return self._parse(raw)
+            sock.sendall(message)
+            raw = sock.recv(65536)
+        except TimeoutError:
+            raise
+        except OSError:
+            if reused:
+                raise _Stale()
+            raise
+        if not raw:
+            if reused:
+                raise _Stale()
+            raise ServeClientError("empty response (connection reset)")
+        while b"\r\n\r\n" not in raw:
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise ServeClientError("truncated response head")
+            raw += chunk
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        status, headers = self._parse_head(head)
+        length = headers.get("content-length")
+        if length is None:
+            while True:  # no framing: the body ends at EOF
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                payload += chunk
+            keep = False
+        else:
+            try:
+                length = int(length)
+            except ValueError:
+                raise ServeClientError(
+                    f"bad Content-Length: {length!r}")
+            while len(payload) < length:
+                chunk = sock.recv(max(65536, length - len(payload)))
+                if not chunk:
+                    raise ServeClientError("truncated response body")
+                payload += chunk
+            # Bytes past the body would belong to no request.
+            keep = len(payload) == length and \
+                headers.get("connection", "").lower() != "close"
+            payload = payload[:length]
+        try:
+            body = json.loads(payload.decode("utf-8")) if payload \
+                else {}
+        except ValueError:
+            raise ServeClientError("response body is not JSON")
+        return ServeResponse(status, body, headers), keep
 
     @staticmethod
-    def _parse(raw: bytes) -> ServeResponse:
-        if not raw:
-            raise ServeClientError("empty response (connection reset)")
-        head, sep, payload = raw.partition(b"\r\n\r\n")
-        if not sep:
-            raise ServeClientError("truncated response head")
+    def _parse_head(head: bytes) -> Tuple[int, Dict[str, str]]:
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ", 2)
         try:
@@ -112,12 +224,7 @@ class ServeClient:
             name, hsep, value = line.partition(":")
             if hsep:
                 headers[name.strip().lower()] = value.strip()
-        try:
-            body = json.loads(payload.decode("utf-8")) if payload \
-                else {}
-        except ValueError:
-            raise ServeClientError("response body is not JSON")
-        return ServeResponse(status, body, headers)
+        return status, headers
 
     # ------------------------------------------------------------------
 

@@ -1,7 +1,10 @@
 """The asyncio daemon: transport, batching, deadlines, drain.
 
-One accept loop, one batcher task.  Connections are short-lived
-(one request, one JSON response, close).  A profiling request every
+One accept loop, one batcher task.  Connections persist under the
+HTTP/1.1 rules: each is answered request by request, in order, until
+the client closes it or asks for ``Connection: close``, a framing
+error (a 400 or 413 from the head or ``Content-Length``) loses the
+stream position, or the daemon drains.  A profiling request every
 block of which the result store already holds is answered from the
 store at once; the others are queued and journaled durably, and the
 batcher runs none of them before its ``req`` record is written.  When
@@ -14,7 +17,9 @@ worker pool), and so does each store lookup.
 
 The robustness ladder, in request order:
 
-1. ``serve_accept_error`` chaos: the connection dies at accept.
+1. ``serve_accept_error`` chaos: the connection dies at accept, once
+   per connection, so a client that keeps its connection meets it
+   only when it reconnects.
 2. Draining (SIGTERM seen): profile requests get 503 + retry-after;
    health stays answerable so orchestrators can watch the drain.
 3. Rate limit: per-client token bucket → 429 + retry-after.
@@ -37,9 +42,11 @@ The robustness ladder, in request order:
 9. ``serve_slow_client`` chaos: the response write stalls
    ``hang_s`` seconds — the daemon must stay live throughout.
 
-SIGTERM drains gracefully: stop admitting, let the batcher finish
-what it can inside ``drain_s``, journal the rest (the next start
-replays them), flush telemetry, exit 0.
+SIGTERM drains gracefully: stop accepting, close every connection
+that is idle between requests, answer whatever is in flight with
+``Connection: close``, let the batcher finish what it can inside
+``drain_s``, journal the rest (the next start replays them), flush
+telemetry, exit 0.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.resilience import chaos
 from repro.serve import http
@@ -56,6 +63,13 @@ from repro.serve.config import ServeConfig
 from repro.serve.core import (ProfileRequest, ProfilingService,
                               RequestError, parse_profile_request)
 from repro.telemetry import core as telemetry
+
+#: Bytes read from a connection at a time.
+READ_CHUNK = 65536
+#: Bytes read without finding the end of a request head before the
+#: daemon answers 413; a complete head is held to the tighter
+#: :data:`http.MAX_HEADER_BYTES` by ``parse_head``.
+HEAD_LIMIT = 65536
 
 
 class _Pending:
@@ -90,6 +104,12 @@ class ServeDaemon:
         self._shutdown = asyncio.Event()
         self._batch_in_flight = 0
         self._lane_in_flight = 0
+        #: Every open connection's handler task, and its writer.
+        self._connections: Dict["asyncio.Task",
+                                asyncio.StreamWriter] = {}
+        #: Writers of the connections waiting for a request's first
+        #: byte: the drain closes these at once.
+        self._idle: Set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -140,6 +160,8 @@ class ServeDaemon:
         """Finish or journal in-flight work, then stop everything."""
         if self._server is not None:
             self._server.close()
+        for writer in list(self._idle):
+            writer.close()  # its handler reads EOF and ends
         deadline = self.service.clock() + self.config.drain_s
         while (len(self.queue) or self._batch_in_flight
                or self._lane_in_flight) \
@@ -158,8 +180,7 @@ class ServeDaemon:
             await batcher
         except asyncio.CancelledError:
             pass
-        if self._server is not None:
-            await self._server.wait_closed()
+        await self._close_connections(deadline)
         if self.config.socket and os.path.exists(self.config.socket):
             try:
                 os.unlink(self.config.socket)
@@ -169,67 +190,142 @@ class ServeDaemon:
         telemetry.event("serve.drain_end", journaled=len(leftovers))
         self.service.close()
 
+    async def _close_connections(self, deadline: float) -> None:
+        """Let each connection send its last response, until
+        ``deadline``; then abort and cancel the rest.
+
+        A connection left open would keep its handler pending past the
+        loop's end; ``Server.wait_closed`` cannot be trusted to wait
+        for handlers (on 3.11 it returns once the listener closes).
+        """
+        if self._connections:
+            await asyncio.wait(
+                list(self._connections),
+                timeout=max(0.0, deadline - self.service.clock()))
+        stuck = list(self._connections.items())
+        for task, writer in stuck:
+            writer.transport.abort()
+            task.cancel()
+        await asyncio.gather(*(task for task, _ in stuck),
+                             return_exceptions=True)
+
     # ------------------------------------------------------------------
     # connection handling
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Answer the requests of one connection in order.
+
+        The connection stays open until the client closes it or asks
+        for ``Connection: close`` (HTTP/1.0: sends no ``keep-alive``),
+        a framing error loses the stream position, or the daemon
+        drains.  Every response says which in its ``Connection``
+        header.
+        """
         self._conn_count += 1
+        telemetry.count("serve.connections")
         conn_key = f"conn-{self._conn_count}"
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             if chaos.fire("serve_accept_error", conn_key):
                 telemetry.count("serve.accept_errors")
-                writer.close()
                 return
-            try:
-                request = await self._read_request(reader)
-            except http.HttpError as exc:
-                await self._send(writer, exc.status,
-                                 http.error_body(exc.status,
-                                                 exc.message))
-                return
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    asyncio.LimitOverrunError):
-                writer.close()
-                return
-            status, body, headers, slow_key = \
-                await self._route(request)
-            await self._send(writer, status, body, headers, slow_key)
+            buffer = bytearray()  # bytes read past the last request
+            while True:
+                try:
+                    request = await self._read_request(reader, writer,
+                                                       buffer)
+                except http.HttpError as exc:
+                    await self._send(writer, exc.status,
+                                     http.error_body(exc.status,
+                                                     exc.message),
+                                     keep_alive=False)
+                    return
+                if request is None:
+                    return
+                status, body, headers, slow_key = \
+                    await self._route(request)
+                if not await self._send(writer, status, body, headers,
+                                        slow_key, request.keep_alive):
+                    return
         except ConnectionError:
             pass
         finally:
+            del self._connections[task]
+            self._idle.discard(writer)
             try:
                 writer.close()
             except Exception:
                 pass
 
-    async def _read_request(self,
-                            reader: asyncio.StreamReader
-                            ) -> http.HttpRequest:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            raise http.HttpError(413, "header block too large")
-        method, path, headers = http.parse_head(head[:-4])
+    async def _read_request(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter,
+                            buffer: bytearray
+                            ) -> Optional[http.HttpRequest]:
+        """The next request on a connection, or ``None`` once it ends
+        between requests: the peer closed it, or sent part of a
+        request and then closed it, or the daemon drains.
+
+        ``buffer`` holds the bytes read past the previous request, so
+        pipelined requests are answered in order.  A connection that
+        waits for the first byte of a request is idle: the drain
+        closes it at once.
+        """
+        while True:
+            end = buffer.find(b"\r\n\r\n")
+            if end >= 0:
+                break
+            if len(buffer) > HEAD_LIMIT:
+                raise http.HttpError(413, "header block too large")
+            if buffer:
+                chunk = await reader.read(READ_CHUNK)
+            elif self.draining:
+                return None
+            else:
+                self._idle.add(writer)
+                try:
+                    chunk = await reader.read(READ_CHUNK)
+                finally:
+                    self._idle.discard(writer)
+            if not chunk:
+                return None
+            buffer += chunk
+        method, path, version, headers = \
+            http.parse_head(bytes(buffer[:end]))
         length = http.content_length(headers)
-        body = await reader.readexactly(length) if length else b""
-        return http.HttpRequest(method, path, headers, body)
+        start = end + 4
+        while len(buffer) < start + length:
+            chunk = await reader.read(max(READ_CHUNK,
+                                          start + length - len(buffer)))
+            if not chunk:
+                return None
+            buffer += chunk
+        body = bytes(buffer[start:start + length])
+        del buffer[:start + length]
+        return http.HttpRequest(method, path, headers, body, version)
 
     async def _send(self, writer: asyncio.StreamWriter, status: int,
                     body: Dict,
                     headers: Optional[Dict[str, str]] = None,
-                    slow_key: Optional[str] = None) -> None:
+                    slow_key: Optional[str] = None,
+                    keep_alive: bool = False) -> bool:
+        """Write one response; whether the connection stays open (the
+        client allowed it and the daemon is not draining)."""
         if slow_key is not None:
             policy = chaos.active()
             if policy is not None and chaos.fire("serve_slow_client",
                                                  slow_key):
                 telemetry.count("serve.slow_clients")
                 await asyncio.sleep(policy.hang_seconds)
-        writer.write(http.format_response(status, body, headers))
+        keep = keep_alive and not self.draining
+        writer.write(http.format_response(
+            status, body, headers, "keep-alive" if keep else "close"))
         try:
             await writer.drain()
         except ConnectionError:
-            pass
+            return False
+        return keep
 
     # ------------------------------------------------------------------
     # routing

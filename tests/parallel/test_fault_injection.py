@@ -115,7 +115,7 @@ def test_a_crash_costs_only_its_own_shard():
     assert stats["failed"] == 0
 
 
-def test_single_pending_shard_never_reaches_the_pool(corpus):
+def test_single_pending_shard_never_reaches_the_pool(corpus, tmp_path):
     """One pending shard profiles in-process even at ``jobs=2``, so a
     failing worker is never consulted and nothing is retried (the
     serve breaker counts retries as pool trouble)."""
@@ -128,6 +128,24 @@ def test_single_pending_shard_never_reaches_the_pool(corpus):
     assert _bytes(profile) == _bytes(
         profile_corpus_detailed(records, "haswell", seed=0))
     assert stats["shards"] == 1
+    assert stats["retried"] == 0
+
+    # At the first window's edge: a source of exactly one window of
+    # shards (two per job), the first three stored, so one is pending
+    # when the window fills.  The engine must see the source end
+    # before it sizes the pool.
+    records = build_application("llvm", count=32, seed=3).records
+    cache = ShardCache(str(tmp_path))
+    profile_corpus_sharded(records[:24], "haswell", seed=0, jobs=1,
+                           shard_size=8, cache=cache)
+    stats = {}
+    profile = profile_corpus_sharded(records, "haswell", seed=0,
+                                     jobs=2, shard_size=8, cache=cache,
+                                     worker_fn=worker_raises,
+                                     stats=stats)
+    assert _bytes(profile) == _bytes(
+        profile_corpus_detailed(records, "haswell", seed=0))
+    assert (stats["shards"], stats["cache_hits"]) == (4, 3)
     assert stats["retried"] == 0
 
 

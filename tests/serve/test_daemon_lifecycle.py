@@ -172,6 +172,27 @@ def test_sigterm_drains_gracefully(tmp_path, jobs):
         dict(read_done_records(journal_path))
 
 
+def test_sigterm_drains_with_a_kept_connection_open(tmp_path):
+    state = tmp_path / "state"
+    daemon = Daemon(tmp_path, state, "kept")
+    client = daemon.client
+    try:
+        assert client.profile(BLOCKS[:1]).status == 200
+        stats = client.stats().body
+        # wait_ready's health, the profile and the stats share one
+        # connection, and the client still holds it.
+        assert stats["counters"]["serve.connections"] == 1
+        assert len(client._idle) == 1
+    finally:
+        started = time.monotonic()
+        assert daemon.sigterm() == 0
+    # The drain closed the idle connection at once instead of waiting
+    # out its deadline (REPRO_SERVE_DRAIN_S, 10 s by default).
+    assert time.monotonic() - started < 5.0
+    assert not os.path.exists(daemon.socket_path)
+    client.close()
+
+
 def test_sigterm_leaves_final_heartbeat_in_trace(tmp_path):
     trace = tmp_path / "trace.ndjson"
     state = tmp_path / "state"

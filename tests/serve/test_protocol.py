@@ -29,49 +29,11 @@ from repro.serve.core import (ProfilingService, canonical_results_bytes,
                               parse_profile_request, request_digest)
 from repro.serve.daemon import ServeDaemon
 from repro.serve.requestlog import read_done_records
+from tests.serve.helpers import DaemonHarness, wait_until
 
 ADD = "addq %rax, %rbx"
 MUL = "imulq %rcx, %rdx\naddq %rax, %rbx"
 NOVEL = "addq $3, %rax\nimulq $2, %rcx"
-
-
-class DaemonHarness:
-    """Run a ServeDaemon on a background-thread event loop."""
-
-    def __init__(self, config):
-        self.config = config
-        self.service = ProfilingService(config)
-        self.daemon = ServeDaemon(self.service, config)
-        self.loop = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        self.loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self.loop)
-        try:
-            self.loop.run_until_complete(self.daemon.run())
-        finally:
-            self.loop.close()
-
-    def __enter__(self):
-        # Metrics-only collection, exactly what ``repro serve`` turns
-        # on — the counters back /v1/stats.
-        telemetry.enable()
-        self._thread.start()
-        client = ServeClient(socket_path=self.config.socket,
-                             timeout=30.0)
-        client.wait_ready()
-        return client
-
-    def __exit__(self, exc_type, exc, tb):
-        deadline = time.monotonic() + 5.0
-        while self.loop is None and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if self.loop is not None and self.loop.is_running():
-            self.loop.call_soon_threadsafe(self.daemon._begin_drain,
-                                           "TEST")
-        self._thread.join(timeout=30.0)
-        assert not self._thread.is_alive(), "daemon failed to drain"
 
 
 class ExecuteSpy:
@@ -105,16 +67,6 @@ class ExecuteSpy:
         if len(self.calls) == 1:
             self.release.wait(timeout=60.0)
         return self.execute(requests, journal)
-
-
-def _wait_until(predicate, timeout=30.0) -> bool:
-    """Poll ``predicate`` until it holds; False once ``timeout`` ends."""
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() >= deadline:
-            return False
-        time.sleep(0.005)
-    return True
 
 
 def _digest(blocks):
@@ -218,6 +170,164 @@ class TestRoutes:
             assert 0 <= summary["p50"] <= summary["max"]
 
 
+def _raw(harness):
+    """A bare socket to the harness daemon."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(10.0)
+    sock.connect(harness.config.socket)
+    return sock
+
+
+def _message(method, path, payload=None, head="", version="HTTP/1.1"):
+    body = b"" if payload is None else json.dumps(payload).encode()
+    return (f"{method} {path} {version}\r\n"
+            f"Content-Length: {len(body)}\r\n{head}\r\n").encode() + body
+
+
+def _read(stream):
+    """One response off a socket file: status, headers, JSON body."""
+    status = int(stream.readline().split()[1])
+    headers = {}
+    for line in iter(stream.readline, b"\r\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, json.loads(
+        stream.read(int(headers["content-length"])))
+
+
+class TestKeepAlive:
+    def test_requests_on_one_connection_answer_in_order(self, harness):
+        with harness as client:
+            before = client.stats().body["counters"]["serve.connections"]
+            with _raw(harness) as sock, sock.makefile("rb") as stream:
+                answers = []
+                for message in (_message("POST", "/v1/profile",
+                                         {"blocks": [ADD]}),
+                                _message("POST", "/v1/profile",
+                                         {"blocks": [ADD]}),
+                                _message("GET", "/v1/stats")):
+                    sock.sendall(message)
+                    answers.append(_read(stream))
+        first, memo, stats = answers
+        assert [a[0] for a in answers] == [200, 200, 200]
+        assert [a[1]["connection"] for a in answers] == ["keep-alive"] * 3
+        assert first[2]["cached"] is False
+        assert memo[2]["cached"] is True
+        assert memo[2]["results"] == first[2]["results"]
+        assert stats[2]["counters"]["serve.connections"] == before + 1
+
+    @pytest.mark.parametrize("version,head,kept", [
+        ("HTTP/1.1", "Connection: close\r\n", False),
+        ("HTTP/1.0", "", False),
+        ("HTTP/1.0", "Connection: keep-alive\r\n", True),
+    ], ids=["close", "http10", "http10-keep-alive"])
+    def test_close_is_answered_then_closed(self, harness, version,
+                                           head, kept):
+        with harness:
+            with _raw(harness) as sock, sock.makefile("rb") as stream:
+                sock.sendall(_message("GET", "/v1/health", head=head,
+                                      version=version))
+                status, headers, body = _read(stream)
+                assert status == 200
+                assert body["status"] == "ok"
+                assert headers["connection"] == \
+                    ("keep-alive" if kept else "close")
+                if not kept:
+                    assert stream.read(1) == b""
+                else:
+                    sock.sendall(_message("GET", "/v1/health"))
+                    assert _read(stream)[0] == 200
+
+    @pytest.mark.parametrize("head,status,detail", [
+        (b"POST /v1/profile HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+         400, "Content-Length"),
+        (b"GET /v1/health HTTP/1.1\r\nX: " + b"x" * 20_000
+         + b"\r\n\r\n", 413, "header block too large"),
+        # No end of head in sight: answered before any pipelined
+        # request could end it.
+        (b"GET /v1/health HTTP/1.1\r\nX: " + b"x" * 70_000,
+         413, "header block too large"),
+    ], ids=["bad-content-length", "long-head", "unterminated-head"])
+    def test_framing_error_answers_and_closes(self, harness, head,
+                                              status, detail):
+        # The stream position is lost: a request pipelined behind is
+        # never read.
+        with harness:
+            with _raw(harness) as sock, sock.makefile("rb") as stream:
+                if b"\r\n\r\n" in head:
+                    head += _message("GET", "/v1/health")
+                sock.sendall(head)
+                answer = _read(stream)
+                assert answer[0] == status
+                assert detail in answer[2]["detail"]
+                assert answer[1]["connection"] == "close"
+                assert stream.read(1) == b""
+
+    def test_pipelined_requests_answer_in_order(self, harness):
+        # A novel block takes a batch and a store write; the bad JSON
+        # and the health check behind it wait their turn, and a bad
+        # body keeps the connection (its framing was sound).
+        with harness:
+            with _raw(harness) as sock, sock.makefile("rb") as stream:
+                bad = (b"POST /v1/profile HTTP/1.1\r\n"
+                       b"Content-Length: 5\r\n\r\n{nope")
+                sock.sendall(_message("POST", "/v1/profile",
+                                      {"blocks": [NOVEL]})
+                             + bad + _message("GET", "/v1/health"))
+                answers = [_read(stream) for _ in range(3)]
+        assert [a[0] for a in answers] == [200, 400, 200]
+        assert [a[1]["connection"] for a in answers] == ["keep-alive"] * 3
+        assert answers[0][2]["results"][0]["status"] == "ok"
+        assert answers[2][2]["status"] == "ok"
+
+    def test_request_arriving_during_the_drain_is_shed_and_closed(
+            self, harness):
+        daemon = harness.daemon
+        with harness as client:
+            client.close()
+            with _raw(harness) as sock, sock.makefile("rb") as stream:
+                sock.sendall(_message("GET", "/v1/health"))
+                assert _read(stream)[1]["connection"] == "keep-alive"
+                assert wait_until(lambda: len(daemon._connections) == 1
+                                  and len(daemon._idle) == 1)
+                # The head arrives before the drain, the body after.
+                message = _message("POST", "/v1/profile",
+                                   {"blocks": [ADD]})
+                cut = message.index(b"\r\n\r\n") + 4
+                sock.sendall(message[:cut])
+                assert wait_until(lambda: not daemon._idle)
+                harness.loop.call_soon_threadsafe(daemon._begin_drain,
+                                                  "TEST")
+                assert wait_until(lambda: daemon.draining)
+                sock.sendall(message[cut:])
+                status, headers, body = _read(stream)
+                assert status == 503
+                assert body["detail"] == "draining"
+                assert headers["connection"] == "close"
+                assert headers["retry-after"] == "1"
+                assert stream.read(1) == b""
+
+    def test_drain_closes_an_idle_kept_connection_at_once(self,
+                                                          tmp_path):
+        config = ServeConfig(socket=str(tmp_path / "serve.sock"), jobs=1,
+                             drain_s=5.0,
+                             state_dir=str(tmp_path / "state"))
+        harness = DaemonHarness(config)
+        with harness:
+            with _raw(harness) as sock, sock.makefile("rb") as stream:
+                sock.sendall(_message("GET", "/v1/health"))
+                assert _read(stream)[1]["connection"] == "keep-alive"
+                # This one and the harness client's.
+                assert wait_until(lambda: len(harness.daemon._idle) == 2)
+                started = time.monotonic()
+                harness.drain()
+                elapsed = time.monotonic() - started
+                assert stream.read(1) == b""
+        # Idle connections close at once: nothing waits out drain_s.
+        assert elapsed < config.drain_s / 2
+        assert not harness.daemon._connections
+
+
 class TestChaos:
     def test_queue_full_chaos_sheds_429(self, harness):
         with harness as client:
@@ -234,13 +344,22 @@ class TestChaos:
 
     def test_accept_error_chaos_drops_the_connection(self, harness):
         with harness as client:
+            fresh = ServeClient(socket_path=harness.config.socket,
+                                timeout=30.0)
             policy = ChaosPolicy(seed=7,
                                  rates={"serve_accept_error": 1.0})
             with chaos.forced(policy):
                 with pytest.raises(ServeClientError):
-                    client.profile([ADD])
-            # The daemon survives its own chaos: next request works.
-            assert client.profile([ADD]).status == 200
+                    fresh.profile([ADD])
+                # The fault fires per connection: a kept one is past
+                # its accept.
+                assert client.profile([ADD]).status == 200
+            # The daemon survives its own chaos: the next request
+            # reconnects and works.
+            assert fresh.profile([ADD]).status == 200
+            fresh.close()
+            counters = client.stats().body["counters"]
+        assert counters["serve.accept_errors"] == 1
 
     def test_slow_client_chaos_stalls_but_serves(self, harness):
         with harness as client:
@@ -267,7 +386,7 @@ class TestDeadlines:
         spy = ExecuteSpy(harness.service, hold_first=True)
         with harness as client, ThreadPoolExecutor(1) as pool:
             occupier = pool.submit(client.profile, [MUL])
-            assert _wait_until(lambda: spy.calls)
+            assert wait_until(lambda: spy.calls)
             threading.Timer(0.3, spy.release.set).start()
             missed = client.profile([ADD], deadline_ms=1)
             assert missed.status == 504
@@ -301,10 +420,10 @@ class TestBatcher:
         blocks = [f"addq ${i}, %rax" for i in range(5)]
         with harness as client, ThreadPoolExecutor(5) as pool:
             first = pool.submit(client.profile, [blocks[0]])
-            assert _wait_until(lambda: spy.calls)
+            assert wait_until(lambda: spy.calls)
             rest = [pool.submit(client.profile, [text])
                     for text in blocks[1:]]
-            assert _wait_until(lambda: len(harness.daemon.queue) == 4)
+            assert wait_until(lambda: len(harness.daemon.queue) == 4)
             spy.release.set()
             answers = [f.result() for f in [first, *rest]]
         assert [a.status for a in answers] == [200] * 5
@@ -353,14 +472,14 @@ class TestBatcher:
         journal.record_request = slow_record_request
         with harness as client, ThreadPoolExecutor(2) as pool:
             first = pool.submit(client.profile, [ADD])
-            assert _wait_until(lambda: spy.calls)
+            assert wait_until(lambda: spy.calls)
             second = pool.submit(client.profile, [MUL])
             # MUL is queued; its ``req`` write is held.
-            assert _wait_until(lambda: len(harness.daemon.queue) == 1)
+            assert wait_until(lambda: len(harness.daemon.queue) == 1)
             spy.release.set()
             # A batcher that ignored the journal would run MUL now;
             # give it the chance before letting the write finish.
-            _wait_until(lambda: len(spy.calls) > 1, timeout=0.5)
+            wait_until(lambda: len(spy.calls) > 1, timeout=0.5)
             write.set()
             assert first.result().status == 200
             assert second.result().status == 200
@@ -402,7 +521,7 @@ class TestStoreLane:
             with ThreadPoolExecutor(1) as pool:
                 novel = pool.submit(client.profile, [NOVEL])
                 try:
-                    assert _wait_until(lambda: spy.calls)
+                    assert wait_until(lambda: spy.calls)
                     # The novel batch is held inside execute: a
                     # request for stored blocks must not wait on it.
                     pair = quick.profile([ADD, MUL])
@@ -460,7 +579,7 @@ class TestStoreLane:
                         harness.daemon._begin_drain, "TEST")
                     # A drain that ignored the lookup would close the
                     # journal under it and stop the daemon now.
-                    assert not _wait_until(
+                    assert not wait_until(
                         lambda: not harness._thread.is_alive(),
                         timeout=0.5)
                 finally:
