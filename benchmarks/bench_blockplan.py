@@ -6,11 +6,13 @@ and enforces two claims:
 
 * **Identity** — compilation is invisible in the output bytes: for
   every block, on every microarchitecture, serially and through the
-  2-worker pool, the profile is identical to the ``--no-blockplan``
-  run.
+  2-worker pool, the profile is identical to the run with plans forced
+  off (``blockplan.forced(False)``; no flag or variable turns off
+  plans alone, ``--no-fastpath`` turns off every tier).
 * **Speed** — with the simulation-core fast path forced *off* on both
   sides (so every dynamic instruction is actually executed and the
-  comparison isolates the dispatch loop), compiled plans must win by
+  comparison isolates the dispatch loop; the plans-off side is the
+  oracle ``--no-fastpath`` runs), compiled plans must win by
   at least ``SPEEDUP_FLOOR`` (2x) over the interpreted loop.  The
   composed speedup with the fast path on is also measured and
   reported, but not asserted (extrapolation already skips most

@@ -6,7 +6,11 @@ and enforces two claims:
 
 * **Identity** — the fast path is invisible in the output bytes: for
   every block, throughput, per-unroll cycle counts, miss counters and
-  accept/fail status are identical to the ``--no-fastpath`` run.
+  accept/fail status are identical to the run with the fast path
+  forced off.  Compiled block plans stay on in both modes
+  (``blockplan.forced(True)``), so the speedup is the fast path's
+  alone; ``--no-fastpath`` turns plans off as well, and
+  ``bench_blockplan.py`` times that tier.
 * **Speed** — on the paper-shaped workload (blocks replicated by their
   sampled execution frequency, which is what corpus-level dedup
   exploits: BHive's 2M+ samples contain ~300k unique blocks) the fast
@@ -33,6 +37,7 @@ import time
 
 from repro.eval.reporting import format_table
 from repro.profiler.harness import BasicBlockProfiler, ProfilerConfig
+from repro.runtime import blockplan
 from repro.simcore import config as simcore
 from repro.uarch.machine import Machine
 
@@ -88,7 +93,7 @@ def _fingerprint(result):
 
 def _profile_run(texts, fast):
     """Profile ``texts`` with a fresh profiler; returns (secs, prints)."""
-    with simcore.forced(fast):
+    with simcore.forced(fast), blockplan.forced(True):
         profiler = BasicBlockProfiler(
             Machine(UARCH, seed=0),
             ProfilerConfig(base_factor=BASE_FACTOR))

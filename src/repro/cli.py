@@ -438,13 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --trace: emit a progress snapshot "
                             "event every SECS seconds")
         p.add_argument("--no-fastpath", action="store_true",
-                       help="disable the simulation-core fast path "
+                       help="run the reference: no simulation-core "
+                            "fast path and no compiled block plans "
                             "(same results, slower; use with --trace "
                             "to debug a suspected divergence)")
-        p.add_argument("--no-blockplan", action="store_true",
-                       help="disable compiled block plans and run the "
-                            "historical per-instruction interpreter "
-                            "(same results, slower)")
         p.add_argument("--chaos", metavar="SPEC", default=None,
                        help="arm deterministic fault injection, e.g. "
                             "'42:worker_crash=0.2,disk_full=0.1' or "
@@ -656,8 +653,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Exported (not set programmatically) so worker processes
         # spawned by --jobs inherit the setting.
         os.environ["REPRO_NO_FASTPATH"] = "1"
-    if getattr(args, "no_blockplan", False):
-        os.environ["REPRO_NO_BLOCKPLAN"] = "1"
     if getattr(args, "chaos", None):
         from repro.resilience import ChaosPolicy, ChaosSpecError
         try:

@@ -62,10 +62,8 @@ REGISTRY: List[EnvVar] = [
            "pipeline"),
     # -- performance toggles ----------------------------------------------
     EnvVar("REPRO_NO_FASTPATH", "unset",
-           "`1` disables the simulation-core fast path "
-           "(same bytes, slower)", "performance"),
-    EnvVar("REPRO_NO_BLOCKPLAN", "unset",
-           "`1` disables compiled block plans (same bytes, slower)",
+           "`1` runs the reference: no simulation-core fast path and "
+           "no compiled block plans (same bytes, slower)",
            "performance"),
     # -- robustness knobs -------------------------------------------------
     EnvVar("REPRO_CHAOS", "unset",
@@ -138,9 +136,13 @@ def by_group(group: Optional[str] = None) -> List[EnvVar]:
     return ordered
 
 
-def markdown_table(group: Optional[str] = None) -> str:
-    """The generated markdown table for ``group`` (or everything)."""
-    rows = by_group(group)
+def markdown_table(spec: Optional[str] = None) -> str:
+    """The generated markdown table for ``spec``: one group, several
+    comma-separated (in that order), or everything when empty."""
+    if spec:
+        rows = [v for g in spec.split(",") for v in by_group(g)]
+    else:
+        rows = by_group()
     lines = ["| variable | default | meaning |",
              "| --- | --- | --- |"]
     lines += [f"| `{v.name}` | {v.default} | {v.description} |"
@@ -158,19 +160,6 @@ _BLOCK = re.compile(
     r"<!-- envvars:end -->", re.S)
 
 
-def _render_groups(spec: Optional[str]) -> str:
-    if not spec:
-        return markdown_table()
-    rows: List[EnvVar] = []
-    for g in spec.split(","):
-        rows.extend(by_group(g))
-    lines = ["| variable | default | meaning |",
-             "| --- | --- | --- |"]
-    lines += [f"| `{v.name}` | {v.default} | {v.description} |"
-              for v in rows]
-    return "\n".join(lines)
-
-
 def doc_blocks(text: str) -> List[Dict]:
     """Every envvars block in a doc: its group spec, body, expected."""
     blocks = []
@@ -178,7 +167,7 @@ def doc_blocks(text: str) -> List[Dict]:
         blocks.append({
             "group": match.group("group"),
             "body": match.group("body").strip("\n"),
-            "expected": _render_groups(match.group("group")),
+            "expected": markdown_table(match.group("group")),
         })
     return blocks
 
@@ -189,7 +178,7 @@ def update_doc(text: str) -> str:
         spec = match.group("group")
         begin = "<!-- envvars:begin" + \
             (f" group={spec}" if spec else "") + " -->"
-        return f"{begin}\n{_render_groups(spec)}\n<!-- envvars:end -->"
+        return f"{begin}\n{markdown_table(spec)}\n<!-- envvars:end -->"
     return _BLOCK.sub(_sub, text)
 
 

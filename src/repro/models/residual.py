@@ -2,8 +2,13 @@
 
 The structural defects we implement (division-width confusion, missing
 zero idioms, fused load-op scheduling, parser bugs, latency-blind port
-pressure) reproduce the paper's case studies and the *relative*
-difficulty ordering between block classes.  Real tools additionally
+pressure) reproduce the paper's case studies and three of its
+orderings, which hold with this residual off: read-modify-write blocks
+hardest, stores easier than load mixes, and llvm-mca's Skylake
+regression.  The vector-kernel
+difficulty and the model ranking (Ithemal best, OSACA worst) do not:
+they come from the class-dependent sigmas below (DESIGN.md, "Calibrated
+residual", gives the counts in both modes).  Real tools additionally
 carry a long tail of small per-instruction table errors and unmodeled
 micro-architectural interactions; we represent that tail as a
 deterministic per-(model, uarch, block) multiplicative residual whose

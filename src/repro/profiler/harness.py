@@ -368,8 +368,11 @@ class BasicBlockProfiler:
                     # keep it and time the small factor separately.
                     big = timed(plan.max_factor, checkpoint_unroll=unroll)
                     pending[plan.max_factor] = big
-                    run = big.checkpoint if big.checkpoint is not None \
-                        else timed(unroll)
+                    if big.checkpoint is not None:
+                        run = big.checkpoint
+                        extrapolated = True
+                    else:
+                        run = timed(unroll)
                 else:
                     run = timed(unroll)
             except MemoryFault as fault:
@@ -383,8 +386,6 @@ class BasicBlockProfiler:
                 return ProfileResult(text, uarch,
                                      failure=FailureReason.UNSUPPORTED,
                                      detail=str(exc))
-            if run.fastpath.get("extrapolated"):
-                extrapolated = True
             cycles, failure, clean = \
                 self.config.acceptance.accept(run.samples)
             base = run.samples[0]
@@ -408,7 +409,10 @@ class BasicBlockProfiler:
         # ``extra`` is informational only (surfaced as the run
         # report's ``fastpath_extrapolated`` / ``blockplan_compiled``
         # buckets) — it never feeds the funnel, so accepted/dropped
-        # totals stay byte-identical with either switch off.
+        # totals stay byte-identical with the fast path off.
+        # ``fastpath_extrapolated`` marks a profile whose small factor
+        # came from the large factor's certified checkpoint; the key
+        # keeps its name so stored results load and fold the same way.
         extra = {"fastpath_extrapolated": 1.0} if extrapolated else {}
         if blockplan.enabled():
             extra["blockplan_compiled"] = 1.0

@@ -94,8 +94,8 @@ class CorpusProfile:
 
     ``info`` carries purely informational per-run telemetry — one
     count per key of ``ProfileResult.extra`` (currently
-    ``fastpath_extrapolated``: blocks whose measurement replicated an
-    annotation tail or came from a two-factor checkpoint, and
+    ``fastpath_extrapolated``: blocks whose small unroll factor came
+    from the large factor's two-factor checkpoint, and
     ``blockplan_compiled``: blocks executed through compiled block
     plans, plus the ``chaos_block_poison`` and
     ``step_budget_exceeded`` quarantine markers).  It is kept

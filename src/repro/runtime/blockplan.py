@@ -1,32 +1,27 @@
-"""Kill-switch configuration for block-compiled execution plans.
+"""The switch for block-compiled execution plans.
 
-Mirrors :mod:`repro.simcore.config` (the fast-path switch): plans are
-on by default, can be disabled for a process via ``REPRO_NO_BLOCKPLAN``
-or ``set_enabled(False)``, and tests/benches can force either setting
-within a scope via :func:`forced`.  Lives in its own dependency-free
-module so :mod:`repro.runtime.memory`, :mod:`repro.runtime.executor`,
-the CLI and the tests can all import it without touching the
-executor↔plan import cycle.
+Plans are on whenever the simulation-core fast path is
+(:func:`repro.simcore.config.enabled`): ``REPRO_NO_FASTPATH=1`` turns
+both off, and no variable of its own turns off plans alone.  Tests and
+benches can force plans either way within a scope via :func:`forced`,
+which wins over the oracle switch, to isolate this tier.  Lives in its
+own small module so :mod:`repro.runtime.memory`,
+:mod:`repro.runtime.executor` and the tests can all import it without
+touching the executor↔plan import cycle.
 
-The differential suite and the ``blockplan-differential`` CI leg prove
+The differential suite and the ``oracle-differential`` CI leg prove
 that flipping this switch never changes a single serialized byte of
 any profile — it only changes how fast the bytes are produced.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-#: Set to a truthy value ("1", "true", "yes", "on") to disable block
-#: plans for the whole process, including pool workers that inherit
-#: the environment.
-ENV_VAR = "REPRO_NO_BLOCKPLAN"
+from repro.simcore import config as simcore
 
-_DISABLING = ("1", "true", "yes", "on")
-
-#: Programmatic override; ``None`` defers to the environment.
+#: Programmatic override; ``None`` defers to the oracle switch.
 _override: Optional[bool] = None
 
 
@@ -34,13 +29,7 @@ def enabled() -> bool:
     """True when block-compiled plans should be used."""
     if _override is not None:
         return _override
-    return os.environ.get(ENV_VAR, "").strip().lower() not in _DISABLING
-
-
-def set_enabled(value: Optional[bool]) -> None:
-    """Set the programmatic override (``None`` restores env control)."""
-    global _override
-    _override = value
+    return simcore.enabled()
 
 
 @contextmanager

@@ -27,9 +27,10 @@ that raises :class:`_GiveUp` and falls back to a step that invokes
 the interpreted handler (so ``div``'s fault-before-write ordering,
 the shuffle family, conversions, etc. are untouched).  The
 differential suite (``tests/simcore/test_blockplan_differential.py``)
-and the ``blockplan-differential`` CI leg enforce the contract on
-serialized profiles; ``REPRO_NO_BLOCKPLAN`` / ``--no-blockplan``
-(see :mod:`repro.runtime.blockplan`) is the escape hatch.
+and the ``oracle-differential`` CI leg enforce the contract on
+serialized profiles; ``REPRO_NO_FASTPATH`` / ``--no-fastpath``, the
+oracle switch (see :mod:`repro.runtime.blockplan`), is the escape
+hatch.
 """
 
 from __future__ import annotations

@@ -10,10 +10,12 @@ re-initialisation argument).
 
 A trace may carry a *steady witness* ``(steady_from, period)``:
 iteration ``i`` produced exactly the events of iteration ``i +
-period`` for every ``i >= steady_from``.  The witness is stamped by
-whichever detector established it (:mod:`repro.simcore`) and lets
-counter summation and the timing model skip the periodic tail; it is
-purely an annotation — the events themselves are always complete.
+period`` for every ``i >= steady_from``.  The executor's
+steady-state extrapolation stamps it
+(:class:`repro.simcore.fastrun.BlockRun`), and it lets counter
+summation (:meth:`ExecutionTrace.misaligned_count`,
+:attr:`ExecutionTrace.subnormal_count`) skip the periodic tail; it
+is purely an annotation — the events themselves are always complete.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
-"""The fast-path switchboard.
+"""The oracle switch.
 
 One global predicate, :func:`enabled`, consulted by every fast-path
-layer (executor session, pricing without the LRU, annotation
-early-exit, combined two-factor run, profile memo).  Disabled by ``REPRO_NO_FASTPATH=1`` in
-the environment (exported by the CLI's ``--no-fastpath`` before any
-worker forks, so pools inherit it) or programmatically via
-:func:`set_enabled` / :func:`forced` in tests.
+layer (executor session, pricing without the LRU, combined two-factor
+run, profile memo) and, through :func:`repro.runtime.blockplan.enabled`,
+by compiled block plans.  ``REPRO_NO_FASTPATH=1`` in the environment
+(exported by the CLI's ``--no-fastpath`` before any worker forks, so
+pools inherit it) turns all of them off: the plain interpreter and
+full simulation, which every tier is a byte-exact replay of.  Tests
+and benches isolate one tier with :func:`forced` here or
+:func:`repro.runtime.blockplan.forced`.
 """
 
 from __future__ import annotations
@@ -27,12 +30,6 @@ def enabled() -> bool:
     if _override is not None:
         return _override
     return os.environ.get(ENV_VAR, "").strip().lower() not in _DISABLING
-
-
-def set_enabled(value: Optional[bool]) -> None:
-    """Force the fast path on/off; ``None`` defers to ``$REPRO_NO_FASTPATH``."""
-    global _override
-    _override = None if value is None else bool(value)
 
 
 @contextmanager

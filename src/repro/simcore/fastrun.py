@@ -16,10 +16,11 @@
 * **extrapolates** once the boundary state matches a recent boundary
   exactly (lag ``q``): the next iterations must replay the last ``q``
   verbatim, so their events are replicated analytically and the trace
-  is stamped with the ``(t, q)`` steady witness the timing model's own
-  fast path consumes.  Blocks with growing footprints never produce a
-  boundary match (the state comparison includes every frame's bytes),
-  which is the conservative bail-out for L1-overflow kernels.
+  is stamped with the ``(t, q)`` steady witness that its counter sums
+  (``misaligned_count``, ``subnormal_count``) use.  Blocks with
+  growing footprints never produce a boundary match (the state
+  comparison includes every frame's bytes), which is the conservative
+  bail-out for L1-overflow kernels.
 * takes a **static shortcut** for pure-register blocks (no memory, no
   division, no FP): iteration 0 determines the whole trace.
 
@@ -41,13 +42,38 @@ from repro.runtime import blockplan
 from repro.runtime.executor import Executor, handler_plan
 from repro.runtime import plan as planmod
 from repro.runtime.trace import ExecutionTrace, InstrEvent
-from repro.simcore.periodicity import MAX_PERIOD, is_pure_register_block
 from repro.telemetry import core as telemetry
+
+#: Largest per-iteration period the boundary-state match looks for.
+#: Real steady states in straight-line code are period 1 (occasionally
+#: 2, e.g. pointer-swap idioms); 4 gives margin without making the
+#: history comparison expensive.
+MAX_PERIOD = 4
 
 #: Boundary signature: (state signature (register/flag value tuples,
 #: ftz, rip), ((frame, bytes), ...)).  Equality of two signatures
 #: implies the machine will evolve identically from both boundaries.
 _Signature = Tuple
+
+
+def is_pure_register_block(block: BasicBlock) -> bool:
+    """Every iteration provably identical, before executing any.
+
+    True only when no instruction can touch memory (including the
+    implicit stack traffic of ``push``/``pop``), fault arithmetically
+    (``div``/``idiv``), or fire an FP assist (any FP op can meet a
+    subnormal).  Such a block's dynamic events carry no addresses and
+    no flags of interest, so iteration 0 determines the whole trace.
+    """
+    for instr in block.instructions:
+        if instr.loads_memory or instr.stores_memory:
+            return False
+        if instr.mnemonic in ("push", "pop"):
+            return False
+        info = instr.info
+        if info.group == "int_div" or info.fp is not None:
+            return False
+    return True
 
 
 class BlockRun:

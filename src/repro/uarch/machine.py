@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.encoder import instruction_length
 from repro.isa.instruction import BasicBlock
@@ -27,7 +27,6 @@ from repro.telemetry import core as telemetry
 from repro.runtime.memory import PAGE_SIZE, VirtualMemory
 from repro.runtime.trace import ExecutionTrace, InstrEvent
 from repro.simcore import config as simcore
-from repro.simcore.periodicity import detect_event_periodicity
 from repro.uarch.caches import CacheModel, never_evicts
 from repro.uarch.counters import CounterSample
 from repro.uarch.scheduler import (DataflowScheduler, InstrAnnotation,
@@ -69,17 +68,11 @@ class Pricing:
 
     key: tuple
     unroll: int
-    fast: bool
-    #: A periodicity witness priced the trace (never when the L1D
-    #: cannot evict: that pricing needs none).
-    periodic: bool
     annotations: List[InstrAnnotation]
     read_misses: int
     write_misses: int
     l1i_misses: int
     misaligned: int
-    #: Tail iterations replicated rather than simulated.
-    replicated: int
     #: The certified two-factor checkpoint (``None`` when none was
     #: asked for or it cannot be proved exact) and its prefix's
     #: misaligned-reference count.
@@ -94,12 +87,6 @@ class RunResult:
     samples: List[CounterSample]
     schedule: ScheduleResult
     base_cycles: int
-    #: Informational fast-path accounting (``attempted``,
-    #: ``extrapolated``, per-layer flags); empty with the fast path
-    #: off.  ``extrapolated`` marks a run whose annotation tail was
-    #: replicated or that came from a two-factor checkpoint.  Never
-    #: feeds counters or acceptance.
-    fastpath: Dict[str, int] = field(default_factory=dict)
     #: Synthesized result for ``checkpoint_unroll`` iterations,
     #: byte-identical to a standalone :meth:`Machine.run` at that
     #: unroll factor.  Present only when every precondition for the
@@ -161,29 +148,12 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _data_cache_annotations(self, trace: ExecutionTrace,
-                                memory: VirtualMemory,
-                                steady: Optional[Tuple[int, int]] = None
-                                ) -> Tuple[List[InstrAnnotation], int,
-                                           int, int, int]:
+                                memory: VirtualMemory
+                                ) -> Tuple[List[InstrAnnotation], int, int]:
         """Run the L1D model over the trace (warm-up pass + timed pass).
 
-        Returns per-dynamic-instruction annotations, the timed pass's
-        read/write miss counts, how many tail iterations were
-        replicated rather than simulated, and the iteration count at
-        which the warm-up pass reached its all-hit fixed point
-        (``unroll`` when it never did).
-
-        ``steady`` is the trace's event-periodicity witness.  With it,
-        each pass stops once ``q`` consecutive steady iterations
-        produce no miss: the per-set LRU state is then at a fixed
-        point (an all-hit pass over a line set touches exactly those
-        lines, leaving last-access order — and therefore every future
-        decision — unchanged), so the remaining iterations are
-        verbatim copies.  Split-line penalties depend only on
-        addresses, which repeat by the witness, so replicated
-        annotations are exact.  Any miss resets the streak — a still
-        growing footprint (L1-overflow kernels) keeps missing and
-        never takes the shortcut.
+        Returns per-dynamic-instruction annotations and the timed
+        pass's read/write miss counts.
         """
         desc = self.desc
         l1d = CacheModel(desc.l1d)
@@ -197,123 +167,38 @@ class Machine:
             return hit
 
         events = trace.events
-        if steady is None:
-            line_size = desc.l1d.line_size
-            miss_penalty = desc.l1_miss_penalty
-            split_penalty = desc.split_line_penalty
-            access_range = l1d.access_range
-            # Warm-up pass (the first, untimed execution in Fig. 2).
-            for event in events:
-                for access in event.accesses:
-                    access_range(paddr(access.address), access.width)
-
-            read_misses = 0
-            write_misses = 0
-            annotations: List[InstrAnnotation] = []
-            append_ann = annotations.append
-            for event in events:
-                ann = InstrAnnotation(div_class=event.div_class,
-                                      subnormal=event.subnormal)
-                for access in event.accesses:
-                    misses = access_range(paddr(access.address),
-                                          access.width)
-                    penalty = misses * miss_penalty
-                    if access.crosses_line(line_size):
-                        penalty += split_penalty
-                    if access.is_write:
-                        write_misses += misses
-                        ann.write_accesses.append((access.address,
-                                                   access.width))
-                    else:
-                        read_misses += misses
-                        ann.read_accesses.append((access.address,
-                                                  access.width, penalty))
-                append_ann(ann)
-            return annotations, read_misses, write_misses, 0, trace.unroll
-
-        t, q = steady
-        block_len = trace.block_len or 1
-        unroll = trace.unroll
         line_size = desc.l1d.line_size
         miss_penalty = desc.l1_miss_penalty
         split_penalty = desc.split_line_penalty
         access_range = l1d.access_range
+        # Warm-up pass (the first, untimed execution in Fig. 2).
+        for event in events:
+            for access in event.accesses:
+                access_range(paddr(access.address), access.width)
 
-        # Warm-up pass, stopping at the all-hit fixed point: after a
-        # full period of hits, further whole periods leave the LRU
-        # recency order unchanged, so only the pass's trailing partial
-        # period (identical, by the witness, to the iterations right
-        # after the streak) still needs replaying.
-        streak = 0
-        warmup_fixed = unroll
-        for i in range(unroll):
-            missed = False
-            for event in events[i * block_len:(i + 1) * block_len]:
-                for access in event.accesses:
-                    if access_range(paddr(access.address), access.width):
-                        missed = True
-            if i >= t and not missed:
-                streak += 1
-                if streak >= q:
-                    warmup_fixed = i + 1
-                    remainder = (unroll - 1 - i) % q
-                    for event in events[(i + 1) * block_len:
-                                        (i + 1 + remainder) * block_len]:
-                        for access in event.accesses:
-                            access_range(paddr(access.address),
-                                         access.width)
-                    break
-            else:
-                streak = 0
-
-        # Timed pass, same early exit; the replicated tail shares the
-        # source annotations' access lists (consumers never mutate
-        # them) but gets fresh objects because ``fetch_stall`` is
-        # charged per dynamic instruction later.
         read_misses = 0
         write_misses = 0
-        annotations = []
-        streak = 0
-        simulated = unroll
-        for i in range(unroll):
-            missed = False
-            for event in events[i * block_len:(i + 1) * block_len]:
-                ann = InstrAnnotation(div_class=event.div_class,
-                                      subnormal=event.subnormal)
-                for access in event.accesses:
-                    misses = access_range(paddr(access.address),
-                                          access.width)
-                    if misses:
-                        missed = True
-                    penalty = misses * miss_penalty
-                    if access.crosses_line(line_size):
-                        penalty += split_penalty
-                    if access.is_write:
-                        write_misses += misses
-                        ann.write_accesses.append((access.address,
-                                                   access.width))
-                    else:
-                        read_misses += misses
-                        ann.read_accesses.append((access.address,
-                                                  access.width, penalty))
-                annotations.append(ann)
-            if i >= t and not missed:
-                streak += 1
-                if streak >= q and i + 1 < unroll:
-                    simulated = i + 1
-                    break
-            else:
-                streak = 0
-
-        for index in range(simulated * block_len, unroll * block_len):
-            src = annotations[index - q * block_len]
-            annotations.append(InstrAnnotation(
-                div_class=src.div_class, subnormal=src.subnormal,
-                read_accesses=src.read_accesses,
-                write_accesses=src.write_accesses))
-
-        return (annotations, read_misses, write_misses,
-                unroll - simulated, warmup_fixed)
+        annotations: List[InstrAnnotation] = []
+        append_ann = annotations.append
+        for event in events:
+            ann = InstrAnnotation(div_class=event.div_class,
+                                  subnormal=event.subnormal)
+            for access in event.accesses:
+                misses = access_range(paddr(access.address),
+                                      access.width)
+                penalty = misses * miss_penalty
+                if access.crosses_line(line_size):
+                    penalty += split_penalty
+                if access.is_write:
+                    write_misses += misses
+                    ann.write_accesses.append((access.address,
+                                               access.width))
+                else:
+                    read_misses += misses
+                    ann.read_accesses.append((access.address,
+                                              access.width, penalty))
+            append_ann(ann)
+        return annotations, read_misses, write_misses
 
     def _split_line_annotations(self, events: Sequence[InstrEvent],
                                 annotations: List[InstrAnnotation]
@@ -359,7 +244,7 @@ class Machine:
         """The pricing of a trace whose L1D can never evict, in one
         pass and without the LRU; ``None`` when it could evict.
 
-        Exact, with no periodicity witness, because:
+        Exact because:
 
         * the set index is made of page-offset bits, so one physical
           frame puts at most ``ceil(4096 / (sets * line_size))`` lines
@@ -403,11 +288,10 @@ class Machine:
             block, unroll, annotations)
         checkpoint = cut if cut < unroll and not l1i_misses else None
         return Pricing(
-            key=self.pricing_key, unroll=unroll, fast=True,
-            periodic=False, annotations=annotations,
+            key=self.pricing_key, unroll=unroll, annotations=annotations,
             read_misses=0, write_misses=0, l1i_misses=l1i_misses,
             misaligned=head_misaligned + tail_misaligned,
-            replicated=0, checkpoint=checkpoint,
+            checkpoint=checkpoint,
             checkpoint_misaligned=0 if checkpoint is None
             else head_misaligned)
 
@@ -470,45 +354,27 @@ class Machine:
 
         With the fast path on, a trace whose L1D can never evict (the
         frames ``memory`` maps fit every set, as in the default
-        single-physical-page mode) is priced in one pass with no LRU,
-        no physical-address translation and no periodicity witness
+        single-physical-page mode) is priced in one pass with no LRU
+        and no physical-address translation
         (:meth:`_price_without_eviction`).  Every other trace goes
-        through both LRU passes, which stop early only on a witness;
-        with the fast path off or ``keep_records``, always in full.
+        through both LRU passes in full, and gets no checkpoint.
         """
         if len(trace) != unroll * len(block):
             raise ValueError("trace does not match block × unroll")
-        fast = simcore.enabled() and not keep_records
-        if fast:
+        if simcore.enabled() and not keep_records:
             pricing = self._price_without_eviction(
                 block, unroll, trace, memory, checkpoint_unroll)
             if pricing is not None:
                 return pricing
-        steady = detect_event_periodicity(trace) if fast else None
-        (annotations, read_misses, write_misses, replicated,
-         warmup_fixed) = self._data_cache_annotations(
-             trace, memory, steady=steady)
+        annotations, read_misses, write_misses = \
+            self._data_cache_annotations(trace, memory)
         l1i_misses = self._instruction_cache_annotations(
             block, unroll, annotations)
-        checkpoint = None
-        if fast and checkpoint_unroll and steady is not None \
-                and 0 < checkpoint_unroll < unroll and not l1i_misses:
-            q = steady[1]
-            simulated = unroll - replicated
-            if (unroll - checkpoint_unroll) % q == 0 \
-                    and warmup_fixed <= checkpoint_unroll \
-                    and simulated <= checkpoint_unroll:
-                checkpoint = checkpoint_unroll
-        line_size = self.desc.l1d.line_size
         return Pricing(
-            key=self.pricing_key, unroll=unroll, fast=fast,
-            periodic=steady is not None, annotations=annotations,
+            key=self.pricing_key, unroll=unroll, annotations=annotations,
             read_misses=read_misses, write_misses=write_misses,
             l1i_misses=l1i_misses,
-            misaligned=trace.misaligned_count(line_size),
-            replicated=replicated, checkpoint=checkpoint,
-            checkpoint_misaligned=0 if checkpoint is None else
-            trace.prefix(checkpoint).misaligned_count(line_size))
+            misaligned=trace.misaligned_count(self.desc.l1d.line_size))
 
     def run(self, block: BasicBlock, unroll: int, trace: ExecutionTrace,
             memory: VirtualMemory, reps: int = 16,
@@ -522,9 +388,7 @@ class Machine:
 
         The scheduler always simulates all ``unroll`` iterations.  With
         the fast path on, only the pricing is cut short: a trace whose
-        L1D cannot evict skips the LRU (:meth:`price`), and otherwise
-        the L1D annotation pass may stop early and replicate its tail
-        (see :meth:`_data_cache_annotations`).
+        L1D cannot evict skips the LRU (:meth:`price`).
 
         ``pricing`` is the :meth:`price` of this very trace (the
         ``pricing`` of an earlier run on it), made by a machine with an
@@ -535,41 +399,26 @@ class Machine:
         ``checkpoint_unroll`` (fast path only) asks for a second,
         synthesized result at a smaller unroll factor, derived from
         the same simulation pass — the combined two-factor run.  It is
-        honoured (``RunResult.checkpoint``) only when provably exact,
-        in one of two cases.  Either the L1D cannot evict (the mapped
-        frames fit every set, see :meth:`_price_without_eviction`) and
-        the unrolled footprint fits L1I: both miss counts are then 0
-        at either factor, and the checkpoint trace's annotations are a
-        prefix of this trace's.  Or, on a trace that could evict:
-
-        * the trace is event-periodic with period ``q`` and the L1D
-          warm-up pass reached its all-hit fixed point within the
-          checkpoint prefix, so the cache state entering the timed
-          pass is the checkpoint run's own warm-up state advanced by
-          ``unroll - checkpoint`` all-hit iterations;
-        * ``(unroll - checkpoint) % q == 0`` — whole all-hit periods
-          leave the LRU recency order (hence every later decision)
-          unchanged, so that advance is the identity;
-        * the timed pass went all-hit before the checkpoint, so both
-          runs see the same miss totals; and
-        * the unrolled footprint fits L1I (no fetch stalls at either
-          factor).
-
-        Under those conditions the annotation prefix is bit-identical
-        and the (online) scheduler's state at the checkpoint equals
-        the standalone run's final state; noise is drawn from a fresh
-        per-(block, unroll) RNG, so the samples match byte-for-byte.
+        honoured (``RunResult.checkpoint``) only when provably exact:
+        the L1D cannot evict (the mapped frames fit every set, see
+        :meth:`_price_without_eviction`) and the unrolled footprint
+        fits L1I.  Both miss counts are then 0 at either factor, and
+        the checkpoint trace's annotations are a prefix of this
+        trace's, so the (online) scheduler's state at the checkpoint
+        equals the standalone run's final state; noise is drawn from a
+        fresh per-(block, unroll) RNG, so the samples match
+        byte-for-byte.  A trace whose L1D can evict gets no
+        checkpoint: each factor is scheduled on its own, as with the
+        fast path off.
         """
         if pricing is None or pricing.key != self.pricing_key:
             pricing = self.price(block, unroll, trace, memory,
                                  keep_records, checkpoint_unroll)
         elif pricing.unroll != unroll:
             raise ValueError("pricing does not match the unroll factor")
-        fast = pricing.fast
         read_misses = pricing.read_misses
         write_misses = pricing.write_misses
         l1i_misses = pricing.l1i_misses
-        replicated = pricing.replicated
         checkpoint = pricing.checkpoint
         schedule = self.scheduler.schedule(block, unroll,
                                            pricing.annotations,
@@ -582,15 +431,6 @@ class Machine:
             l1i_misses=l1i_misses,
             misaligned_mem_refs=pricing.misaligned,
         )
-        fastpath: Dict[str, int] = {}
-        periodic = 1 if pricing.periodic else 0
-        if fast:
-            fastpath = {
-                "attempted": 1,
-                "trace_periodic": periodic,
-                "ann_replicated": replicated,
-                "extrapolated": 1 if replicated else 0,
-            }
         checkpoint_result = None
         if checkpoint is not None \
                 and schedule.checkpoint_cycles is not None:
@@ -605,14 +445,10 @@ class Machine:
             cp_rng = self._rng(block, checkpoint)
             cp_samples = [self._perturb(cp_base, cp_rng)
                           for _ in range(reps)]
-            cp_replicated = max(0, checkpoint - (unroll - replicated))
             checkpoint_result = RunResult(
                 samples=cp_samples,
                 schedule=ScheduleResult(cycles=cp_cycles, records=[]),
-                base_cycles=cp_cycles,
-                fastpath={"attempted": 1, "trace_periodic": periodic,
-                          "ann_replicated": cp_replicated,
-                          "checkpointed": 1, "extrapolated": 1})
+                base_cycles=cp_cycles)
         rng = self._rng(block, unroll)
         samples = [self._perturb(base, rng) for _ in range(reps)]
         if telemetry.is_enabled():
@@ -626,13 +462,6 @@ class Machine:
             telemetry.count("machine.l1d_write_misses", write_misses)
             telemetry.count("machine.l1i_misses", l1i_misses)
             telemetry.observe("machine.cycles_per_run", schedule.cycles)
-            if fast:
-                if fastpath["extrapolated"]:
-                    telemetry.count("simcore.runs_extrapolated")
-                    telemetry.count("simcore.iterations_skipped",
-                                    replicated)
-                else:
-                    telemetry.count("simcore.runs_full")
             if checkpoint_result is not None:
                 # Mirror what a standalone run at the checkpoint
                 # factor would have recorded, so machine.* telemetry
@@ -650,10 +479,9 @@ class Machine:
                                 write_misses)
                 telemetry.observe("machine.cycles_per_run",
                                   checkpoint_result.base_cycles)
-                telemetry.count("simcore.runs_extrapolated")
                 telemetry.count("simcore.checkpointed_runs")
         return RunResult(samples=samples, schedule=schedule,
-                         base_cycles=schedule.cycles, fastpath=fastpath,
+                         base_cycles=schedule.cycles,
                          checkpoint=checkpoint_result, pricing=pricing)
 
     def _rng(self, block: BasicBlock, unroll: int) -> random.Random:

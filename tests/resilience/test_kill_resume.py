@@ -35,7 +35,7 @@ CASES = [
     pytest.param("haswell", 2, {}, id="haswell-pooled"),
     pytest.param("skylake", 2, {}, id="skylake-pooled"),
     pytest.param("haswell", 1,
-                 {"REPRO_NO_FASTPATH": "1", "REPRO_NO_BLOCKPLAN": "1"},
+                 {"REPRO_NO_FASTPATH": "1"},
                  id="haswell-serial-slowpaths"),
     # Streamed legs: the generator is killed mid-stream, and the
     # resumed streamed run must reproduce the baseline bytes from the

@@ -18,6 +18,7 @@ from repro.runtime.executor import Executor
 from repro.runtime.memory import (PAGE_SIZE, PhysicalPage,
                                   VirtualMemory, page_of)
 from repro.runtime.state import MachineState
+from repro.simcore import config as simcore
 
 from tests.runtime.helpers import Harness
 
@@ -197,16 +198,18 @@ def test_arithmetic_fault_identical_through_fallback():
 # ---------------------------------------------------------------------------
 
 def test_env_var_disables_blockplan(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_BLOCKPLAN", "1")
-    blockplan.set_enabled(None)  # defer to the environment
-    try:
-        assert not blockplan.enabled()
-        monkeypatch.setenv("REPRO_NO_BLOCKPLAN", "0")
+    """Plans follow the one oracle switch, ``REPRO_NO_FASTPATH``, and
+    ``blockplan.forced`` still isolates the plan tier under it."""
+    monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+    assert not blockplan.enabled()
+    with blockplan.forced(True):
         assert blockplan.enabled()
-        monkeypatch.delenv("REPRO_NO_BLOCKPLAN")
-        assert blockplan.enabled()
-    finally:
-        blockplan.set_enabled(None)
+        assert not simcore.enabled()
+    assert not blockplan.enabled()
+    monkeypatch.setenv("REPRO_NO_FASTPATH", "0")
+    assert blockplan.enabled()
+    monkeypatch.delenv("REPRO_NO_FASTPATH")
+    assert blockplan.enabled()
 
 
 def test_forced_restores_previous_setting():

@@ -4,8 +4,8 @@ Block-compiled execution plans (``repro.runtime.plan``) promise the
 same contract as the simulation-core fast path: *bit-for-bit*
 identical profiles, only produced faster.  The same corpora are
 profiled with plans forced on and forced off — serially and through
-the 2-worker pool (via ``REPRO_NO_BLOCKPLAN``, which workers inherit)
-— on every microarchitecture, and compared after JSON serialisation.
+the 2-worker pool (forked workers inherit ``blockplan.forced``) — on
+every microarchitecture, and compared after JSON serialisation.
 
 The informational ``blockplan_compiled`` tally is deliberately
 *excluded* from the comparison payload (it reports that plans were
@@ -33,14 +33,12 @@ def _payload(profile) -> str:
 
 
 @pytest.mark.parametrize("uarch", UARCHES)
-def test_blockplan_bit_identical_serial_and_pool(uarch, monkeypatch):
+def test_blockplan_bit_identical_serial_and_pool(uarch):
     corpus = build_application("llvm", count=18, seed=5)
-    monkeypatch.setenv("REPRO_NO_BLOCKPLAN", "1")
     with blockplan.forced(False):
         interpreted = profile_corpus_detailed(corpus, uarch, seed=5)
         pool_off = profile_corpus_sharded(corpus, uarch, seed=5,
                                           jobs=2, shard_size=8)
-    monkeypatch.delenv("REPRO_NO_BLOCKPLAN")
     with blockplan.forced(True):
         compiled = profile_corpus_detailed(corpus, uarch, seed=5)
         pool_on = profile_corpus_sharded(corpus, uarch, seed=5,
@@ -84,21 +82,3 @@ def test_blockplan_identical_with_fastpath_off():
                                                seed=3)
     assert _payload(interpreted) == _payload(compiled)
 
-
-def test_cli_flag_exports_env(monkeypatch, tmp_path, capsys):
-    """``--no-blockplan`` exports the env var so workers inherit it."""
-    from repro.cli import main
-    import os
-    monkeypatch.delenv("REPRO_NO_BLOCKPLAN", raising=False)
-    block = tmp_path / "block.s"
-    block.write_text("add %rax, %rbx\n")
-    assert main(["profile", str(block), "--no-blockplan"]) == 0
-    assert os.environ.get("REPRO_NO_BLOCKPLAN") == "1"
-    # Plain pop, not monkeypatch.delenv: the CLI set this var *during*
-    # the test, so delenv here would record "1" as the original value
-    # and leak it back into the environment at teardown.
-    os.environ.pop("REPRO_NO_BLOCKPLAN", None)
-    assert main(["profile", str(block)]) == 0
-    assert "REPRO_NO_BLOCKPLAN" not in os.environ
-    out = capsys.readouterr().out
-    assert out.count("throughput:") == 2

@@ -23,6 +23,7 @@ from repro.corpus.dataset import build_application
 from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import profile_corpus_sharded
 from repro.profiler.harness import BasicBlockProfiler, ProfilerConfig
+from repro.runtime import blockplan
 from repro.simcore import config as simcore
 from repro.uarch.machine import Machine
 
@@ -83,13 +84,13 @@ def test_vector_corpus_identical(uarch):
 def test_paper_unroll_factors_identical_per_measurement():
     """At the paper's unroll 100/200 every per-unroll counter agrees.
 
-    This exercises scheduler fixed-point extrapolation and the
+    This exercises the executor's steady-state extrapolation and the
     combined two-factor run with its u1 checkpoint at long unrolls.
     Every page sits on one physical frame here, so the L1D cannot
-    evict and each checkpoint is certified without the LRU; the
-    annotation early exit with remainder replay runs only on traces
-    that can evict, and
-    ``test_no_eviction.py::TestWitnessPathAfterBailOut`` covers it.
+    evict and each checkpoint is certified without the LRU; traces
+    that can evict take both LRU passes and no checkpoint, and
+    ``test_no_eviction.py::TestEvictableTraces`` holds
+    them to the oracle.
     """
     import os
     path = os.path.join(os.path.dirname(__file__), "..", "data",
@@ -125,24 +126,48 @@ def test_dedup_returns_identical_results_for_repeats():
 
 
 def test_env_var_disables_fastpath(monkeypatch):
+    """``REPRO_NO_FASTPATH`` is the one oracle switch: with no
+    override it turns off the fast path and block plans alike.  The
+    plan tier's own reading of it is pinned in
+    ``tests/runtime/test_blockplan.py``."""
     monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    simcore.set_enabled(None)  # defer to the environment
-    try:
-        assert not simcore.enabled()
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "0")
-        assert simcore.enabled()
-        monkeypatch.delenv("REPRO_NO_FASTPATH")
-        assert simcore.enabled()
-    finally:
-        simcore.set_enabled(None)
+    assert not simcore.enabled()
+    assert not blockplan.enabled()
+    monkeypatch.setenv("REPRO_NO_FASTPATH", "0")
+    assert simcore.enabled()
+    monkeypatch.delenv("REPRO_NO_FASTPATH")
+    assert simcore.enabled()
+
+
+def test_env_var_reaches_pool_workers(monkeypatch):
+    """Forked workers inherit the switch: a pooled profile under it
+    runs no compiled plan."""
+    monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+    corpus = build_application("llvm", count=10, seed=5)
+    pooled = profile_corpus_sharded(corpus, "haswell", seed=5, jobs=2,
+                                    shard_size=5)
+    assert pooled.funnel["accepted"] > 0
+    assert "blockplan_compiled" not in pooled.info
+    assert "fastpath_extrapolated" not in pooled.info
 
 
 def test_cli_flag_exports_env(monkeypatch, tmp_path, capsys):
-    """``--no-fastpath`` exports the env var so workers inherit it."""
+    """``--no-fastpath`` exports the env var so workers inherit it,
+    and runs the reference: same throughput, no tier in ``extra``."""
+    import repro.profiler
     from repro.cli import main
     monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
     block = tmp_path / "block.s"
-    block.write_text("add %rax, %rbx\n")
+    block.write_text("add %rax, %rbx\nimul %rcx, %rbx\n")
+    extras = []
+    profile_block = repro.profiler.profile_block
+
+    def spy(*args, **kwargs):
+        result = profile_block(*args, **kwargs)
+        extras.append(result.extra)
+        return result
+
+    monkeypatch.setattr(repro.profiler, "profile_block", spy)
     import os
     assert main(["profile", str(block), "--no-fastpath"]) == 0
     assert os.environ.get("REPRO_NO_FASTPATH") == "1"
@@ -152,5 +177,8 @@ def test_cli_flag_exports_env(monkeypatch, tmp_path, capsys):
     os.environ.pop("REPRO_NO_FASTPATH", None)
     assert main(["profile", str(block)]) == 0
     assert "REPRO_NO_FASTPATH" not in os.environ
-    out = capsys.readouterr().out
-    assert out.count("throughput:") == 2
+    oracle, fast = capsys.readouterr().out.split("throughput:")[1:]
+    assert oracle.split()[0] == fast.split()[0]
+    assert extras[0] == {}
+    assert extras[1] == {"fastpath_extrapolated": 1.0,
+                         "blockplan_compiled": 1.0}

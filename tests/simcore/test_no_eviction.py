@@ -2,10 +2,10 @@
 
 A trace whose L1D can never evict (the frames its memory maps fit
 every set, as in the default single-physical-page mode) is priced in
-one pass, with no LRU, no periodicity witness and a checkpoint
-certified from that fact alone.  Every other trace keeps the two LRU
-passes and the witness path (early exits, tail replication, remainder
-replay, witness certification), and both must equal full simulation.
+one pass, with no LRU and a checkpoint certified from that fact
+alone.  Every other trace is priced by the two full LRU passes and
+gets no checkpoint, and both must equal the oracle: full simulation
+with the fast path off.
 """
 
 import pytest
@@ -20,7 +20,6 @@ from repro.profiler.mapping import map_pages
 from repro.runtime.executor import Executor
 from repro.runtime.state import INIT_CONSTANT
 from repro.simcore import config as simcore
-from repro.simcore.periodicity import detect_event_periodicity
 from repro.uarch.caches import CacheModel, never_evicts
 from repro.uarch.descriptor import CacheGeometry
 from repro.uarch.machine import Machine
@@ -28,7 +27,7 @@ from repro.uarch.machine import Machine
 from tests.simcore.test_differential import _fingerprint
 
 #: A streaming AVX2/FMA kernel: its pointer moves every iteration, so
-#: its trace has no periodicity witness.
+#: no iteration of its trace repeats an earlier one.
 STREAMING = ("vmovups (%rdi), %ymm0\n"
              "vfmadd231ps 32(%rdi), %ymm0, %ymm1\n"
              "add $64, %rdi")
@@ -111,10 +110,6 @@ def test_the_rule_at_its_boundary(geometry, frames):
 
 
 class TestNoWitnessNeeded:
-    def test_streaming_kernel_has_no_witness(self):
-        _block, trace, _memory = mapped_trace(STREAMING, 32)
-        assert detect_event_periodicity(trace) is None
-
     def test_profile_schedules_once_per_uarch(self, lru_calls):
         machine = Machine("haswell")
         calls = schedule_spy(machine)
@@ -129,10 +124,9 @@ class TestNoWitnessNeeded:
         assert fast.extra.get("fastpath_extrapolated") == 1.0
 
     def test_checkpoint_reports_no_witness(self):
+        # The checkpoint is certified with no steady witness at all.
         fast = timed(STREAMING, 32, True, True, checkpoint_unroll=16)
         assert fast.pricing.checkpoint == 16
-        assert fast.checkpoint.fastpath["trace_periodic"] == 0
-        assert fast.fastpath["ann_replicated"] == 0
         assert fast.samples == timed(STREAMING, 32, True, False).samples
         assert fast.checkpoint.samples == \
             timed(STREAMING, 16, True, False).samples
@@ -143,51 +137,50 @@ class TestNoWitnessNeeded:
         assert len(memory.physical_pages) == L1D.ways
         fast = timed(text, 16, False, True)
         assert lru_calls == []
-        assert fast.fastpath["trace_periodic"] == 0
         assert fast.samples == timed(text, 16, False, False).samples
 
 
-class TestWitnessPathAfterBailOut:
+class TestEvictableTraces:
+    """Traces whose L1D can evict: both LRU passes, no checkpoint,
+    and the oracle's bytes."""
+
     def test_more_frames_than_ways_take_the_lru(self, lru_calls):
         text = pages_block(range(L1D.ways + 1))
         _block, _trace, memory = mapped_trace(text, 32, False)
         assert len(memory.physical_pages) == L1D.ways + 1
         fast = timed(text, 32, False, True, checkpoint_unroll=16)
         assert lru_calls
-        assert fast.fastpath["trace_periodic"] == 1
-        assert fast.fastpath["ann_replicated"] > 0
-        assert fast.checkpoint is not None
-        assert fast.checkpoint.fastpath["trace_periodic"] == 1
+        # Asked for a checkpoint, an evictable trace gets none; each
+        # factor is timed on its own and equals a standalone oracle run.
+        assert fast.pricing.checkpoint is None
+        assert fast.checkpoint is None
         assert fast.samples == timed(text, 32, False, False).samples
-        assert fast.checkpoint.samples == \
+        assert timed(text, 16, False, True).samples == \
             timed(text, 16, False, False).samples
 
     def test_profile_equals_the_slow_path(self):
         config = ProfilerConfig(
             environment=EnvironmentConfig(single_physical_page=False))
         text = pages_block(range(L1D.ways + 2))
-        results = []
-        for fast in (True, False):
-            with simcore.forced(fast):
-                results.append(BasicBlockProfiler(
-                    Machine("haswell"), config).profile(text))
-        assert results[0].ok
-        assert _fingerprint(results[0]) == _fingerprint(results[1])
-
-    def test_remainder_replay_on_a_period_two_trace(self):
-        # ``xor $64`` flips the base between two lines every
-        # iteration: period 2, and an odd unroll leaves a remainder
-        # of one iteration after the warm-up fixed point.
-        text = pages_block(range(L1D.ways + 2)) + "\nxor $64, %rdi"
+        machine = Machine("haswell")
+        calls = schedule_spy(machine)
         with simcore.forced(True):
-            block, trace, memory = mapped_trace(text, 15, False)
-            assert detect_event_periodicity(trace) == (0, 2)
-            machine = Machine("haswell")
-            witnessed = machine._data_cache_annotations(
-                trace, memory, steady=(0, 2))
-            full = machine._data_cache_annotations(trace, memory)
-        assert witnessed[3] > 0  # replicated a tail
-        assert witnessed[:3] == full[:3]
+            fast = BasicBlockProfiler(machine, config).profile(text)
+        with simcore.forced(False):
+            slow = BasicBlockProfiler(Machine("haswell"),
+                                      config).profile(text)
+        assert fast.ok
+        # No checkpoint: each factor is scheduled on its own, as the
+        # oracle schedules it.
+        u1, u2 = (m.unroll for m in fast.measurements)
+        assert calls == [(u2, None), (u1, None)]
+        assert "fastpath_extrapolated" not in fast.extra
+        assert _fingerprint(fast) == _fingerprint(slow)
+
+    def test_period_two_trace_at_an_odd_unroll(self):
+        # ``xor $64`` flips the base between two lines every
+        # iteration: period 2, and the odd unroll ends mid-period.
+        text = pages_block(range(L1D.ways + 2)) + "\nxor $64, %rdi"
         assert timed(text, 15, False, True).samples == \
             timed(text, 15, False, False).samples
 
@@ -208,14 +201,13 @@ class TestWitnessPathAfterBailOut:
         assert slow.samples[0].l1d_read_misses > 0
         assert fast.samples == slow.samples
 
-    def test_the_same_frames_without_the_crossing_skip_the_lru(
-            self, lru_calls):
+    def test_the_same_frames_uncrossed_skip_the_lru(self, lru_calls):
         text = "\n".join(self.EIGHT_PAGES)
         fast = timed(text, 16, False, True)
         assert lru_calls == []
         assert fast.samples == timed(text, 16, False, False).samples
 
-    def test_table2_page_mapping_stage_equals_the_slow_path(self):
+    def test_table2_page_mapping_equals_the_slow_path(self):
         config = relaxed(config_for_stage(AblationStage.PAGE_MAPPING))
         block = tensorflow_ablation_block()
         results = []

@@ -102,7 +102,7 @@ class TestFiveCachesInReport:
         telemetry.enable()
         corpus = build_application("llvm", count=6, seed=3)
         # Page-cache stats only accrue on the block-plan fast path;
-        # force it on so an ambient REPRO_NO_BLOCKPLAN can't starve
+        # force it on so an ambient REPRO_NO_FASTPATH can't starve
         # the counters.
         with blockplan.forced(True):
             profile_corpus_detailed(corpus, "haswell", seed=3)
