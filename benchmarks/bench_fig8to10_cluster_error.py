@@ -19,7 +19,8 @@ FIG_NAME = {"ivybridge": "fig8_ivb_cluster_error",
 @pytest.mark.parametrize("uarch", UARCHES)
 def test_per_cluster_error(benchmark, experiment, report, uarch):
     val = experiment.validation(uarch)
-    per_cat = {model: val.per_category_error(model)
+    per_cat = {model: val.per_category_error(model,
+                                             experiment.categories)
                for model in val.model_names}
     categories = sorted({c for errs in per_cat.values() for c in errs
                          if c is not None})
@@ -29,7 +30,7 @@ def test_per_cluster_error(benchmark, experiment, report, uarch):
     report(FIG_NAME[uarch], grouped_bar_chart(
         chart, title=f"Figs. 8-10 — per-category error on {uarch}"))
 
-    benchmark(val.per_category_error, "IACA")
+    benchmark(val.per_category_error, "IACA", experiment.categories)
 
 
 def test_headline_vectorized_claim(experiment, report):

@@ -17,6 +17,10 @@ exactly the operations a fit of its own would run.  A restart leaves
 the stack when its own ``tol`` test passes, and a single fit is the
 ``R = 1`` case.  Each model's initial γ (a ``seed + 1`` generator) is
 drawn once per fit and reused by every outer iteration.
+
+``scipy.special`` is imported by the first fit, not with this module:
+the Table V pipeline and every Ithemal feature vector's port mapper
+import ``repro.classify`` without fitting LDA.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import digamma
 
 from repro import telemetry
 
@@ -46,6 +49,7 @@ class LdaConfig:
 
 def _exp_elog(x: np.ndarray) -> np.ndarray:
     """exp(E[log p]) under Dirichlet(x), along the last axis."""
+    from scipy.special import digamma  # scipy loads with the first fit
     return np.exp(digamma(x) - digamma(x.sum(-1, keepdims=True)))
 
 

@@ -27,7 +27,6 @@ from repro.models.ithemal import IthemalModel
 from repro.models.llvm_mca import LlvmMcaModel
 from repro.models.osaca import OsacaModel
 from repro.parallel import DEFAULT_SHARD_SIZE, profile_corpus_sharded
-from repro.parallel.forked import Forked
 from repro.parallel.shard_cache import result_store
 
 
@@ -67,8 +66,8 @@ class Experiment:
     _corpus: Optional[Corpus] = field(default=None, repr=False)
     _classification: Optional[ClassifierResult] = field(default=None,
                                                         repr=False)
-    #: LDA forked beside the first row's profiling, not yet collected.
-    _classifying: Optional[Forked] = field(default=None, repr=False)
+    _categories: Optional[Dict[int, int]] = field(default=None,
+                                                  repr=False)
     _measured: Dict[str, Dict[int, float]] = field(default_factory=dict,
                                                    repr=False)
     _funnels: Dict[str, Dict] = field(default_factory=dict, repr=False)
@@ -104,17 +103,25 @@ class Experiment:
 
     @property
     def classification(self) -> ClassifierResult:
-        """LDA categories of the corpus; collects a forked fit
-        (:meth:`validation`) if one is pending."""
+        """LDA categories of the corpus, fitted in process on the
+        first read."""
         if self._classification is None:
             with profiling.phase("classify"), \
                     telemetry.span("experiment.classify") as sp:
-                pending, self._classifying = self._classifying, None
-                self._classification = pending.result() \
-                    if pending is not None \
-                    else classify_blocks(self.corpus.blocks)
+                self._classification = classify_blocks(self.corpus.blocks)
                 sp.annotate(blocks=len(self.corpus))
         return self._classification
+
+    @property
+    def categories(self) -> Dict[int, int]:
+        """Block id -> Table IV category, for
+        :meth:`ValidationResult.per_category_error`.  Only its readers
+        pay for LDA: no Table V row depends on a category."""
+        if self._categories is None:
+            self._categories = {
+                record.block_id: category for record, category in
+                zip(self.corpus.records, self.classification.categories)}
+        return self._categories
 
     @property
     def models(self) -> List[CostModel]:
@@ -207,30 +214,17 @@ class Experiment:
         covering stage timings, cache behaviour, and the coverage
         funnel.
 
-        With ``jobs > 1``, LDA (which needs only the corpus) runs in a
-        forked worker while the first row profiles, and the static
-        models predict in one while the parent trains Ithemal
-        (docs/parallel.md, "The model half in the pool").
+        With ``jobs > 1`` the static models predict in a forked worker
+        while the parent trains Ithemal (docs/parallel.md, "The model
+        half in the pool").  No row reads a category, so this fits no
+        LDA (:attr:`categories`).
         """
         if uarch not in self._validations:
             with profiling.phase(f"validate:{uarch}"), \
                     telemetry.span("experiment.validate", uarch=uarch):
-                if self.jobs > 1 and self._classification is None \
-                        and self._classifying is None \
-                        and f"main:{uarch}" not in self._measured:
-                    self._classifying = Forked(
-                        classify_blocks, self.corpus.blocks,
-                        jobs=self.jobs)
-                    self.measured(uarch)
-                categories = {
-                    record.block_id: category
-                    for record, category in
-                    zip(self.corpus.records,
-                        self.classification.categories)
-                }
                 self._validations[uarch] = validate(
                     self.corpus, uarch, self.models, self.measured(uarch),
-                    categories=categories, jobs=self.jobs)
+                    jobs=self.jobs)
             if telemetry.is_enabled():
                 self.write_run_report(uarch)
         return self._validations[uarch]

@@ -37,7 +37,6 @@ class ValidationRow:
     block_id: int
     application: str
     frequency: int
-    category: Optional[int]
     measured: float
     predictions: Dict[str, Optional[float]] = field(default_factory=dict)
 
@@ -93,10 +92,12 @@ class ValidationResult:
         return self._grouped_error(
             model, lambda r: r.application, weighted)
 
-    def per_category_error(self, model: str,
+    def per_category_error(self, model: str, categories: Dict[int, int],
                            weighted: bool = False) -> Dict[int, float]:
+        """Figs. 8-10: error per block category, ``categories`` mapping
+        block id to category (:attr:`Experiment.categories`)."""
         return self._grouped_error(
-            model, lambda r: r.category, weighted)
+            model, lambda r: categories.get(r.block_id), weighted)
 
     def coverage(self, model: str) -> float:
         """Fraction of rows the model produced a prediction for."""
@@ -146,7 +147,6 @@ def _split(models: List[CostModel], jobs: int) -> List[List[CostModel]]:
 def validate(corpus: Corpus, uarch: str,
              models: Sequence[CostModel],
              measured: Dict[int, float],
-             categories: Optional[Dict[int, int]] = None,
              train_fraction: float = 0.5,
              jobs: int = 1) -> ValidationResult:
     """Run the full §V protocol on one microarchitecture.
@@ -202,7 +202,6 @@ def validate(corpus: Corpus, uarch: str,
                     block_id=record.block_id,
                     application=record.application,
                     frequency=record.frequency,
-                    category=(categories or {}).get(record.block_id),
                     measured=measured[record.block_id],
                     predictions={model.name: columns[model.name][i]
                                  for model in models})

@@ -116,7 +116,7 @@ class TestProjectionAlgebra:
             rows.append(ValidationRow(
                 block_id=record.block_id,
                 application=record.application,
-                frequency=record.frequency, category=None,
+                frequency=record.frequency,
                 measured=2.0,
                 predictions={"m": 2.0 * (1.0 + per_cell[cell])}))
         counts = {cell_a: n_a, cell_b: n_b}
@@ -134,7 +134,7 @@ class TestProjectionAlgebra:
         records = corpus.records[:60]
         rows = [ValidationRow(block_id=r.block_id,
                               application=r.application,
-                              frequency=r.frequency, category=None,
+                              frequency=r.frequency,
                               measured=2.0,
                               predictions={"m": 2.0 + 0.01
                                            * (r.block_id % 13)})
@@ -154,7 +154,7 @@ class TestProjectionAlgebra:
         records = corpus.records[:30]
         rows = [ValidationRow(block_id=r.block_id,
                               application=r.application,
-                              frequency=r.frequency, category=None,
+                              frequency=r.frequency,
                               measured=1.0, predictions={"m": 1.1})
                 for r in records]
         projection = sampling.project_validation(

@@ -1,12 +1,13 @@
-"""The model half in the pool: forked static predictions and LDA.
+"""The model half in the pool: forked static predictions.
 
-With ``jobs > 1`` an :class:`Experiment` forks LDA beside its first
-row's profiling, and ``validate`` forks the static models' predictions
-while the parent trains and runs Ithemal.  Every row, the
-classification and Ithemal's weights must equal a serial run's, a dead
-worker must cost only a call in process, ``jobs=1`` must fork nothing,
-the counters must add up as serially, and no thread may be alive in
-the parent when anything forks.
+With ``jobs > 1`` ``validate`` forks the static models' predictions
+while the parent trains and runs Ithemal, and no Table V row fits LDA:
+an :class:`Experiment` classifies its corpus in process when something
+reads its categories.  Every row, the categories and Ithemal's weights
+must equal a serial run's, a dead worker must cost only a call in
+process, ``jobs=1`` must fork nothing, the counters must add up as
+serially, and no thread may be alive in the parent when anything
+forks.
 """
 
 import json
@@ -18,9 +19,12 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.classify import classify_blocks
+from repro.classify.lda import LatentDirichletAllocation
 from repro.corpus import build_application
 from repro.corpus.dataset import BlockRecord, Corpus
-from repro.eval import pipeline, validation
+from repro.eval import validation
+from repro.eval.metrics import average_error
 from repro.eval.pipeline import UARCHES, Experiment
 from repro.eval.validation import profile_corpus, validate
 from repro.isa.parser import parse_block
@@ -39,7 +43,7 @@ def _models():
 
 
 def _rows(result):
-    return [(row.block_id, row.category, row.measured, row.predictions)
+    return [(row.block_id, row.measured, row.predictions)
             for row in result.rows]
 
 
@@ -54,9 +58,10 @@ def _weights_crc(model: IthemalModel) -> int:
 
 
 def _suite(jobs: int, seed: int, cache: str, forks=None):
-    """Every uarch's rows, the classification and Ithemal's weights
-    from one experiment over the store in ``cache``.  ``forks``, if
-    given, collects the parent's thread count at each fork."""
+    """Every uarch's rows, the categories, each uarch's per-category
+    errors and Ithemal's weights from one experiment over the store in
+    ``cache``.  ``forks``, if given, collects the parent's thread count
+    at each fork."""
     real_fork = os.fork
 
     def fork():
@@ -71,9 +76,14 @@ def _suite(jobs: int, seed: int, cache: str, forks=None):
         rows = {uarch: _rows(exp.validation(uarch)) for uarch in UARCHES}
         google = {app: _rows(exp.google_validation(app))
                   for app in ("spanner", "dremel")}
+        per_category = {
+            uarch: {model: exp.validation(uarch).per_category_error(
+                        model, exp.categories)
+                    for model in exp.validation(uarch).model_names}
+            for uarch in UARCHES}
     ithemal = next(m for m in exp.models if isinstance(m, IthemalModel))
-    return {"rows": rows, "google": google,
-            "categories": exp.classification.categories,
+    return {"rows": rows, "google": google, "corpus": exp.corpus,
+            "categories": exp.categories, "per_category": per_category,
             "doc_topics": exp.classification.doc_topics,
             "weights": _weights_crc(ithemal)}
 
@@ -104,18 +114,44 @@ class TestPooledEqualsSerial:
             assert pooled["rows"][uarch]
         assert pooled["google"] == serial["google"]
         assert pooled["categories"] == serial["categories"]
+        assert pooled["per_category"] == serial["per_category"]
         assert np.array_equal(pooled["doc_topics"], serial["doc_topics"])
         assert pooled["weights"] == serial["weights"]
 
     def test_no_thread_is_alive_across_a_fork(self, suites):
-        # LDA, the engine's pools and every row's model half forked.
+        # The engine's pools and every row's model half forked.
         assert len(suites["forks"]) > len(UARCHES) + 1
         assert set(suites["forks"]) == {suites["threads"]}
 
 
-def test_lda_and_static_models_leave_the_parent(tmp_path, monkeypatch):
-    """At ``jobs=2`` the parent neither fits LDA nor runs a static
-    model; at ``jobs=1`` it does both."""
+@pytest.mark.parametrize("store", ["serial", "cold"])
+def test_categories_are_lda_of_the_corpus(suites, store):
+    """``Experiment.categories`` is ``classify_blocks`` of the corpus
+    by block id, and ``per_category_error`` groups each uarch's rows
+    by it, at ``jobs`` 1 and 2."""
+    suite = suites[store]
+    corpus = suite["corpus"]
+    categories = dict(zip((r.block_id for r in corpus.records),
+                          classify_blocks(corpus.blocks).categories))
+    assert suite["categories"] == categories
+    for uarch in UARCHES:
+        rows = suite["rows"][uarch]
+        for model, errors in suite["per_category"][uarch].items():
+            pairs = {categories[block_id]: [] for block_id, _, _ in rows}
+            for block_id, measured, predictions in rows:
+                if predictions[model] is not None and measured > 0:
+                    pairs[categories[block_id]].append(
+                        (predictions[model], measured))
+            assert errors == {category: average_error(group)
+                              for category, group in pairs.items()}
+            assert len(errors) > 1, (uarch, model)
+
+
+def test_table_v_fits_no_lda_and_static_models_leave_the_parent(
+        tmp_path, monkeypatch):
+    """No Table V run fits LDA, at any ``jobs`` and in no process; at
+    ``jobs=2`` the parent runs no static model, and at ``jobs=1`` it
+    runs all three."""
     calls = []
 
     def spy(name, fn):
@@ -125,8 +161,11 @@ def test_lda_and_static_models_leave_the_parent(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pipeline, "classify_blocks",
-                        spy("lda", pipeline.classify_blocks))
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Table V run fitted LDA")
+
+    # A forked worker's AssertionError propagates from its result.
+    monkeypatch.setattr(LatentDirichletAllocation, "fit", refuse)
     for model in (IacaModel, LlvmMcaModel, OsacaModel):
         monkeypatch.setattr(model, "predict",
                             spy(model.name, model.predict))
@@ -137,7 +176,7 @@ def test_lda_and_static_models_leave_the_parent(tmp_path, monkeypatch):
         Experiment(scale=SCALE, seed=0, jobs=jobs).validation("haswell")
         seen[jobs] = set(calls)
     assert seen[2] == set()
-    assert seen[1] == {"lda", "IACA", "llvm-mca", "OSACA"}
+    assert seen[1] == {"IACA", "llvm-mca", "OSACA"}
 
 
 @pytest.fixture(scope="module")

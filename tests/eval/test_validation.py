@@ -56,9 +56,8 @@ class TestValidate:
     def test_per_category_grouping(self, tiny_corpus, measured):
         categories = {r.block_id: (r.block_id % 6) + 1
                       for r in tiny_corpus}
-        res = validate(tiny_corpus, "haswell", [IacaModel()], measured,
-                       categories=categories)
-        groups = res.per_category_error("IACA")
+        res = validate(tiny_corpus, "haswell", [IacaModel()], measured)
+        groups = res.per_category_error("IACA", categories)
         assert set(groups) <= set(range(1, 7))
 
     def test_kendall_tau_reasonable(self, result):
@@ -83,8 +82,8 @@ class TestValidationRowApi:
     def test_coverage_counts_missing_predictions(self):
         from repro.eval.validation import ValidationResult
         rows = [
-            ValidationRow(0, "a", 1, None, 2.0, {"M": 1.0}),
-            ValidationRow(1, "a", 1, None, 2.0, {"M": None}),
+            ValidationRow(0, "a", 1, 2.0, {"M": 1.0}),
+            ValidationRow(1, "a", 1, 2.0, {"M": None}),
         ]
         res = ValidationResult("haswell", rows, 1.0, ["M"])
         assert res.coverage("M") == 0.5

@@ -1,13 +1,15 @@
 """What importing and profiling load, checked in fresh interpreters.
 
-The evaluation stack needs scipy only for LDA's ``digamma``.  Kendall's
-tau and the topic-to-label assignment are computed in the repo, so
-``scipy.stats`` and ``scipy.optimize``, which would dominate start-up
-time and memory, stay unloaded.  The profiling path (``repro.parallel``
-and the profiler under it, which ``repro serve`` and ``repro corpus``
-run, result store included) needs no evaluation code, numpy or scipy
-at all.  No timing is asserted, only which modules a fresh interpreter
-ends up holding.
+The evaluation stack needs scipy only for LDA's ``digamma``, and
+imports it with LDA's first fit: importing the pipeline or the
+classifier, and a whole Table V run, which reads no category, load no
+scipy at all.  Kendall's tau and the topic-to-label assignment are
+computed in the repo, so ``scipy.stats`` and ``scipy.optimize``, which
+would dominate start-up time and memory, stay unloaded even then.  The
+profiling path (``repro.parallel`` and the profiler under it, which
+``repro serve`` and ``repro corpus`` run, result store included) needs
+no evaluation code, numpy or scipy at all.  No timing is asserted, only
+which modules a fresh interpreter ends up holding.
 """
 
 import json
@@ -48,6 +50,54 @@ def _loaded(script: str, modules, tmp_path) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+_TABLE_V = """
+from repro import telemetry
+from repro.eval.pipeline import UARCHES, Experiment
+from repro.telemetry.core import MemorySink
+
+sink = MemorySink()
+telemetry.enable(sink)
+exp = Experiment(scale=0.0001, seed=0, jobs={jobs})
+assert all(exp.validation(uarch).rows for uarch in UARCHES)
+spans = {{record.get("name") for record in sink.records}}
+assert "experiment.validate" in spans, spans
+assert not spans & {{"experiment.classify", "classify.lda"}}, spans
+"""
+
+_CLASSIFY_TWO_BLOCKS = """
+import sys
+from repro.classify import classify_blocks
+from repro.isa.parser import parse_block
+
+assert "scipy" not in sys.modules
+result = classify_blocks([parse_block("add $1, %rdi\\ncmp %rcx, %rdi"),
+                          parse_block("imul %rbx, %rax")])
+assert len(result.categories) == 2
+"""
+
+
+@pytest.mark.parametrize("module", ["repro.eval.pipeline",
+                                    "repro.classify",
+                                    "repro.classify.lda"])
+def test_pipeline_and_classifier_imports_load_no_scipy(module, tmp_path):
+    loaded = _loaded(f"import {module}", (module, "scipy"), tmp_path)
+    assert loaded == {module: True, "scipy": False}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_table_v_loads_no_scipy_and_classifies_nothing(jobs, tmp_path):
+    loaded = _loaded(_TABLE_V.format(jobs=jobs), ("scipy",), tmp_path)
+    assert loaded == {"scipy": False}
+
+
+def test_the_first_lda_fit_loads_scipy_special(tmp_path):
+    loaded = _loaded(_CLASSIFY_TWO_BLOCKS,
+                     ("scipy.special", "scipy.stats", "scipy.optimize"),
+                     tmp_path)
+    assert loaded == {"scipy.special": True, "scipy.stats": False,
+                      "scipy.optimize": False}
+
+
 def test_pipeline_import_leaves_scipy_stats_and_optimize_out(tmp_path):
     loaded = _loaded("import repro.eval.pipeline",
                      ("scipy.stats", "scipy.optimize"), tmp_path)
@@ -76,10 +126,11 @@ def test_corpus_measure_loads_no_eval_or_scipy(tmp_path):
     assert os.listdir(tmp_path / "cache") == ["results_0"]
 
 
-def test_the_store_through_the_pipeline_loads_eval_and_scipy(tmp_path):
+def test_the_store_through_the_pipeline_loads_eval_but_not_scipy(
+        tmp_path):
     loaded = _loaded("from repro.eval.pipeline import result_store\n"
                      "result_store(0)", ("repro.eval", "scipy"), tmp_path)
-    assert loaded == {"repro.eval": True, "scipy": True}
+    assert loaded == {"repro.eval": True, "scipy": False}
 
 
 @pytest.mark.parametrize("first, second", [
