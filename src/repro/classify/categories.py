@@ -178,6 +178,9 @@ def classify_blocks(blocks: Sequence[BasicBlock],
     models = [LatentDirichletAllocation(
                   replace(base, seed=base.seed + 101 * restart))
               for restart in range(max(1, n_restarts))]
+    # Loaded here, not by the first ``_exp_elog``, so the fit's
+    # ``classify.lda`` span times LDA and not scipy's import.
+    import scipy.special  # noqa: F401
     models[0].fit(counts, restarts=models[1:])
     best = None
     for lda in models:

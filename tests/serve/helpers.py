@@ -11,18 +11,27 @@ from repro.serve.daemon import ServeDaemon
 
 
 class DaemonHarness:
-    """Run a ServeDaemon on a background-thread event loop."""
+    """Run a ServeDaemon on a background-thread event loop.
 
-    def __init__(self, config):
+    With ``slow_callback_s`` the loop runs in asyncio's debug mode,
+    which logs a warning for each callback that holds it that long.
+    """
+
+    def __init__(self, config, slow_callback_s=None):
         self.config = config
         self.service = ProfilingService(config)
         self.daemon = ServeDaemon(self.service, config)
         self.loop = None
+        self.slow_callback_s = slow_callback_s
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self):
-        self.loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self.loop)
+        loop = asyncio.new_event_loop()
+        if self.slow_callback_s is not None:
+            loop.set_debug(True)
+            loop.slow_callback_duration = self.slow_callback_s
+        self.loop = loop
+        asyncio.set_event_loop(loop)
         try:
             self.loop.run_until_complete(self.daemon.run())
         finally:

@@ -98,6 +98,35 @@ def test_the_first_lda_fit_loads_scipy_special(tmp_path):
                       "scipy.optimize": False}
 
 
+_FIT_SEES_SCIPY = """
+import sys
+from repro.classify import LatentDirichletAllocation, classify_blocks
+from repro.isa.parser import parse_block
+
+assert "scipy" not in sys.modules
+seen = []
+fit = LatentDirichletAllocation.fit
+
+
+def recording_fit(self, *args, **kwargs):
+    seen.append("scipy.special" in sys.modules)
+    return fit(self, *args, **kwargs)
+
+
+LatentDirichletAllocation.fit = recording_fit
+classify_blocks([parse_block("add $1, %rdi\\ncmp %rcx, %rdi"),
+                 parse_block("imul %rbx, %rax")])
+assert seen == [True], seen
+"""
+
+
+def test_classify_blocks_loads_scipy_special_before_the_fit(tmp_path):
+    # The fit's ``classify.lda`` span (and a tracer's wrapper of
+    # ``fit``) then times LDA, not scipy's import.
+    loaded = _loaded(_FIT_SEES_SCIPY, ("scipy.special",), tmp_path)
+    assert loaded == {"scipy.special": True}
+
+
 def test_pipeline_import_leaves_scipy_stats_and_optimize_out(tmp_path):
     loaded = _loaded("import repro.eval.pipeline",
                      ("scipy.stats", "scipy.optimize"), tmp_path)
