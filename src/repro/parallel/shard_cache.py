@@ -30,9 +30,10 @@ unterminated tail: it is neither a hit nor quarantined, and the next
 writer cuts it off under the lock before it appends
 (:func:`repro.resilience.journal.truncate_torn_tail`).
 
-**Reads.**  Each uarch's log is read sequentially, on first use, into
-an in-memory index: blake2b-128 of the text → offset and length of the
-last good line; the store's own appends join it.  A lookup that misses
+**Reads.**  Each uarch's log is read sequentially, on first use (or
+at :meth:`ShardCache.build_indexes`), into an in-memory index:
+blake2b-128 of the text → offset and length of the last good line;
+the store's own appends join it.  A lookup that misses
 while the log has grown past the offset the index last scanned first
 scans just the new bytes, so a record another process appended since
 is a hit (an own append the scan meets again is indexed again, to the
@@ -193,6 +194,15 @@ class ShardCache:
             return []
 
     # ------------------------------------------------------------------
+
+    def build_indexes(self) -> None:
+        """Read every uarch's log into the index now, so that no later
+        lookup waits for that read (``repro serve`` runs this before
+        it listens)."""
+        with self._lock:
+            for name in os.listdir(self.directory):
+                if name.endswith(".log"):
+                    self._index(name[:-len(".log")])
 
     def _index(self, uarch: str) -> Dict[bytes, Tuple[int, int]]:
         index = self._indexes.get(uarch)
